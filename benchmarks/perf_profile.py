@@ -150,7 +150,7 @@ def _run_fig8_sweep() -> float:
 def test_memo_cold_sweep_speedup(bench_record):
     """Guard: a memo-cold hammer-heavy fig8 sweep runs >= 2x faster fused."""
     from repro.core import tuning
-    from repro.core.profiling import collect_phases
+    from repro.obs.phases import collect_phases
 
     # Warm up imports / device registries with a tiny run outside the clocks.
     from repro.engine import ExecutionEngine

@@ -472,9 +472,9 @@ def profile_report(
     import time as _time
     from contextlib import nullcontext
 
-    from repro.core.profiling import collect_phases
     from repro.core.tuning import tuning_report
     from repro.obs import Observation
+    from repro.obs.phases import collect_phases
 
     if target not in EXPERIMENTS:
         raise SystemExit(f"unknown experiment {target!r}; run 'list' to see the registry")

@@ -42,10 +42,9 @@ import numpy as np
 
 from repro.core.distribution import Distribution
 from repro.core.kernels import hammer_pass
-from repro.core.profiling import record_phase_seconds
-from repro.obs.trace import trace_span
 from repro.core.weights import InverseChsWeights, WeightScheme, resolve_weight_scheme
 from repro.exceptions import DistributionError
+from repro.obs.phases import record_phase_seconds
 
 __all__ = [
     "HammerConfig",
@@ -122,8 +121,9 @@ class HammerResult:
     average_chs: np.ndarray
     scores: dict[str, float]
     config: HammerConfig
-    #: Kernel plan the pairwise pass dispatched to ("dense" for the exact
-    #: legacy arithmetic at small supports, "tiled"/"streaming" above).
+    #: Kernel plan the pairwise pass ran: "dense" for the exact legacy
+    #: arithmetic at small supports, "spectral" above that on registers of
+    #: up to 20 bits, "tiled"/"streaming" on wider ones.
     kernel: str = "dense"
 
     @property
@@ -211,13 +211,9 @@ def neighborhood_scores(
             weights = np.pad(weights, (0, num_bits + 1 - len(weights)))
         return weights
 
-    with trace_span(
-        "kernel.hammer", support=packed.num_outcomes, width=packed.num_bits
-    ) as span:
-        chs, weights, scores, plan = hammer_pass(
-            packed, probabilities, cutoff, weight_fn, cfg.use_filter
-        )
-        span.set(plan=plan)
+    chs, weights, scores, plan = hammer_pass(
+        packed, probabilities, cutoff, weight_fn, cfg.use_filter
+    )
     if cfg.include_self_probability:
         scores = scores + probabilities
 
@@ -236,7 +232,7 @@ def neighborhood_scores(
         distribution=reconstructed,
         weights=weights,
         average_chs=chs,
-        scores={outcome: float(score) for outcome, score in zip(distribution.outcomes(), scores)},
+        scores=dict(zip(distribution.outcomes(), scores.tolist())),
         config=cfg,
         kernel=plan,
     )

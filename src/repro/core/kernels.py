@@ -14,8 +14,9 @@ each ``(support size, register width)``:
     (and every published row table at laptop scale) reproduce exactly.
 
 ``tiled``
-    Large supports at device-scale widths (up to ~10 uint64 words).  The CHS
-    spectrum comes first — the dense Walsh–Hadamard transform in
+    Large supports on registers wider than ``DENSE_CHS_MAX_BITS``, up to ~10
+    uint64 words (``spectral`` reuses its score sweep for its high levels).
+    The CHS spectrum comes first — the dense Walsh–Hadamard transform in
     ``O(n * 2^n)`` where the hypercube is cheap, otherwise one symmetric
     triangular sweep — and with the per-distance weights then known, the
     score pass walks only the upper triangle of the pair matrix in
@@ -31,6 +32,28 @@ each ``(support size, register width)``:
     bounded-memory tile chunks; the scores then follow as a single ``M @ W``
     product.  The packed matrix is traversed exactly once (PR 4 walked it
     once for the CHS spectrum and again for the scores).
+
+``spectral``
+    Large supports on narrow registers (``n <= DENSE_CHS_MAX_BITS``).  The
+    step-3 filter ``P(y) < P(x)`` compares only probability values, and a
+    shot histogram has few distinct ones, with most outcomes in the lowest
+    levels (counts 1, 2, 3, ...).  The support is grouped by exact
+    probability value and the ``m`` lowest levels are scored on the dense
+    hypercube: one forward Walsh–Hadamard transform of each level's mass, a
+    running sum in the transform domain, a multiply by the transformed
+    ``W∘popcount`` and one inverse transform per level.  Only the outcomes
+    above the split are swept pairwise (the tiled score sweep); one more
+    inverse transform carries all low-level mass beneath them.  The split
+    minimises ``2·m·n·2ⁿ·c + N_high(m)²/2`` (:func:`spectral_split`, ``c`` =
+    :data:`SPECTRAL_TRANSFORM_COST`), and ``m = 0`` is the ``tiled`` plan
+    bit for bit.  Without the filter the scores are one convolution minus
+    the ``W[0]·P(x)`` self term, used when its two transforms cost less than
+    the pair sweep.  Transform round-off never reaches the output: every
+    true nonzero score is at least ``2τ`` with ``τ = ½·min(W[d] > 0)·min P``,
+    so transform scores below ``τ`` snap to exact 0, and the plan falls back
+    to ``m = 0`` whenever the round-off bound is not below ``τ``.  Not
+    bit-identical to ``tiled``; the differential tests hold it to
+    ``hammer_reference`` and ``tiled`` within a relative 1e-12.
 
 ``legacy``
     The PR 4 two-pass arithmetic at *any* support size.  Never chosen by the
@@ -55,6 +78,8 @@ otherwise.  All tile/block sizes come from :mod:`repro.core.tuning`
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
 from collections.abc import Callable
 
@@ -64,6 +89,7 @@ from repro.core import costmodel, tuning
 from repro.exceptions import DistributionError
 from repro.obs.logs import get_logger
 from repro.obs.metrics import counter_add
+from repro.obs.trace import trace_span
 
 _logger = get_logger("repro.core.kernels")
 
@@ -74,9 +100,11 @@ __all__ = [
     "choose_plan",
     "chs_histogram",
     "hammer_pass",
+    "spectral_split",
     "walsh_hadamard_inplace",
     "DENSE_CHS_MAX_BITS",
     "DENSE_SUPPORT_MAX",
+    "SPECTRAL_TRANSFORM_COST",
 ]
 
 # ---------------------------------------------------------------------------
@@ -118,13 +146,14 @@ else:  # pragma: no cover - exercised only on NumPy < 2
 # ---------------------------------------------------------------------------
 # Shared primitives
 # ---------------------------------------------------------------------------
-#: Widest register for which the dense Walsh–Hadamard CHS path is considered
-#: (2**20 float64 work vectors = 8 MiB each).
+#: Widest register for which the dense Walsh–Hadamard paths — the CHS
+#: transform and the ``spectral`` plan — are considered (2**20 float64 work
+#: vectors = 8 MiB each).
 DENSE_CHS_MAX_BITS = 20
 
 #: Largest support handled by the ``dense`` plan (the bit-identical legacy
 #: arithmetic).  Laptop-scale sweeps — including every golden fixture — stay
-#: below this; bigger supports dispatch to the tiled/streaming kernels.
+#: below this; bigger supports dispatch to the spectral/tiled/streaming kernels.
 DENSE_SUPPORT_MAX = 1024
 
 
@@ -247,18 +276,31 @@ def _gpu_plan_or_fallback() -> str:
     return "tiled"
 
 
-def walsh_hadamard_inplace(vector: np.ndarray) -> np.ndarray:
-    """Unnormalised fast Walsh–Hadamard transform, O(n * 2**n)."""
+def walsh_hadamard_inplace(array: np.ndarray) -> np.ndarray:
+    """Unnormalised fast Walsh–Hadamard transform of each row, O(n * 2**n).
+
+    ``array`` is one C-contiguous vector of length ``2**n`` or a stack of
+    such rows; every butterfly pairs entries inside one row, so a whole
+    stack transforms with the same few NumPy calls as a single vector.
+    """
     half = 1
-    size = vector.size
+    size = array.shape[-1]
     while half < size:
-        paired = vector.reshape(-1, 2 * half)
+        paired = array.reshape(-1, 2 * half)
         left = paired[:, :half].copy()
-        right = paired[:, half:].copy()
-        paired[:, :half] = left + right
-        paired[:, half:] = left - right
+        right = paired[:, half:]
+        paired[:, :half] += right
+        np.subtract(left, right, out=right)
         half *= 2
-    return vector
+    return array
+
+
+@functools.lru_cache(maxsize=DENSE_CHS_MAX_BITS + 1)
+def _hypercube_popcounts(num_bits: int) -> np.ndarray:
+    """Popcount of every vertex of the ``num_bits``-cube (cached, read-only)."""
+    table = popcount_u64(np.arange(1 << num_bits, dtype=np.uint64))
+    table.flags.writeable = False
+    return table
 
 
 def _dense_chs(packed, weights: np.ndarray, limit: int) -> np.ndarray:
@@ -278,7 +320,7 @@ def _dense_chs(packed, weights: np.ndarray, limit: int) -> np.ndarray:
     weighted[indices] = weights
     product = walsh_hadamard_inplace(support) * walsh_hadamard_inplace(weighted)
     convolution = walsh_hadamard_inplace(product) / size
-    popcounts = popcount_u64(np.arange(size, dtype=np.uint64)).astype(np.int64)
+    popcounts = _hypercube_popcounts(num_bits)
     histogram = np.bincount(popcounts, weights=convolution, minlength=num_bits + 1)[
         : num_bits + 1
     ]
@@ -463,6 +505,121 @@ def _symmetric_chs_mass(
 
 
 # ---------------------------------------------------------------------------
+# Spectral scores: Walsh–Hadamard convolutions per probability level
+# ---------------------------------------------------------------------------
+#: Cost of one of the ``n * 2**n`` butterfly entries of a hypercube
+#: transform, with its share of the scatter, running sum, multiply and
+#: gather around it, in units of one unordered pair of the tiled score
+#: sweep.  On the fig8 histograms (widths 12-14, 2.5k-12.9k outcomes; 2-vCPU
+#: x86-64, NumPy 2.4) total kernel time was lowest at 0.5 and within 10% of
+#: it anywhere in 0.125-1.0, so one fixed constant serves.
+SPECTRAL_TRANSFORM_COST = 0.5
+
+#: Largest stack of level transforms held at once (one row at ``n = 20``).
+SPECTRAL_BLOCK_BYTES = 8 << 20
+
+
+def spectral_split(level_sizes: np.ndarray, num_bits: int) -> int:
+    """How many of the lowest probability levels to score by transform.
+
+    Minimises ``2·m·n·2ⁿ·c + N_high(m)²/2`` over ``m = 0 .. K``: each
+    transformed level costs one forward and one inverse transform, and the
+    ``N_high(m)`` outcomes above the split are swept pairwise.  ``m = 0`` is
+    the tiled sweep; ties go to the smaller split.
+    """
+    above = int(level_sizes.sum()) - np.concatenate(([0], np.cumsum(level_sizes)))
+    splits = np.arange(len(level_sizes) + 1)
+    transforms = 2.0 * splits * num_bits * float(1 << num_bits) * SPECTRAL_TRANSFORM_COST
+    return int(np.argmin(transforms + above.astype(float) ** 2 / 2.0))
+
+
+def _spectral_scores(
+    packed,
+    probabilities: np.ndarray,
+    weights: np.ndarray,
+    cutoff: int,
+    use_filter: bool,
+    span,
+) -> np.ndarray:
+    """Neighbourhood scores with the lowest probability levels transformed.
+
+    With the filter, level ``k``'s scores are the XOR-convolution of the
+    mass of every strictly lower level with ``W∘popcount``, read at level
+    ``k``'s outcomes; without it, one convolution of the whole support less
+    each outcome's own ``W[0]·P(x)`` term.  See the module docstring for the
+    split rule and the round-off handling.
+    """
+    num_bits = packed.num_bits
+    num_outcomes = packed.num_outcomes
+    weights = weights.astype(float, copy=True)
+    weights[cutoff:] = 0.0
+    if use_filter:
+        order = np.argsort(probabilities, kind="stable")
+        ranked = probabilities[order]
+        starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+        bounds = np.append(starts, num_outcomes)
+    else:
+        # Every other outcome counts: the whole support is one level.
+        order = np.arange(num_outcomes)
+        bounds = np.array([0, num_outcomes])
+    split = spectral_split(np.diff(bounds), num_bits)
+    if split:
+        # Every true nonzero score is a sum of terms W[d]·P(y) >= 2·tau.
+        positive = weights[weights > 0.0]
+        tau = 0.5 * positive.min() * probabilities.min() if positive.size else 0.0
+        reach = sum(math.comb(num_bits, d) * float(w) for d, w in enumerate(weights))
+        # Forward, product and inverse transforms, plus the running sum.
+        eps = np.finfo(float).eps
+        bound = (4 * (num_bits + 1) + split) * eps * float(probabilities.sum()) * reach
+        if not (weights.min() >= 0.0 and bound < tau):
+            split = 0
+    span.set(levels=len(bounds) - 1, split=split)
+    if split == 0:
+        return _symmetric_scores(packed, probabilities, weights, cutoff, use_filter)
+
+    size = 1 << num_bits
+    vertices = packed.words[:, 0].astype(np.intp)
+    # W∘popcount in the transform domain, with the inverse's 1/2**n folded in.
+    kernel = walsh_hadamard_inplace(weights[_hypercube_popcounts(num_bits)]) / size
+    if not use_filter:
+        mass = np.zeros(size)
+        mass[vertices] = probabilities
+        walsh_hadamard_inplace(mass)
+        mass *= kernel
+        scores = walsh_hadamard_inplace(mass)[vertices] - weights[0] * probabilities
+        scores[np.abs(scores) < tau] = 0.0
+        return scores
+
+    # Cumulative row k holds the mass of levels 0..k: it scores level k + 1,
+    # and the last one scores every outcome above the split.
+    high = order[bounds[split]:]
+    targets = [order[bounds[k + 1] : bounds[k + 2]] for k in range(split - 1)] + [high]
+    scores = np.zeros(num_outcomes)
+    rows = max(1, SPECTRAL_BLOCK_BYTES // (8 * size))
+    carry = np.zeros(size)
+    for first in range(0, split, rows):
+        levels = range(first, min(first + rows, split))
+        block = np.zeros((len(levels), size))
+        for row, level in enumerate(levels):
+            members = order[bounds[level] : bounds[level + 1]]
+            block[row, vertices[members]] = probabilities[members]
+        walsh_hadamard_inplace(block)
+        block[0] += carry
+        np.cumsum(block, axis=0, out=block)
+        carry = block[-1].copy()
+        block *= kernel
+        walsh_hadamard_inplace(block)
+        for row, level in enumerate(levels):
+            scores[targets[level]] = block[row, vertices[targets[level]]]
+    scores[np.abs(scores) < tau] = 0.0
+    if high.size:
+        scores[high] += _symmetric_scores(
+            packed.subset(high), probabilities[high], weights, cutoff, True
+        )
+    return scores
+
+
+# ---------------------------------------------------------------------------
 # Plan dispatch
 # ---------------------------------------------------------------------------
 #: Word count beyond which the fused single-traversal (streaming) plan beats
@@ -472,13 +629,24 @@ def _symmetric_chs_mass(
 STREAMING_MIN_WORDS = 10
 
 
+def _decided(plan: str, source: str) -> str:
+    """Record a kernel decision (planner provenance + ``kernel.plan.*``)."""
+    costmodel.record_decision("kernel", plan, source)
+    counter_add(f"kernel.plan.{plan}")
+    return plan
+
+
 def choose_plan(num_outcomes: int, num_bits: int) -> str:
     """Pick the cheapest kernel plan for a ``(support size, width)`` shape.
 
     * ``dense`` — supports up to :data:`DENSE_SUPPORT_MAX`: the full pair
       matrix fits in one block and the historical arithmetic is both fastest
       and bit-stable (golden fixtures live here).
-    * ``tiled`` — large supports at register widths up to
+    * ``spectral`` — larger supports on registers of up to
+      :data:`DENSE_CHS_MAX_BITS` bits: the lowest probability levels scored
+      by hypercube transforms, the rest by the tiled sweep, split by a
+      closed-form cost rule (:func:`spectral_split`).
+    * ``tiled`` — large supports at wider registers up to
       :data:`STREAMING_MIN_WORDS` words: CHS first (dense Walsh–Hadamard
       where the hypercube is cheap, one symmetric sweep otherwise), then a
       weight-gather score sweep over the upper triangle.
@@ -489,41 +657,35 @@ def choose_plan(num_outcomes: int, num_bits: int) -> str:
       to ``tiled``).
 
     Precedence: ``REPRO_HAMMER_KERNEL`` (or the programmatic override)
-    wins outright; otherwise a tuned :class:`~repro.core.costmodel.
-    MachineProfile` ranks the large-support plans by predicted seconds
+    wins outright.  The dense and spectral boundaries come next and are
+    **not** tunable: supports at or below :data:`DENSE_SUPPORT_MAX` always
+    run the bit-identical historical arithmetic, so golden fixtures and
+    published row tables never drift under tuning, and narrow registers
+    always run ``spectral``.  Wider registers are ranked by a tuned
+    :class:`~repro.core.costmodel.MachineProfile` by predicted seconds
     (``gpu`` is only honoured when a device is actually usable — profiles
     travel between machines); the fixed word-count crossover above — with
     ``gpu`` preferred outright when a device is present — is the untuned
-    fallback.  The dense boundary is **not** tunable: supports at or below
-    :data:`DENSE_SUPPORT_MAX` always run the bit-identical historical
-    arithmetic, profile or not, so golden fixtures and published row
-    tables never drift under tuning.
+    fallback.
     """
     override = tuning.kernel_override()
     if override is not None:
-        costmodel.record_decision("kernel", override, "override")
-        counter_add(f"kernel.plan.{override}")
-        return override
+        return _decided(override, "override")
     if num_outcomes <= DENSE_SUPPORT_MAX:
-        costmodel.record_decision("kernel", "dense", "heuristic")
-        counter_add("kernel.plan.dense")
-        return "dense"
+        return _decided("dense", "heuristic")
+    if num_bits <= DENSE_CHS_MAX_BITS:
+        return _decided("spectral", "heuristic")
     profile = costmodel.active_profile()
     if profile is not None:
         plan = profile.kernel_plan(num_outcomes, num_bits)
         if plan == "gpu" and not gpu_available():
             plan = None
         if plan is not None:
-            costmodel.record_decision("kernel", plan, "profile")
-            counter_add(f"kernel.plan.{plan}")
-            return plan
+            return _decided(plan, "profile")
     if gpu_available():
-        plan = "gpu"
-    else:
-        plan = "streaming" if (num_bits + 63) // 64 >= STREAMING_MIN_WORDS else "tiled"
-    costmodel.record_decision("kernel", plan, "heuristic")
-    counter_add(f"kernel.plan.{plan}")
-    return plan
+        return _decided("gpu", "heuristic")
+    wide = (num_bits + 63) // 64 >= STREAMING_MIN_WORDS
+    return _decided("streaming" if wide else "tiled", "heuristic")
 
 
 def chs_histogram(packed, weights: np.ndarray, limit: int, plan: str | None = None) -> np.ndarray:
@@ -563,7 +725,7 @@ def chs_histogram(packed, weights: np.ndarray, limit: int, plan: str | None = No
         if dense_eligible:
             return _dense_chs(packed, weights, limit)
         return _blocked_chs(packed, weights, limit)
-    elif plan in ("tiled", "gpu") and dense_eligible:
+    elif plan in ("tiled", "gpu", "spectral") and dense_eligible:
         return _dense_chs(packed, weights, limit)
     chs, _ = _symmetric_chs_mass(packed, weights, limit, distances_fn=distances_fn)
     return chs
@@ -630,8 +792,30 @@ def hammer_pass(
 
     ``weight_fn`` maps the raw CHS histogram to the padded per-distance
     weight vector (length ``num_bits + 1``, zero at and beyond ``cutoff``).
-    Returns ``(chs, weights, scores, plan_used)``.
+    Returns ``(chs, weights, scores, plan_used)``.  The pass runs inside one
+    ``kernel.hammer`` span recording the support, width and plan used, plus
+    the level count and split of the ``spectral`` plan.
     """
+    with trace_span(
+        "kernel.hammer", support=packed.num_outcomes, width=packed.num_bits
+    ) as span:
+        chs, weights, scores, plan = _run_pass(
+            packed, probabilities, cutoff, weight_fn, use_filter, plan, span
+        )
+        span.set(plan=plan)
+    return chs, weights, scores, plan
+
+
+def _run_pass(
+    packed,
+    probabilities: np.ndarray,
+    cutoff: int,
+    weight_fn: Callable[[np.ndarray], np.ndarray],
+    use_filter: bool,
+    plan: str | None,
+    span,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
+    """The body of :func:`hammer_pass`: resolve the plan, then run it."""
     if plan is None:
         plan = choose_plan(packed.num_outcomes, packed.num_bits)
     elif plan not in tuning.KERNEL_PLANS:
@@ -649,12 +833,15 @@ def hammer_pass(
 
     if plan == "gpu":
         plan = _gpu_plan_or_fallback()
+    if plan == "spectral" and num_bits > DENSE_CHS_MAX_BITS:
+        plan = "tiled"
 
-    if plan in ("tiled", "gpu"):
+    if plan in ("tiled", "gpu", "spectral"):
         # CHS first (dense WHT where eligible, else one symmetric sweep);
         # scores in a second symmetric sweep with the weights in hand.  The
         # gpu plan is this exact arithmetic with device-computed distance
-        # tiles — the returned plan name records where distances ran.
+        # tiles — the returned plan name records where distances ran.  The
+        # spectral plan shares the CHS and sweeps only its high levels.
         distances_fn = _tile_distances_gpu if plan == "gpu" else _tile_distances
         dense_cost = _dense_chs_cost(num_bits)
         if limit < 0:
@@ -666,9 +853,12 @@ def hammer_pass(
                 packed, probabilities, min(limit, num_bits), distances_fn=distances_fn
             )
         weights = weight_fn(chs)
-        scores = _symmetric_scores(
-            packed, probabilities, weights, cutoff, use_filter, distances_fn=distances_fn
-        )
+        if plan == "spectral":
+            scores = _spectral_scores(packed, probabilities, weights, cutoff, use_filter, span)
+        else:
+            scores = _symmetric_scores(
+                packed, probabilities, weights, cutoff, use_filter, distances_fn=distances_fn
+            )
         return chs, weights, scores, plan
 
     # streaming: one fused traversal for CHS + filtered mass, then M @ W.

@@ -20,10 +20,18 @@ fixed fallback), never from timing runs, so repeated runs — and worker
 processes of the same sweep — always agree on accumulation order.
 
 ``REPRO_HAMMER_KERNEL`` force-selects a kernel plan (``dense`` / ``tiled`` /
-``streaming`` / ``legacy``) for benchmarking and differential testing;
-:func:`kernel_override` reads it and :func:`set_kernel_override` sets it
-programmatically (benchmarks use this to time before/after pairs in one
-process).
+``streaming`` / ``spectral`` / ``legacy`` / ``gpu``) for benchmarking and
+differential testing; :func:`kernel_override` reads it and
+:func:`set_kernel_override` sets it programmatically (benchmarks use this to
+time before/after pairs in one process).
+
+The ``spectral`` plan takes no size from this module.  Its split between
+transformed probability levels and the pairwise sweep is a closed-form
+choice, minimising ``2·m·n·2ⁿ·c + N_high(m)²/2`` with one fixed constant
+``c`` (:data:`repro.core.kernels.SPECTRAL_TRANSFORM_COST`; no environment
+variable, no profile entry), and its stacked transforms are capped at 8 MiB
+per block.  Transform scores below ``τ = ½·min(W[d] > 0)·min P`` snap to
+exact zero, so its outputs stay within a relative 1e-12 of ``tiled``.
 """
 
 from __future__ import annotations
@@ -45,14 +53,20 @@ __all__ = [
     "tuning_report",
 ]
 
-#: Valid kernel plan names: the three shape-dispatched plans plus ``legacy``,
+#: Valid kernel plan names: the four shape-dispatched plans plus ``legacy``,
 #: which forces the pre-PR5 two-pass arithmetic at any support size (the
 #: benchmark baseline).  ``dense`` and ``legacy`` share the same arithmetic;
 #: ``dense`` is simply the dispatcher's name for it at small supports.
 #: ``gpu`` is the tiled arithmetic with CuPy-computed distance tiles —
 #: accepted everywhere plan names are validated, degrading to ``tiled``
-#: (with a warning) when no CUDA device is usable.
-KERNEL_PLANS = ("dense", "tiled", "streaming", "legacy", "gpu")
+#: (with a warning) when no CUDA device is usable.  ``spectral`` scores the
+#: lowest probability levels by Walsh–Hadamard transforms and sweeps only
+#: the rest pairwise, at a split minimising ``2·m·n·2ⁿ·c + N_high(m)²/2``;
+#: transform scores below ``τ = ½·min(W[d] > 0)·min P`` snap to exact zero,
+#: and results hold to ``tiled`` within a relative 1e-12.  It needs the dense
+#: hypercube, so a forced ``spectral`` on a register wider than 20 bits runs
+#: ``tiled``.
+KERNEL_PLANS = ("dense", "tiled", "streaming", "spectral", "legacy", "gpu")
 
 _ENV_KERNEL = "REPRO_HAMMER_KERNEL"
 _ENV_BLOCK_ENTRIES = "REPRO_PAIRWISE_BLOCK_ENTRIES"

@@ -65,9 +65,9 @@ import numpy as np
 from repro.backends import get_backend, resolve_backend
 from repro.core import costmodel
 from repro.core.distribution import Distribution
-from repro.core.profiling import record_phase_seconds
 from repro.obs.metrics import counter_add, gauge_max
 from repro.obs.observe import absorb_payload, observation_active, observed_call
+from repro.obs.phases import record_phase_seconds
 from repro.obs.trace import record_span, trace_span
 from repro.engine.cache import ExecutionCache
 from repro.engine.executors import (
@@ -460,7 +460,12 @@ class ExecutionEngine:
         return self._pool
 
     def close(self) -> None:
-        """Shut down the worker pool (subsequent runs recreate it lazily)."""
+        """Shut down the worker pool (subsequent runs recreate it lazily).
+
+        A shard executor instance passed in as ``shard_executor=`` belongs
+        to the caller, who closes it; the engine only ever closes the
+        executors it resolves itself, after each batch.
+        """
         if self._pool is not None:
             if self._pool_finalizer is not None:
                 self._pool_finalizer.detach()
@@ -960,7 +965,9 @@ class ExecutionEngine:
                 provenance = executor.provenance()
                 if provenance:
                     stats.transport = _merge_numeric(stats.transport, provenance)
-                executor.close()
+                # An executor passed in serves every batch; its owner closes it.
+                if executor is not self._shard_executor_instance:
+                    executor.close()
         record_phase_seconds("sample", time.perf_counter() - phase_start)
 
         # ---- Assemble results in batch order ----

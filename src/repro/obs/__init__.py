@@ -13,8 +13,8 @@ together under one :class:`~repro.obs.observe.Observation`:
     A structured logger (``REPRO_LOG=text|json|off``) whose records land
     in run artifacts, replacing stderr-only warn-once paths.
 :mod:`repro.obs.phases`
-    The per-phase timing collector (migrated from ``repro.core.profiling``,
-    which remains as a shim).
+    The per-phase timing collector (the engine's transpile / ideal /
+    sample phases and the HAMMER kernel report into it).
 
 Everything is disabled by default; every instrumentation helper is a
 single ``is None`` check until an observation activates the globals, so

@@ -1,4 +1,4 @@
-"""Per-phase timing collection, migrated here from ``repro.core.profiling``.
+"""Per-phase timing collection for ``repro profile`` and the perf scripts.
 
 The pipeline's phase boundaries live in different layers — transpile / ideal /
 sample inside the execution engine, the HAMMER kernel inside ``repro.core``
@@ -20,8 +20,6 @@ Since PR 8 this module is part of the observability layer: every
 :func:`record_phase_seconds` call *also* feeds a ``phase.<name>`` latency
 histogram in the active metrics registry (when one is active), so phase
 timing shows up in ``report.meta["obs"]`` without a separate collector.
-``repro.core.profiling`` remains as a thin compatibility shim re-exporting
-this module's surface.
 """
 
 from __future__ import annotations

@@ -205,10 +205,12 @@ class TestDecisions:
 class TestChoosePlanPrecedence:
     def test_heuristic_without_profile(self):
         assert choose_plan(DENSE_SUPPORT_MAX, 16) == "dense"
-        assert choose_plan(5_000, 16) == "tiled"
+        assert choose_plan(5_000, 16) == "spectral"
+        assert choose_plan(5_000, 32) == "tiled"
         assert choose_plan(5_000, 640) == "streaming"
         counts = costmodel.decision_counts()["kernel"]
         assert counts["dense/heuristic"] == 1
+        assert counts["spectral/heuristic"] == 1
         assert counts["tiled/heuristic"] == 1
         assert counts["streaming/heuristic"] == 1
 
@@ -218,25 +220,30 @@ class TestChoosePlanPrecedence:
                 kernels={"tiled": _kernel_curve(9e-9), "streaming": _kernel_curve(2e-9)}
             )
         )
-        assert choose_plan(5_000, 16) == "streaming"
+        assert choose_plan(5_000, 32) == "streaming"
         assert costmodel.decision_counts()["kernel"] == {"streaming/profile": 1}
 
     def test_env_override_beats_profile(self, monkeypatch):
         costmodel.set_active_profile(_profile())
         monkeypatch.setenv("REPRO_HAMMER_KERNEL", "legacy")
-        assert choose_plan(5_000, 16) == "legacy"
+        assert choose_plan(5_000, 32) == "legacy"
         assert costmodel.decision_counts()["kernel"] == {"legacy/override": 1}
 
-    def test_dense_boundary_immune_to_profile(self):
-        # Supports at or below DENSE_SUPPORT_MAX hold the golden fixtures;
-        # no profile may reroute them.
+    def test_dense_and_spectral_boundaries_immune_to_profile(self):
+        # Supports at or below DENSE_SUPPORT_MAX hold the golden fixtures,
+        # and registers of up to DENSE_CHS_MAX_BITS run spectral; no profile
+        # may reroute either.
         costmodel.set_active_profile(
             _profile(
                 kernels={"tiled": _kernel_curve(9e-9), "streaming": _kernel_curve(1e-12)}
             )
         )
         assert choose_plan(DENSE_SUPPORT_MAX, 16) == "dense"
-        assert costmodel.decision_counts()["kernel"] == {"dense/heuristic": 1}
+        assert choose_plan(5_000, 16) == "spectral"
+        assert costmodel.decision_counts()["kernel"] == {
+            "dense/heuristic": 1,
+            "spectral/heuristic": 1,
+        }
 
 
 class TestTileEntriesPrecedence:

@@ -1,14 +1,17 @@
 """Property suite for the shape-adaptive pairwise Hamming kernels (PR 5).
 
 Every kernel plan — the bit-stable ``dense``/``legacy`` arithmetic, the
-symmetric ``tiled`` sweep and the fused ``streaming`` traversal — must agree
-with ``hammer_reference`` (the paper's Algorithm 1, pure-Python loops) on
-arbitrary supports, including word-boundary widths (63/64/65) and degenerate
-single-outcome distributions.  The popcount dispatch, the shape dispatcher
-and the environment overrides of the tuning layer are covered here too.
+symmetric ``tiled`` sweep, the fused ``streaming`` traversal and the
+``spectral`` level transforms — must agree with ``hammer_reference`` (the
+paper's Algorithm 1, pure-Python loops) on arbitrary supports, including
+word-boundary widths (63/64/65) and degenerate single-outcome distributions.
+The popcount dispatch, the shape dispatcher and the environment overrides of
+the tuning layer are covered here too.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Distribution, HammerConfig, hammer, hammer_reference
-from repro.core import tuning
+from repro.core import kernels, tuning
 from repro.core.kernels import (
+    DENSE_CHS_MAX_BITS,
     DENSE_SUPPORT_MAX,
     STREAMING_MIN_WORDS,
     _popcount_lut_u64,
@@ -26,12 +30,14 @@ from repro.core.kernels import (
     has_fast_popcount,
     hammer_pass,
     popcount_u64,
+    spectral_split,
 )
 from repro.core.spectrum import average_chs
 from repro.core.bitstring import pairwise_block_size
+from repro.core.weights import NoiseAwareWeights
 from repro.exceptions import DistributionError
 
-ALL_PLANS = ("dense", "tiled", "streaming", "legacy")
+ALL_PLANS = ("dense", "tiled", "streaming", "spectral", "legacy")
 
 
 @pytest.fixture(autouse=True)
@@ -87,7 +93,7 @@ class TestKernelEquivalence:
     def test_chs_plans_agree(self, dist):
         packed = dist.packed()
         expected = chs_histogram(packed, packed.probabilities, dist.num_bits, plan="legacy")
-        for plan in ("dense", "tiled", "streaming"):
+        for plan in ("dense", "tiled", "streaming", "spectral"):
             got = chs_histogram(packed, packed.probabilities, dist.num_bits, plan=plan)
             assert np.allclose(got, expected, atol=1e-9), plan
 
@@ -127,6 +133,175 @@ class TestKernelEquivalence:
             chs_histogram(packed, packed.probabilities, 1, plan="legcay")
 
 
+WEIGHT_SCHEMES = ("inverse_chs", "uniform", "exponential", "nearest_neighbor", "noise_aware")
+
+
+@st.composite
+def shot_histograms(draw):
+    """Integer shot counts at widths 1-14: few large counts, a long 1/2/3 tail."""
+    num_bits = draw(st.integers(min_value=1, max_value=14))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    support = min(1 << num_bits, draw(st.integers(min_value=1, max_value=48)))
+    vertices = rng.choice(1 << num_bits, size=support, replace=False)
+    counts = rng.geometric(draw(st.sampled_from([0.2, 0.5, 0.8])), size=support)
+    strings = [format(int(vertex), f"0{num_bits}b") for vertex in vertices]
+    return Distribution(dict(zip(strings, counts.astype(float))), num_bits=num_bits)
+
+
+@st.composite
+def hammer_configs(draw, num_bits):
+    scheme = draw(st.sampled_from(WEIGHT_SCHEMES))
+    if scheme == "noise_aware":
+        flips = draw(st.lists(st.floats(0.01, 0.2), min_size=num_bits, max_size=num_bits))
+        scheme = NoiseAwareWeights(flips)
+    return HammerConfig(
+        weight_scheme=scheme,
+        neighborhood_cutoff=draw(st.sampled_from([None, 0, 1, 2])),
+        use_filter=draw(st.booleans()),
+        include_self_probability=draw(st.booleans()),
+    )
+
+
+def _at_split(choose):
+    """Run the spectral plan at ``choose(number of levels)`` instead of the rule."""
+    return mock.patch.object(kernels, "spectral_split", lambda sizes, bits: choose(len(sizes)))
+
+
+def _assert_matches(got, expected):
+    """Within a relative 1e-12, exactly 0 where ``expected`` is, never negative."""
+    for outcome, probability in expected.probabilities().items():
+        value = got.probability(outcome)
+        assert value >= 0.0
+        assert (value == 0.0) == (probability == 0.0), outcome
+        assert value == pytest.approx(probability, rel=1e-12, abs=0.0), outcome
+
+
+def _fig8_like(num_bits, seed, noise_shots):
+    """One dominant answer over a tail of 1-, 2- and 3-shot noise outcomes."""
+    rng = np.random.default_rng(seed)
+    shots = np.concatenate(
+        [np.zeros(noise_shots // 2, dtype=np.int64), rng.integers(0, 1 << num_bits, noise_shots)]
+    )
+    vertices, counts = np.unique(shots, return_counts=True)
+    strings = [format(int(vertex), f"0{num_bits}b") for vertex in vertices]
+    return Distribution(dict(zip(strings, counts.astype(float))), num_bits=num_bits)
+
+
+class TestSpectralPlan:
+    @given(shot_histograms(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_reference_and_tiled_at_any_split(self, dist, data):
+        config = data.draw(hammer_configs(dist.num_bits))
+        fraction = data.draw(st.floats(0.0, 1.0))
+        reference = hammer_reference(dist, config)
+        _force("tiled")
+        tiled = hammer(dist, config)
+        _force("spectral")
+        with _at_split(lambda levels: 0):
+            assert np.array_equal(
+                hammer(dist, config).probability_vector(), tiled.probability_vector()
+            )
+        interior = lambda levels: min(levels, 1 + int(fraction * max(0, levels - 2)))  # noqa: E731
+        for choose in (lambda levels: levels, interior):
+            with _at_split(choose):
+                got = hammer(dist, config)
+            _assert_matches(got, reference)
+            _assert_matches(got, tiled)
+
+    @pytest.mark.parametrize("cutoff", [0, 1])
+    @pytest.mark.parametrize("use_filter", [True, False])
+    def test_all_zero_scores_fall_back_to_the_input(self, cutoff, use_filter):
+        # Without self-probability no outcome has a neighbour inside the
+        # cutoff, so every score is 0 and the reference returns the input.
+        dist = _fig8_like(9, seed=cutoff, noise_shots=400)
+        config = HammerConfig(
+            neighborhood_cutoff=cutoff,
+            include_self_probability=False,
+            use_filter=use_filter,
+        )
+        expected = hammer_reference(dist, config)
+        assert expected.probabilities() == dist.normalized().probabilities()
+        _force("spectral")
+        assert hammer(dist, config).probabilities() == expected.probabilities()
+        with _at_split(lambda levels: levels):
+            assert hammer(dist, config).probabilities() == expected.probabilities()
+
+    def test_roundoff_gate_falls_back_to_the_tiled_sweep(self):
+        # A 1e-17 outcome puts tau below the transforms' round-off bound,
+        # so the plan must sweep every pair (split 0), bit for bit.
+        rng = np.random.default_rng(0)
+        vertices = rng.choice(64, size=20, replace=False)
+        weights = rng.integers(1, 4, size=20).astype(float)
+        weights[0] = 1e-17
+        strings = [format(int(vertex), "06b") for vertex in vertices]
+        dist = Distribution(dict(zip(strings, weights)), num_bits=6)
+        _force("tiled")
+        tiled = hammer(dist).probability_vector()
+        _force("spectral")
+        with _at_split(lambda levels: levels):
+            assert np.array_equal(hammer(dist).probability_vector(), tiled)
+
+    def test_far_apart_pair_without_filter_falls_back(self):
+        dist = Distribution({"0000": 0.25, "1111": 0.75})
+        config = HammerConfig(use_filter=False, include_self_probability=False)
+        _force("spectral")
+        with _at_split(lambda levels: levels):
+            got = hammer(dist, config)
+        assert got.probabilities() == hammer_reference(dist, config).probabilities()
+
+    @pytest.mark.parametrize("use_filter", [True, False])
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_single_outcome_and_uniform_histograms(self, use_filter, include_self):
+        config = HammerConfig(use_filter=use_filter, include_self_probability=include_self)
+        uniform = Distribution({format(v, "06b"): 3.0 for v in range(0, 64, 3)})
+        _force("spectral")
+        for dist in (Distribution.point_mass("0110"), uniform):
+            with _at_split(lambda levels: levels):
+                got = hammer(dist, config)
+            _assert_matches(got, hammer_reference(dist, config))
+
+    def test_split_rule_transforms_the_crowded_low_levels(self):
+        # 6000 one-shot outcomes, 900 two-shot, 40 three-shot, one answer.
+        sizes = np.array([6000, 900, 40, 1])
+        assert spectral_split(sizes, 14) == 2
+        assert spectral_split(np.array([50, 50]), 14) == 0
+        assert spectral_split(np.array([], dtype=np.int64), 14) == 0
+
+    def test_fig8_like_histogram_matches_tiled_and_records_its_split(self):
+        from repro.core.hammer import neighborhood_scores
+        from repro.obs import Observation
+
+        dist = _fig8_like(13, seed=3, noise_shots=20_768)
+        assert dist.num_outcomes > DENSE_SUPPORT_MAX
+        _force("tiled")
+        tiled = hammer(dist)
+        tuning.set_kernel_override(None)
+        with Observation() as observation:
+            result = neighborhood_scores(dist)
+        assert result.kernel == "spectral"
+        _assert_matches(result.distribution, tiled)
+        (event,) = [
+            event for event in observation.chrome_trace()["traceEvents"]
+            if event["name"] == "kernel.hammer"
+        ]
+        assert event["args"]["plan"] == "spectral"
+        assert event["args"]["levels"] == len(np.unique(dist.probability_vector()))
+        assert 0 < event["args"]["split"] < event["args"]["levels"]
+
+    def test_forced_on_a_wide_register_runs_tiled(self):
+        rng = np.random.default_rng(21)
+        bits = np.unique(rng.integers(0, 2, size=(200, DENSE_CHS_MAX_BITS + 1)), axis=0)
+        strings = ["".join("1" if b else "0" for b in row) for row in bits]
+        dist = Distribution(dict(zip(strings, rng.random(len(strings)) + 0.01)))
+        packed = dist.packed()
+        weight_fn = lambda chs: np.where(chs > 0, 1.0 / np.maximum(chs, 1e-12), 0.0)  # noqa: E731
+        tiled = hammer_pass(packed, packed.probabilities, 5, weight_fn, True, plan="tiled")
+        forced = hammer_pass(packed, packed.probabilities, 5, weight_fn, True, plan="spectral")
+        assert forced[3] == "tiled"
+        for ref, got in zip(tiled[:3], forced[:3]):
+            assert np.array_equal(ref, got)
+
+
 class TestPopcountDispatch:
     def test_lut_matches_native(self):
         rng = np.random.default_rng(3)
@@ -150,8 +325,13 @@ class TestDispatcher:
         assert choose_plan(DENSE_SUPPORT_MAX, 12) == "dense"
         assert choose_plan(1, 127) == "dense"
 
-    def test_large_supports_tile(self):
-        assert choose_plan(DENSE_SUPPORT_MAX + 1, 12) == "tiled"
+    def test_large_supports_on_narrow_registers_go_spectral(self):
+        assert choose_plan(DENSE_SUPPORT_MAX + 1, 12) == "spectral"
+        assert choose_plan(50_000, DENSE_CHS_MAX_BITS) == "spectral"
+        assert choose_plan(50_000, 1) == "spectral"
+
+    def test_large_supports_on_wider_registers_tile(self):
+        assert choose_plan(DENSE_SUPPORT_MAX + 1, DENSE_CHS_MAX_BITS + 1) == "tiled"
         assert choose_plan(50_000, 127) == "tiled"
 
     def test_very_wide_registers_stream(self):

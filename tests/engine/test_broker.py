@@ -268,7 +268,10 @@ class TestEngineBrokerBitIdentity:
             executor = BrokerExecutor(
                 broker=broker.address, join_deadline=10.0, timeout=30.0
             )
-            noisy, stats = _sharded_run(device, max_workers=1, shard_executor=executor)
+            try:
+                noisy, stats = _sharded_run(device, max_workers=1, shard_executor=executor)
+            finally:
+                executor.close()
             assert noisy.probabilities() == reference.probabilities()
             assert stats.transport["executor"] == "broker"
             assert stats.transport["chunks_completed"] == 5
@@ -315,6 +318,7 @@ class TestEngineBrokerBitIdentity:
                 attach_engine_meta(report, engine)
             finally:
                 engine.close()
+                executor.close()
             assert result.noisy.probabilities() == reference.probabilities()
             transport = report.meta["planner"]["transport"]
             assert transport["inner"]["executor"] == "broker"

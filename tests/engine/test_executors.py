@@ -80,11 +80,52 @@ class TestExecutorBitIdentity:
 
     def test_executor_instance_accepted(self, device):
         reference, _ = _sharded_run(device, max_workers=1)
-        noisy, stats = _sharded_run(
-            device, max_workers=1, shard_executor=LoopbackHostExecutor()
-        )
+        executor = LoopbackHostExecutor()
+        try:
+            noisy, stats = _sharded_run(device, max_workers=1, shard_executor=executor)
+        finally:
+            executor.close()
         assert noisy.probabilities() == reference.probabilities()
         assert stats.planner_decisions["shard-executor"] == {"loopback/override": 1}
+
+
+class _RecordingExecutor(SerialShardExecutor):
+    """Serial executor that counts the batches it serves and its closes."""
+
+    name = "recording"
+
+    def __init__(self) -> None:
+        self.batches = 0
+        self.closes = 0
+
+    def run(self, fn, tasks):
+        self.batches += 1
+        yield from super().run(fn, tasks)
+
+    def close(self) -> None:
+        self.closes += 1
+
+
+class TestExecutorOwnership:
+    def test_engine_never_closes_an_executor_passed_in(self, device):
+        """A caller's executor serves every batch; only its owner closes it."""
+        executor = _RecordingExecutor()
+        engine = ExecutionEngine(
+            max_workers=1, sample_shard_shots=8_192, shard_executor=executor
+        )
+        try:
+            for seed in (7, 8):
+                job = CircuitJob(
+                    job_id=f"owned-{seed}",
+                    circuit=bernstein_vazirani("10110"),
+                    shots=40_000,
+                    noise_model=device.noise_model,
+                )
+                engine.run([job], seed=seed)
+        finally:
+            engine.close()
+        assert executor.batches == 2
+        assert executor.closes == 0
 
 
 class TestExecutorSelection:

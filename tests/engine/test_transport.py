@@ -469,9 +469,12 @@ class TestEngineSocketBitIdentity:
                 executor = SocketHostExecutor(
                     [w.address for w in workers[:num_hosts]], timeout=10.0
                 )
-                noisy, stats = _sharded_run(
-                    device, max_workers=1, shard_executor=executor
-                )
+                try:
+                    noisy, stats = _sharded_run(
+                        device, max_workers=1, shard_executor=executor
+                    )
+                finally:
+                    executor.close()
                 assert (
                     noisy.probabilities() == reference.probabilities()
                 ), f"hosts={num_hosts}"
@@ -499,7 +502,10 @@ class TestEngineSocketBitIdentity:
                 drop=0.2,
                 duplicate=0.2,
             )
-            noisy, stats = _sharded_run(device, max_workers=1, shard_executor=executor)
+            try:
+                noisy, stats = _sharded_run(device, max_workers=1, shard_executor=executor)
+            finally:
+                executor.close()
             assert noisy.probabilities() == reference.probabilities()
             transport = stats.transport
             assert transport["inner"]["dead_hosts"] == [dying.address]
@@ -537,10 +543,9 @@ class TestEngineSocketBitIdentity:
         from repro.experiments.runner import ExperimentReport, attach_engine_meta
 
         worker = ShardWorker().start()
+        executor = SocketHostExecutor([worker.address], timeout=10.0)
         engine = ExecutionEngine(
-            max_workers=1,
-            sample_shard_shots=8_192,
-            shard_executor=SocketHostExecutor([worker.address], timeout=10.0),
+            max_workers=1, sample_shard_shots=8_192, shard_executor=executor
         )
         try:
             job = CircuitJob(
@@ -554,6 +559,7 @@ class TestEngineSocketBitIdentity:
             attach_engine_meta(report, engine)
         finally:
             engine.close()
+            executor.close()
             worker.stop()
         planner = report.meta["planner"]
         assert planner["transport"]["executor"] == "socket"
