@@ -43,16 +43,13 @@ REPEATS = 3
 @pytest.fixture(scope="session")
 def bench_record():
     """Accumulates section results; written to BENCH_PR8.json at session end."""
-    from repro.core.costmodel import active_fingerprint
     from repro.core.tuning import tuning_report
 
-    fingerprint = active_fingerprint()
     record: dict[str, object] = {
         "tuning": tuning_report(),
         "machine": {
             "cpu_count": os.cpu_count(),
             "numpy": np.__version__,
-            "machine_profile": fingerprint if fingerprint is not None else "untuned",
         },
     }
     yield record

@@ -5,7 +5,7 @@ writes the measurements to ``BENCH_PR5.json`` at the repo root (the seed of
 the repo's bench trajectory; CI uploads it as an artifact on main):
 
 * **Fused HAMMER kernels** — the shape-dispatched tiled/streaming kernels
-  against the PR 4 two-pass arithmetic (``REPRO_HAMMER_KERNEL=legacy``) on a
+  against the PR 4 two-pass arithmetic (a forced ``dense`` plan) on a
   >= 20k-outcome support, guarded at >= 2x, plus a wide-register (63-bit)
   case exercising the multi-word popcount path.
 * **Memo-cold sweep** — a hammer-heavy Figure-8 BV sweep (widths 12-14 at
@@ -38,17 +38,14 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR5.json"
 @pytest.fixture(scope="session")
 def bench_record():
     """Accumulates section results; written to BENCH_PR5.json at session end."""
-    from repro.core.costmodel import active_fingerprint
     from repro.core.tuning import detected_cache_bytes, tuning_report
 
-    fingerprint = active_fingerprint()
     record: dict[str, object] = {
         "tuning": tuning_report(),
         "machine": {
             "cpu_count": os.cpu_count(),
             "numpy": np.__version__,
             "cache_bytes": detected_cache_bytes(),
-            "machine_profile": fingerprint if fingerprint is not None else "untuned",
         },
     }
     yield record
@@ -93,7 +90,7 @@ def test_fused_hammer_large_support_speedup(bench_record):
     dist = _clustered_distribution(width=16, min_support=20_000, seed=5)
     dist.packed()  # pack outside the timed region, as the pipeline does
     _time_hammer(dist, "auto")  # warm both code paths / allocators
-    legacy_seconds, _ = _time_hammer(dist, "legacy")
+    legacy_seconds, _ = _time_hammer(dist, "dense")
     fused_seconds, fused_plan = _time_hammer(dist, "auto")
     speedup = legacy_seconds / fused_seconds
     bench_record["hammer_large_support"] = {
@@ -118,7 +115,7 @@ def test_fused_hammer_wide_register_speedup(bench_record):
     dist = _clustered_distribution(width=63, min_support=8_000, seed=6)
     dist.packed()
     _time_hammer(dist, "auto")
-    legacy_seconds, _ = _time_hammer(dist, "legacy")
+    legacy_seconds, _ = _time_hammer(dist, "dense")
     fused_seconds, fused_plan = _time_hammer(dist, "auto")
     speedup = legacy_seconds / fused_seconds
     bench_record["hammer_wide_register"] = {
@@ -161,7 +158,7 @@ def test_memo_cold_sweep_speedup(bench_record):
         engine=ExecutionEngine(),
     )
 
-    tuning.set_kernel_override("legacy")
+    tuning.set_kernel_override("dense")
     try:
         legacy_seconds = _run_fig8_sweep()
     finally:

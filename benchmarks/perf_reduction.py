@@ -1,4 +1,4 @@
-"""PR 7 performance profile: reduction trees, streaming shards, GPU tier.
+"""PR 7 performance profile: reduction trees and streaming shards.
 
 Times the scale-out shard path and writes the measurements to
 ``BENCH_PR7.json`` at the repo root (CI uploads it as an artifact):
@@ -11,9 +11,6 @@ Times the scale-out shard path and writes the measurements to
   (serial executor = the streaming degenerate case) plus a wide-register
   synthetic stream: peak live segments stay at O(log chunks) and the
   process RSS delta stays bounded — no O(chunks) barrier collection.
-* **GPU tier** — skipped (never failed) when CuPy/CUDA is absent; when a
-  device is present, times the ``gpu`` plan against ``tiled`` at a large
-  support and asserts bit-identical results.
 
 Run locally with::
 
@@ -52,13 +49,10 @@ def _peak_rss_mb() -> float:
 @pytest.fixture(scope="session")
 def bench_record():
     """Accumulates section results; written to BENCH_PR7.json at session end."""
-    from repro.core.kernels import gpu_available
-
     record: dict[str, object] = {
         "machine": {
             "cpu_count": os.cpu_count(),
             "numpy": np.__version__,
-            "gpu_available": gpu_available(),
         },
     }
     yield record
@@ -204,52 +198,4 @@ def test_streaming_sweep_bounded_memory(bench_record):
     )
     assert rss_delta < _RSS_BOUND_MB, (
         f"streaming sweep grew RSS by {rss_delta:.0f} MiB (bound {_RSS_BOUND_MB})"
-    )
-
-
-def test_gpu_tier_skipped_not_failed_without_cupy(bench_record):
-    """GPU tier bench: runs on a device when present, skips cleanly otherwise."""
-    from repro.core import kernels
-
-    if not kernels.gpu_available():
-        bench_record["gpu_tier"] = {"available": False, "status": "skipped"}
-        pytest.skip("CuPy/CUDA unavailable: GPU kernel tier not benchable")
-
-    from repro.core.bitstring import PackedOutcomes  # pragma: no cover - needs GPU
-    from repro.core.distribution import Distribution
-
-    rng = np.random.default_rng(13)
-    bits = np.unique(rng.integers(0, 2, size=(20_000, 80), dtype=np.uint8), axis=0)
-    dist = Distribution.from_packed(
-        PackedOutcomes.from_bit_matrix(bits), weights=rng.random(bits.shape[0]) + 1e-3
-    )
-    packed = dist.packed()
-    probs = dist.probability_vector()
-    weight_fn = lambda chs: np.where(chs > 0, 1.0 / np.maximum(chs, 1e-12), 0.0)  # noqa: E731
-
-    tiled = kernels.hammer_pass(packed, probs, 5, weight_fn, True, plan="tiled")
-    gpu = kernels.hammer_pass(packed, probs, 5, weight_fn, True, plan="gpu")
-    assert gpu[3] == "gpu"
-    assert all(np.array_equal(ref, got) for ref, got in zip(tiled[:3], gpu[:3]))
-
-    tiled_seconds = min(
-        _timed(lambda: kernels.hammer_pass(packed, probs, 5, weight_fn, True, plan="tiled"))
-        for _ in range(2)
-    )
-    gpu_seconds = min(
-        _timed(lambda: kernels.hammer_pass(packed, probs, 5, weight_fn, True, plan="gpu"))
-        for _ in range(2)
-    )
-    bench_record["gpu_tier"] = {
-        "available": True,
-        "support": dist.num_outcomes,
-        "width": dist.num_bits,
-        "tiled_seconds": tiled_seconds,
-        "gpu_seconds": gpu_seconds,
-        "speedup": tiled_seconds / gpu_seconds,
-        "bit_identical": True,
-    }
-    print(
-        f"\nGPU tier: tiled {tiled_seconds:.3f}s -> gpu {gpu_seconds:.3f}s "
-        f"({tiled_seconds / gpu_seconds:.2f}x)"
     )

@@ -6,20 +6,12 @@ not been pip-installed (e.g. offline environments without the ``wheel``
 package).
 """
 
-import os
 import sys
 from pathlib import Path
 
 _SRC = Path(__file__).resolve().parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
-
-# A developer's tuned machine profile (~/.cache/repro/machine_profile.json)
-# must not steer dispatch during tests: results are bit-identical either way,
-# but decision-source assertions and timing-sensitive tests expect the
-# documented heuristic defaults.  ``setdefault`` keeps any explicit CI choice
-# (e.g. the tuned-sweep bit-identity job) in force.
-os.environ.setdefault("REPRO_TUNE_PROFILE", "off")
 
 
 def pytest_addoption(parser):
@@ -37,21 +29,3 @@ def pytest_addoption(parser):
         help="rewrite tests/golden/*.json fixtures instead of asserting against them",
     )
 
-
-def pytest_collection_modifyitems(config, items):
-    """Auto-skip ``gpu``-marked tests when no CuPy/CUDA device is usable.
-
-    The GPU kernel tier is strictly optional — CI images without CuPy must
-    see these tests *skipped*, never failed.  (The fallback behaviour itself
-    is covered by unmarked tests that run everywhere.)
-    """
-    import pytest
-
-    from repro.core.kernels import gpu_available
-
-    if gpu_available():
-        return
-    skip_gpu = pytest.mark.skip(reason="CuPy/CUDA unavailable: GPU kernel tier not testable")
-    for item in items:
-        if "gpu" in item.keywords:
-            item.add_marker(skip_gpu)

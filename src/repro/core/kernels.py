@@ -12,6 +12,8 @@ each ``(support size, register width)``:
     popcounts otherwise, and a full ordered score pass.  This plan is kept
     **bit-identical** to previous releases — the golden regression fixtures
     (and every published row table at laptop scale) reproduce exactly.
+    Forced with ``REPRO_HAMMER_KERNEL=dense`` it runs the same arithmetic at
+    any support size, the differential reference of the property tests.
 
 ``tiled``
     Large supports on registers wider than ``DENSE_CHS_MAX_BITS``, up to ~10
@@ -55,20 +57,9 @@ each ``(support size, register width)``:
     bit-identical to ``tiled``; the differential tests hold it to
     ``hammer_reference`` and ``tiled`` within a relative 1e-12.
 
-``legacy``
-    The PR 4 two-pass arithmetic at *any* support size.  Never chosen by the
-    dispatcher — it exists as the benchmark baseline and as the differential
-    reference for the property tests (``REPRO_HAMMER_KERNEL=legacy``).
-
-``gpu``
-    The tiled arithmetic with the per-tile XOR/popcount distance matrices
-    computed on a CUDA device through CuPy (``__popcll`` elementwise
-    kernel).  Distances are exact integers, and every float accumulation
-    (bincounts, gathers, matmuls) stays on the CPU in the tiled plan's
-    order, so results are **bit-identical** to ``tiled``.  Auto-detected
-    when CuPy and a device are present; ``REPRO_HAMMER_KERNEL=gpu`` forces
-    it, and without a usable device the plan degrades to ``tiled`` with a
-    one-time warning rather than failing.
+Dispatch has two steps: a forced plan (``REPRO_HAMMER_KERNEL`` or
+:func:`repro.core.tuning.set_kernel_override`) wins outright, and otherwise
+the fixed shape rules of :func:`choose_plan` decide.
 
 The popcount primitive is runtime-dispatched at import: ``np.bitwise_count``
 where the running NumPy provides it (>= 2.0), a byte-table lookup fallback
@@ -80,23 +71,18 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from collections.abc import Callable
 
 import numpy as np
 
-from repro.core import costmodel, tuning
+from repro.core import tuning
 from repro.exceptions import DistributionError
-from repro.obs.logs import get_logger
 from repro.obs.metrics import counter_add
 from repro.obs.trace import trace_span
-
-_logger = get_logger("repro.core.kernels")
 
 __all__ = [
     "popcount_u64",
     "has_fast_popcount",
-    "gpu_available",
     "choose_plan",
     "chs_histogram",
     "hammer_pass",
@@ -151,7 +137,7 @@ else:  # pragma: no cover - exercised only on NumPy < 2
 #: vectors = 8 MiB each).
 DENSE_CHS_MAX_BITS = 20
 
-#: Largest support handled by the ``dense`` plan (the bit-identical legacy
+#: Largest support handled by the ``dense`` plan (the bit-identical historical
 #: arithmetic).  Laptop-scale sweeps — including every golden fixture — stay
 #: below this; bigger supports dispatch to the spectral/tiled/streaming kernels.
 DENSE_SUPPORT_MAX = 1024
@@ -174,106 +160,6 @@ def _tile_distances(words_a: np.ndarray, words_b: np.ndarray) -> np.ndarray:
         xor = np.bitwise_xor.outer(words_a[:, word_index], words_b[:, word_index])
         distances += popcount_u64(xor)
     return distances
-
-
-# ---------------------------------------------------------------------------
-# Optional GPU distance tier (CuPy)
-# ---------------------------------------------------------------------------
-#: Lazy probe state: ``probed`` flips on first use; ``cupy`` holds the module
-#: (with compiled kernels attached) or ``None`` when no usable device exists.
-_GPU_STATE: dict = {"probed": False, "cupy": None, "kernels": None, "warned": False}
-
-
-def _gpu_runtime():
-    """Probe CuPy + a CUDA device once; compile the popcount kernels on success.
-
-    Any failure — CuPy not installed, no driver, no device — marks the tier
-    unavailable for the process.  Nothing here is a hard dependency.
-    """
-    if not _GPU_STATE["probed"]:
-        _GPU_STATE["probed"] = True
-        try:
-            import cupy
-
-            if cupy.cuda.runtime.getDeviceCount() < 1:  # pragma: no cover - needs GPU
-                raise RuntimeError("no CUDA device")
-            # One fused XOR+popcount kernel per output dtype.  __popcll of a
-            # uint64 is an exact integer <= 64, so uint8 never overflows for
-            # a single word and per-word uint16 accumulation matches the CPU
-            # tile arithmetic bit for bit.
-            narrow = cupy.ElementwiseKernel(
-                "uint64 a, uint64 b",
-                "uint8 d",
-                "d = (unsigned char)__popcll(a ^ b)",
-                "repro_xor_popcount_u8",
-            )
-            wide = cupy.ElementwiseKernel(
-                "uint64 a, uint64 b, uint16 acc",
-                "uint16 d",
-                "d = acc + (unsigned short)__popcll(a ^ b)",
-                "repro_xor_popcount_accum_u16",
-            )
-            _GPU_STATE["cupy"] = cupy
-            _GPU_STATE["kernels"] = (narrow, wide)
-        except Exception:
-            _GPU_STATE["cupy"] = None
-            _GPU_STATE["kernels"] = None
-    return _GPU_STATE["cupy"]
-
-
-def gpu_available() -> bool:
-    """True when CuPy and at least one CUDA device are usable in this process."""
-    return _gpu_runtime() is not None
-
-
-def _tile_distances_gpu(words_a: np.ndarray, words_b: np.ndarray) -> np.ndarray:
-    """GPU twin of :func:`_tile_distances`: same dtypes, same exact integers.
-
-    The device computes only the XOR + popcount distance matrix; the result
-    returns to the host immediately and every float accumulation stays on
-    the CPU in the tiled plan's order — which is what keeps the ``gpu`` plan
-    bit-identical to ``tiled``.
-    """
-    cupy = _gpu_runtime()
-    narrow, wide = _GPU_STATE["kernels"]
-    num_words = words_a.shape[1]
-    device_a = cupy.asarray(np.ascontiguousarray(words_a))
-    device_b = cupy.asarray(np.ascontiguousarray(words_b))
-    first = narrow(device_a[:, 0][:, None], device_b[:, 0][None, :])
-    if num_words == 1:
-        return cupy.asnumpy(first)
-    distances = first.astype(cupy.uint16)
-    for word_index in range(1, num_words):
-        distances = wide(
-            device_a[:, word_index][:, None],
-            device_b[:, word_index][None, :],
-            distances,
-        )
-    return cupy.asnumpy(distances)
-
-
-def _gpu_plan_or_fallback() -> str:
-    """Resolve a requested ``gpu`` plan: keep it, or warn once and run ``tiled``."""
-    if gpu_available():
-        return "gpu"
-    if not _GPU_STATE["warned"]:
-        _GPU_STATE["warned"] = True
-        # Structured record (reaches headless-run artifacts via repro.obs)
-        # plus the historical RuntimeWarning for interactive stderr.
-        _logger.warn_once(
-            "gpu-fallback",
-            "kernel plan 'gpu' requested but CuPy/CUDA is unavailable; "
-            "falling back to the bit-identical 'tiled' plan",
-            requested="gpu",
-            plan="tiled",
-        )
-        warnings.warn(
-            "kernel plan 'gpu' requested but CuPy/CUDA is unavailable; "
-            "falling back to the bit-identical 'tiled' plan",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return "tiled"
 
 
 def walsh_hadamard_inplace(array: np.ndarray) -> np.ndarray:
@@ -371,7 +257,6 @@ def _symmetric_scores(
     weights: np.ndarray,
     cutoff: int,
     use_filter: bool,
-    distances_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] = _tile_distances,
 ) -> np.ndarray:
     """Neighbourhood scores with known per-distance weights, one triangular pass.
 
@@ -392,7 +277,7 @@ def _symmetric_scores(
         i1 = min(i0 + tile_rows, num_outcomes)
         p_i = probabilities[i0:i1]
         # Diagonal square: every ordered pair inside [i0, i1) in one shot.
-        gathered = weights.take(distances_fn(words[i0:i1], words[i0:i1]))
+        gathered = weights.take(_tile_distances(words[i0:i1], words[i0:i1]))
         if use_filter:
             np.multiply(gathered, p_i[:, None] > p_i[None, :], out=gathered)
         else:
@@ -403,7 +288,7 @@ def _symmetric_scores(
         for j0 in range(i1, num_outcomes, tile_cols):
             j1 = min(j0 + tile_cols, num_outcomes)
             p_j = probabilities[j0:j1]
-            gathered = weights.take(distances_fn(words[i0:i1], words[j0:j1]))
+            gathered = weights.take(_tile_distances(words[i0:i1], words[j0:j1]))
             if use_filter:
                 scores[i0:i1] += (gathered * (p_i[:, None] > p_j[None, :])) @ p_j
                 scores[j0:j1] += p_i @ (gathered * (p_i[:, None] < p_j[None, :]))
@@ -428,7 +313,6 @@ def _symmetric_chs_mass(
     limit: int,
     probabilities: np.ndarray | None = None,
     use_filter: bool = True,
-    distances_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] = _tile_distances,
 ):
     """Fused triangular traversal: CHS histogram + optional per-row mass matrix.
 
@@ -453,7 +337,7 @@ def _symmetric_chs_mass(
         rows = i1 - i0
         w_i = pair_weights[i0:i1]
         # Diagonal square (covers both ordered directions within the block).
-        bins = np.minimum(distances_fn(words[i0:i1], words[i0:i1]), sentinel)
+        bins = np.minimum(_tile_distances(words[i0:i1], words[i0:i1]), sentinel)
         chs += np.bincount(
             bins.ravel(),
             weights=np.broadcast_to(w_i[None, :], bins.shape).ravel(),
@@ -472,7 +356,7 @@ def _symmetric_chs_mass(
             j1 = min(j0 + tile_cols, num_outcomes)
             cols = j1 - j0
             w_j = pair_weights[j0:j1]
-            bins = np.minimum(distances_fn(words[i0:i1], words[j0:j1]), sentinel)
+            bins = np.minimum(_tile_distances(words[i0:i1], words[j0:j1]), sentinel)
             flat_bins = bins.ravel()
             # CHS takes both ordered directions from the one distance tile.
             chs += np.bincount(
@@ -629,13 +513,6 @@ def _spectral_scores(
 STREAMING_MIN_WORDS = 10
 
 
-def _decided(plan: str, source: str) -> str:
-    """Record a kernel decision (planner provenance + ``kernel.plan.*``)."""
-    costmodel.record_decision("kernel", plan, source)
-    counter_add(f"kernel.plan.{plan}")
-    return plan
-
-
 def choose_plan(num_outcomes: int, num_bits: int) -> str:
     """Pick the cheapest kernel plan for a ``(support size, width)`` shape.
 
@@ -652,40 +529,19 @@ def choose_plan(num_outcomes: int, num_bits: int) -> str:
       weight-gather score sweep over the upper triangle.
     * ``streaming`` — large supports on very wide registers, where popcounts
       dominate: one fused triangular traversal for CHS + filtered mass.
-    * ``gpu`` — large supports when CuPy and a CUDA device are present: the
-      tiled arithmetic with device-computed distance tiles (bit-identical
-      to ``tiled``).
 
-    Precedence: ``REPRO_HAMMER_KERNEL`` (or the programmatic override)
-    wins outright.  The dense and spectral boundaries come next and are
-    **not** tunable: supports at or below :data:`DENSE_SUPPORT_MAX` always
-    run the bit-identical historical arithmetic, so golden fixtures and
-    published row tables never drift under tuning, and narrow registers
-    always run ``spectral``.  Wider registers are ranked by a tuned
-    :class:`~repro.core.costmodel.MachineProfile` by predicted seconds
-    (``gpu`` is only honoured when a device is actually usable — profiles
-    travel between machines); the fixed word-count crossover above — with
-    ``gpu`` preferred outright when a device is present — is the untuned
-    fallback.
+    ``REPRO_HAMMER_KERNEL`` (or the programmatic override) wins outright;
+    otherwise the fixed rules above decide.  A pure function: the plan that
+    actually runs is counted by :func:`hammer_pass`.
     """
     override = tuning.kernel_override()
     if override is not None:
-        return _decided(override, "override")
+        return override
     if num_outcomes <= DENSE_SUPPORT_MAX:
-        return _decided("dense", "heuristic")
+        return "dense"
     if num_bits <= DENSE_CHS_MAX_BITS:
-        return _decided("spectral", "heuristic")
-    profile = costmodel.active_profile()
-    if profile is not None:
-        plan = profile.kernel_plan(num_outcomes, num_bits)
-        if plan == "gpu" and not gpu_available():
-            plan = None
-        if plan is not None:
-            return _decided(plan, "profile")
-    if gpu_available():
-        return _decided("gpu", "heuristic")
-    wide = (num_bits + 63) // 64 >= STREAMING_MIN_WORDS
-    return _decided("streaming" if wide else "tiled", "heuristic")
+        return "spectral"
+    return "streaming" if (num_bits + 63) // 64 >= STREAMING_MIN_WORDS else "tiled"
 
 
 def chs_histogram(packed, weights: np.ndarray, limit: int, plan: str | None = None) -> np.ndarray:
@@ -709,9 +565,6 @@ def chs_histogram(packed, weights: np.ndarray, limit: int, plan: str | None = No
         return np.zeros(num_bits + 1, dtype=float)
     if plan is None:
         plan = tuning.kernel_override()
-    if plan == "gpu":
-        plan = _gpu_plan_or_fallback()
-    distances_fn = _tile_distances_gpu if plan == "gpu" else _tile_distances
     # The dense-WHT eligibility rule predates the symmetric kernels and is
     # kept verbatim: whenever it fires the result is bit-identical to PR 1-4.
     dense_cost = _dense_chs_cost(num_bits)
@@ -721,13 +574,13 @@ def chs_histogram(packed, weights: np.ndarray, limit: int, plan: str | None = No
             return _dense_chs(packed, weights, limit)
         if num_outcomes <= DENSE_SUPPORT_MAX:
             return _blocked_chs(packed, weights, limit)
-    elif plan in ("legacy", "dense"):
+    elif plan == "dense":
         if dense_eligible:
             return _dense_chs(packed, weights, limit)
         return _blocked_chs(packed, weights, limit)
-    elif plan in ("tiled", "gpu", "spectral") and dense_eligible:
+    elif plan in ("tiled", "spectral") and dense_eligible:
         return _dense_chs(packed, weights, limit)
-    chs, _ = _symmetric_chs_mass(packed, weights, limit, distances_fn=distances_fn)
+    chs, _ = _symmetric_chs_mass(packed, weights, limit)
     return chs
 
 
@@ -743,8 +596,7 @@ def _legacy_pass(
     Pass 1 computes the CHS spectrum (dense WHT or blocked ordered pairs);
     pass 2 re-popcounts every ordered pair to accumulate the scores.  The
     ``dense`` plan routes here so small supports — every golden fixture —
-    reproduce exactly; ``REPRO_HAMMER_KERNEL=legacy`` forces it at any size
-    as the benchmark baseline.
+    reproduce exactly; ``REPRO_HAMMER_KERNEL=dense`` forces it at any size.
     """
     num_bits = packed.num_bits
     num_outcomes = packed.num_outcomes
@@ -794,7 +646,8 @@ def hammer_pass(
     weight vector (length ``num_bits + 1``, zero at and beyond ``cutoff``).
     Returns ``(chs, weights, scores, plan_used)``.  The pass runs inside one
     ``kernel.hammer`` span recording the support, width and plan used, plus
-    the level count and split of the ``spectral`` plan.
+    the level count and split of the ``spectral`` plan; the plan used is
+    also counted as ``kernel.plan.<plan>``.
     """
     with trace_span(
         "kernel.hammer", support=packed.num_outcomes, width=packed.num_bits
@@ -803,6 +656,7 @@ def hammer_pass(
             packed, probabilities, cutoff, weight_fn, use_filter, plan, span
         )
         span.set(plan=plan)
+        counter_add(f"kernel.plan.{plan}")
     return chs, weights, scores, plan
 
 
@@ -825,40 +679,31 @@ def _run_pass(
     num_bits = packed.num_bits
     limit = min(cutoff, num_bits + 1) - 1
 
-    if plan in ("dense", "legacy"):
+    if plan == "dense":
         chs, weights, scores = _legacy_pass(
             packed, probabilities, cutoff, weight_fn, use_filter
         )
         return chs, weights, scores, plan
 
-    if plan == "gpu":
-        plan = _gpu_plan_or_fallback()
     if plan == "spectral" and num_bits > DENSE_CHS_MAX_BITS:
         plan = "tiled"
 
-    if plan in ("tiled", "gpu", "spectral"):
+    if plan in ("tiled", "spectral"):
         # CHS first (dense WHT where eligible, else one symmetric sweep);
         # scores in a second symmetric sweep with the weights in hand.  The
-        # gpu plan is this exact arithmetic with device-computed distance
-        # tiles — the returned plan name records where distances ran.  The
         # spectral plan shares the CHS and sweeps only its high levels.
-        distances_fn = _tile_distances_gpu if plan == "gpu" else _tile_distances
         dense_cost = _dense_chs_cost(num_bits)
         if limit < 0:
             chs = np.zeros(num_bits + 1, dtype=float)
         elif dense_cost is not None and dense_cost < packed.num_outcomes**2:
             chs = _dense_chs(packed, probabilities, min(limit, num_bits))
         else:
-            chs, _ = _symmetric_chs_mass(
-                packed, probabilities, min(limit, num_bits), distances_fn=distances_fn
-            )
+            chs, _ = _symmetric_chs_mass(packed, probabilities, min(limit, num_bits))
         weights = weight_fn(chs)
         if plan == "spectral":
             scores = _spectral_scores(packed, probabilities, weights, cutoff, use_filter, span)
         else:
-            scores = _symmetric_scores(
-                packed, probabilities, weights, cutoff, use_filter, distances_fn=distances_fn
-            )
+            scores = _symmetric_scores(packed, probabilities, weights, cutoff, use_filter)
         return chs, weights, scores, plan
 
     # streaming: one fused traversal for CHS + filtered mass, then M @ W.

@@ -5,7 +5,7 @@ structure of a histogram support in bounded-memory pieces.  Two sizes govern
 that evaluation:
 
 * the **pairwise block budget** — how many pairwise entries (one entry = one
-  ``(x, y)`` distance) a legacy row-block may hold at once.  This was a
+  ``(x, y)`` distance) a ``dense``-plan row-block may hold at once.  This was a
   hard-coded constant before; it is now overridable via
   ``REPRO_PAIRWISE_BLOCK_ENTRIES`` (the historical default of 4,000,000 is
   kept so existing float accumulation orders are unchanged when the variable
@@ -20,18 +20,19 @@ fixed fallback), never from timing runs, so repeated runs — and worker
 processes of the same sweep — always agree on accumulation order.
 
 ``REPRO_HAMMER_KERNEL`` force-selects a kernel plan (``dense`` / ``tiled`` /
-``streaming`` / ``spectral`` / ``legacy`` / ``gpu``) for benchmarking and
-differential testing; :func:`kernel_override` reads it and
-:func:`set_kernel_override` sets it programmatically (benchmarks use this to
-time before/after pairs in one process).
+``streaming`` / ``spectral``) for benchmarking and differential testing;
+:func:`kernel_override` reads it and :func:`set_kernel_override` sets it
+programmatically (benchmarks use this to time before/after pairs in one
+process).  Without an override the kernel layer's fixed shape rules choose
+the plan.
 
 The ``spectral`` plan takes no size from this module.  Its split between
 transformed probability levels and the pairwise sweep is a closed-form
 choice, minimising ``2·m·n·2ⁿ·c + N_high(m)²/2`` with one fixed constant
 ``c`` (:data:`repro.core.kernels.SPECTRAL_TRANSFORM_COST`; no environment
-variable, no profile entry), and its stacked transforms are capped at 8 MiB
-per block.  Transform scores below ``τ = ½·min(W[d] > 0)·min P`` snap to
-exact zero, so its outputs stay within a relative 1e-12 of ``tiled``.
+variable), and its stacked transforms are capped at 8 MiB per block.
+Transform scores below ``τ = ½·min(W[d] > 0)·min P`` snap to exact zero, so
+its outputs stay within a relative 1e-12 of ``tiled``.
 """
 
 from __future__ import annotations
@@ -53,27 +54,23 @@ __all__ = [
     "tuning_report",
 ]
 
-#: Valid kernel plan names: the four shape-dispatched plans plus ``legacy``,
-#: which forces the pre-PR5 two-pass arithmetic at any support size (the
-#: benchmark baseline).  ``dense`` and ``legacy`` share the same arithmetic;
-#: ``dense`` is simply the dispatcher's name for it at small supports.
-#: ``gpu`` is the tiled arithmetic with CuPy-computed distance tiles —
-#: accepted everywhere plan names are validated, degrading to ``tiled``
-#: (with a warning) when no CUDA device is usable.  ``spectral`` scores the
-#: lowest probability levels by Walsh–Hadamard transforms and sweeps only
-#: the rest pairwise, at a split minimising ``2·m·n·2ⁿ·c + N_high(m)²/2``;
+#: Valid kernel plan names, all four shape-dispatched.  A forced ``dense``
+#: runs the pre-PR5 two-pass arithmetic at any support size (the benchmark
+#: baseline and differential reference).  ``spectral`` scores the lowest
+#: probability levels by Walsh–Hadamard transforms and sweeps only the rest
+#: pairwise, at a split minimising ``2·m·n·2ⁿ·c + N_high(m)²/2``;
 #: transform scores below ``τ = ½·min(W[d] > 0)·min P`` snap to exact zero,
 #: and results hold to ``tiled`` within a relative 1e-12.  It needs the dense
 #: hypercube, so a forced ``spectral`` on a register wider than 20 bits runs
 #: ``tiled``.
-KERNEL_PLANS = ("dense", "tiled", "streaming", "spectral", "legacy", "gpu")
+KERNEL_PLANS = ("dense", "tiled", "streaming", "spectral")
 
 _ENV_KERNEL = "REPRO_HAMMER_KERNEL"
 _ENV_BLOCK_ENTRIES = "REPRO_PAIRWISE_BLOCK_ENTRIES"
 _ENV_TILE_ENTRIES = "REPRO_TILE_ENTRIES"
 
 #: Historical pairwise-entry budget (PR 1-4 hard-coded this); kept as the
-#: default so legacy-plan float accumulation orders are bit-stable.
+#: default so dense-plan float accumulation orders are bit-stable.
 _DEFAULT_BLOCK_ENTRIES = 4_000_000
 
 _MIN_BLOCK_ENTRIES = 1 << 16
@@ -180,7 +177,7 @@ def set_kernel_override(name: str | None) -> None:
 
 
 def pairwise_block_entries() -> int:
-    """Pairwise entries one legacy row-block may hold (env-overridable)."""
+    """Pairwise entries one dense-plan row-block may hold (env-overridable)."""
     value = _parse_positive_int(_ENV_BLOCK_ENTRIES)
     if value is None:
         return _DEFAULT_BLOCK_ENTRIES
@@ -194,22 +191,12 @@ def pairwise_block_size(num_outcomes: int) -> int:
 
 
 def tile_entries() -> int:
-    """Entries per symmetric tile: env override, else tuned profile, else cache.
+    """Entries per symmetric tile: ``REPRO_TILE_ENTRIES``, else the cache size.
 
-    The same precedence every autoscheduling consumer follows
-    (``REPRO_TILE_ENTRIES`` > :mod:`repro.core.costmodel` profile >
-    deterministic cache-derived default), with the clamp applied last so no
-    source can push a tile outside the sane range.
+    The clamp applies to both, so neither can push a tile outside the sane
+    range.
     """
     value = _parse_positive_int(_ENV_TILE_ENTRIES)
-    if value is None:
-        from repro.core import costmodel
-
-        profile = costmodel.active_profile()
-        if profile is not None:
-            tuned = profile.tuning.get("tile_entries")
-            if tuned is not None and tuned > 0:
-                value = int(tuned)
     if value is None:
         value = _CACHE_BYTES
     return max(_MIN_TILE_ENTRIES, min(_MAX_TILE_ENTRIES, value))
@@ -231,13 +218,9 @@ def tile_shape(num_outcomes: int) -> tuple[int, int]:
 
 def tuning_report() -> dict[str, object]:
     """Flat summary of the effective tuning decisions (for ``repro profile``)."""
-    from repro.core import costmodel
-
-    fingerprint = costmodel.active_fingerprint()
     return {
         "cache_bytes": _CACHE_BYTES,
         "pairwise_block_entries": pairwise_block_entries(),
         "tile_entries": tile_entries(),
         "kernel_override": kernel_override() or "auto",
-        "machine_profile": fingerprint if fingerprint is not None else "untuned",
     }

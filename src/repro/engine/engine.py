@@ -47,6 +47,15 @@ Parallelism
 each phase out over a :class:`concurrent.futures.ProcessPoolExecutor`; the
 cache lives in the parent process, which resolves hits before dispatch and
 absorbs artifacts computed by workers, so worker processes stay stateless.
+
+Planning
+--------
+Every execution choice follows two steps, override > fixed rule.  The shard
+threshold comes from the constructor or ``REPRO_SAMPLE_SHARD_SHOTS``, else
+:data:`DEFAULT_SAMPLE_SHARD_SHOTS`; the shard executor from the constructor
+or ``REPRO_SHARD_EXECUTOR``, else ``auto``; the worker count is
+``max_workers``.  :attr:`EngineRunStats.planner_decisions` counts each shard
+layout and executor choice with its source.
 """
 
 from __future__ import annotations
@@ -63,7 +72,6 @@ from typing import Any
 import numpy as np
 
 from repro.backends import get_backend, resolve_backend
-from repro.core import costmodel
 from repro.core.distribution import Distribution
 from repro.obs.metrics import counter_add, gauge_max
 from repro.obs.observe import absorb_payload, observation_active, observed_call
@@ -179,15 +187,15 @@ class EngineRunStats:
     prepare_seconds: float = 0.0
     sample_seconds: float = 0.0
     wall_seconds: float = 0.0
-    #: Nested counters of autoscheduling choices made while running:
-    #: ``{"shard": {"chunk:262144/heuristic": 3, ...}, "workers": ...}``.
-    #: Each key is ``f"{choice}/{source}"`` where source is one of
-    #: ``override`` / ``profile`` / ``heuristic``, mirroring
-    #: :func:`repro.core.costmodel.record_decision`.
+    #: Nested counters of the shard decisions made while running:
+    #: ``{"shard": {"chunk:262144/heuristic": 3, ...}, "shard-executor": ...}``.
+    #: Each key is ``f"{choice}/{source}"`` where source is ``override`` (a
+    #: constructor argument or environment value) or ``heuristic`` (the
+    #: built-in rule).
     planner_decisions: dict = field(default_factory=dict)
 
     def record_planner(self, kind: str, choice: str, source: str) -> None:
-        """Count one planner decision (shard layout, worker count, ...)."""
+        """Count one planner decision (shard layout or shard executor)."""
         bucket = self.planner_decisions.setdefault(kind, {})
         key = f"{choice}/{source}"
         bucket[key] = bucket.get(key, 0) + 1
@@ -387,9 +395,7 @@ class ExecutionEngine:
             raise EngineError(f"max_workers must be >= 1, got {max_workers}")
         self.max_workers = int(max_workers)
         # An explicit constructor argument or environment value is an
-        # *override*: it wins over any tuned profile and keeps the historical
-        # fixed-chunk shard layout (planner precedence: override > profile >
-        # heuristic).  Only the built-in default is eligible for retuning.
+        # *override*, recorded as such in planner provenance.
         shard_override = sample_shard_shots is not None
         if sample_shard_shots is None:
             raw = os.environ.get(_ENV_SHARD_SHOTS)
@@ -482,16 +488,10 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
     # Generic parallel map
     # ------------------------------------------------------------------
-    def _map(
-        self,
-        pool: ProcessPoolExecutor | None,
-        fn: Callable,
-        tasks: Sequence,
-        est_task_seconds: float | None = None,
-    ) -> list:
+    def _map(self, pool: ProcessPoolExecutor | None, fn: Callable, tasks: Sequence) -> list:
         if pool is None or len(tasks) <= 1:
             return [fn(task) for task in tasks]
-        chunksize = self._pool_chunksize(len(tasks), est_task_seconds)
+        chunksize = self._pool_chunksize(len(tasks))
         if observation_active():
             # Workers start unobserved; wrap each task in a task-scoped
             # observation and fold its payload (metrics/spans/logs) back in.
@@ -504,44 +504,13 @@ class ExecutionEngine:
             return results
         return list(pool.map(fn, tasks, chunksize=chunksize))
 
-    def _pool_chunksize(self, num_tasks: int, est_task_seconds: float | None) -> int:
-        """Tasks per pool dispatch: count heuristic + overhead-aware floor.
+    def _pool_chunksize(self, num_tasks: int) -> int:
+        """Tasks per pool dispatch: about four chunks per worker.
 
-        The count-only formula (``num_tasks // (workers * 4)``) over-splits
-        small batches of cheap tasks: eight 2 ms group slices ship one per
-        dispatch and the measured per-job IPC overhead dominates.  With a
-        tuned profile and a per-task work estimate, each chunk is sized to
-        carry at least ~4x the measured dispatch overhead of work (capped at
-        ``num_tasks / workers`` so every worker still receives a chunk).
         Chunking only changes how tasks travel, never their seed streams,
         so results are identical for any chunksize.
         """
-        chunksize = max(1, num_tasks // (self.max_workers * 4))
-        if est_task_seconds is None or est_task_seconds <= 0.0:
-            return chunksize
-        profile = costmodel.active_profile()
-        if profile is None:
-            return chunksize
-        overhead = float(profile.engine.get("per_job_overhead", 0.0))
-        if overhead <= 0.0:
-            return chunksize
-        amortized = int(np.ceil(4.0 * overhead / est_task_seconds))
-        per_worker_cap = max(1, -(-num_tasks // self.max_workers))
-        return max(chunksize, min(amortized, per_worker_cap))
-
-    def _estimate_group_seconds(self, group_tasks: Sequence[tuple]) -> float | None:
-        """Mean predicted seconds per group slice, if a profile can price them."""
-        profile = costmodel.active_profile()
-        if profile is None or not group_tasks:
-            return None
-        total = 0.0
-        for circuit, _ideal, _noise_model, requests in group_tasks:
-            shots = sum(request[1] for request in requests)
-            seconds = profile.predict_sample_seconds(shots, circuit.num_qubits)
-            if seconds is None:
-                return None
-            total += seconds
-        return total / len(group_tasks)
+        return max(1, num_tasks // (self.max_workers * 4))
 
     def _resolve_shard_executor(
         self,
@@ -552,11 +521,10 @@ class ExecutionEngine:
         """Pick the executor for this batch's shard tasks, recording provenance.
 
         A sharded batch can reach here with ``pool is None`` even at
-        ``max_workers > 1`` — single-job batches never open the pool, and
-        :meth:`_plan_workers` only prices unsharded work.  Shard chunks are
-        by construction big enough to amortize worker dispatch, so both
-        ``auto`` and an explicit ``process-pool`` selection open the pool
-        here when the worker count allows fan-out.
+        ``max_workers > 1``: single-job batches never open the pool.  Shard
+        chunks are by construction big enough to amortize worker dispatch, so
+        both ``auto`` and an explicit ``process-pool`` selection open the
+        pool here when the worker count allows fan-out.
         """
         if self._shard_executor_instance is not None:
             executor = self._shard_executor_instance
@@ -617,8 +585,6 @@ class ExecutionEngine:
             job.validate_width()
 
         pool = self._get_pool() if len(jobs) > 1 else None
-        if pool is not None:
-            pool = self._plan_workers(jobs, stats, pool)
         counter_add("engine.runs")
         counter_add("engine.jobs", len(jobs))
         results = self._run_phases(jobs, seed, stats, pool, wall_start)
@@ -630,73 +596,21 @@ class ExecutionEngine:
         )
         return results
 
-    # ------------------------------------------------------------------
-    # Cost-model planning (override > tuned profile > built-in heuristic)
-    # ------------------------------------------------------------------
-    def _plan_workers(
-        self,
-        jobs: list[CircuitJob],
-        stats: EngineRunStats,
-        pool: ProcessPoolExecutor,
-    ) -> ProcessPoolExecutor | None:
-        """Decide whether a multi-job batch should actually use the pool.
+    def _plan_shard(self, job: CircuitJob, stats: EngineRunStats) -> int | None:
+        """Chunk size of one job's shard layout (``None``: one stream).
 
-        With a tuned profile whose sampler curve covers every job, a batch
-        whose total predicted sampling time is below the measured pool
-        break-even (``engine["parallel_min_seconds"]``) runs in-process:
-        dispatch overhead would dominate.  Per-job seed streams make worker
-        count irrelevant to results, so this only changes wall time, never
-        histograms.  Without a profile (or with trajectory jobs, which the
-        sampler curve does not model) the requested ``max_workers`` stands.
-        """
-        profile = costmodel.active_profile()
-        if profile is None:
-            stats.record_planner("workers", str(self.max_workers), "heuristic")
-            return pool
-        predicted = 0.0
-        for job in jobs:
-            if job.method != "bitflip":
-                stats.record_planner("workers", str(self.max_workers), "heuristic")
-                return pool
-            seconds = profile.predict_sample_seconds(job.shots, job.circuit.num_qubits)
-            if seconds is None:
-                stats.record_planner("workers", str(self.max_workers), "heuristic")
-                return pool
-            predicted += seconds
-        workers = profile.effective_workers(predicted, self.max_workers)
-        stats.record_planner("workers", str(workers), "profile")
-        return None if workers <= 1 else pool
-
-    def _plan_shard(
-        self,
-        job: CircuitJob,
-        profile: "costmodel.MachineProfile | None",
-        stats: EngineRunStats,
-    ) -> tuple[int | None, str | None]:
-        """Shard layout for one job: ``(chunk_shots | None, planner tag | None)``.
-
-        ``None`` chunk means the historical single-stream draw.  The planner
-        tag is ``"cost-model"`` exactly when a tuned profile chose a layout
-        *different* from the built-in heuristic — the one case where the
-        histogram diverges from the untuned run and the sample key must not
-        collide with heuristic cache entries.
+        ``None`` means the historical single-stream draw: trajectory jobs
+        and jobs at or below the shard threshold.
         """
         if job.method != "bitflip":
-            return None, None
-        heuristic = (
-            self.sample_shard_shots if job.shots > self.sample_shard_shots else None
+            return None
+        chunk = self.sample_shard_shots if job.shots > self.sample_shard_shots else None
+        stats.record_planner(
+            "shard",
+            "none" if chunk is None else f"chunk:{chunk}",
+            "override" if self._shard_override else "heuristic",
         )
-        label = "none" if heuristic is None else f"chunk:{heuristic}"
-        if self._shard_override:
-            stats.record_planner("shard", label, "override")
-            return heuristic, None
-        if profile is not None:
-            tuned = profile.shard_layout(job.shots)
-            tuned_label = "none" if tuned is None else f"chunk:{tuned}"
-            stats.record_planner("shard", tuned_label, "profile")
-            return tuned, "cost-model" if tuned != heuristic else None
-        stats.record_planner("shard", label, "heuristic")
-        return heuristic, None
+        return chunk
 
     def _run_phases(
         self,
@@ -802,7 +716,6 @@ class ExecutionEngine:
         # batch; jobs above the shard threshold fan out into fixed-size shot
         # chunks that merge in a deterministic reduction order.
         phase_start = time.perf_counter()
-        shard_profile = None if self._shard_override else costmodel.active_profile()
         sampled_by_index: dict[int, tuple[Distribution, float, bool]] = {}
         job_skeys: list[str] = []
         trajectory_tasks: list[tuple] = []
@@ -813,7 +726,7 @@ class ExecutionEngine:
         # sweeps reusing one NoiseModel across many jobs hash it once here.
         noise_fingerprints: dict[int, str] = {}
         for index, job in enumerate(jobs):
-            job_chunk_shots, planner = self._plan_shard(job, shard_profile, stats)
+            job_chunk_shots = self._plan_shard(job, stats)
             sharded = job_chunk_shots is not None
             skey = sample_key(
                 executed_circuits[index],
@@ -823,7 +736,6 @@ class ExecutionEngine:
                 (seed, index),
                 backend=job_backends[index],
                 shard_shots=job_chunk_shots,
-                planner=planner,
             )
             job_skeys.append(skey)
             cached = self.cache.get("sample", skey)
@@ -890,10 +802,7 @@ class ExecutionEngine:
                     )
                 )
 
-        group_estimate = self._estimate_group_seconds(group_tasks)
-        for task_results in self._map(
-            pool, _sample_group_task, group_tasks, est_task_seconds=group_estimate
-        ):
+        for task_results in self._map(pool, _sample_group_task, group_tasks):
             for index, noisy, sample_seconds in task_results:
                 self.cache.put("sample", job_skeys[index], noisy)
                 sampled_by_index[index] = (noisy, sample_seconds, False)

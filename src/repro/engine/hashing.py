@@ -139,7 +139,6 @@ def sample_key(
     entropy: tuple[int, ...],
     backend: str = "statevector",
     shard_shots: int | None = None,
-    planner: str | None = None,
 ) -> str:
     """Cache key of one noisy sampling run.
 
@@ -158,15 +157,6 @@ def sample_key(
     the same entropy — the layout must be part of the key.  Leaving it out
     of the digest when ``None`` keeps every pre-existing persistent-cache
     key valid.
-
-    ``planner`` tags a layout that a tuned cost-model profile chose
-    *differently* from the built-in heuristic (the engine passes
-    ``"cost-model"`` exactly then, ``None`` otherwise).  The tag is folded
-    into the digest only when present, so untuned runs — and tuned runs
-    whose planner agreed with the heuristic — keep their historical keys
-    and keep sharing cache entries; only genuinely divergent layouts get
-    their own namespace and can never silently collide with heuristic
-    artifacts in a persistent cache tier.
     """
     digest = hashlib.sha256(b"repro-sample-v2")
     _hash_circuit_into(digest, circuit)
@@ -180,6 +170,4 @@ def sample_key(
     digest.update(("backend:" + backend).encode("utf-8"))
     if shard_shots is not None:
         digest.update(struct.pack("<q", shard_shots))
-    if planner is not None:
-        digest.update(("planner:" + planner).encode("utf-8"))
     return digest.hexdigest()

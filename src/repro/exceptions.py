@@ -95,14 +95,6 @@ class BackendError(ReproError):
     """
 
 
-class CostModelError(ReproError):
-    """Raised when a machine cost-model profile is malformed or unusable.
-
-    Examples include corrupt profile JSON, unknown cost terms, and profiles
-    written by an incompatible schema version.
-    """
-
-
 class ObservabilityError(ReproError):
     """Raised when the tracing/metrics layer is misused or misconfigured.
 

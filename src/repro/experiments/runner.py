@@ -205,17 +205,18 @@ def attach_engine_meta(report: ExperimentReport, engine, trace=None) -> Experime
     artifact the same per-stage visibility :func:`trace_pipeline` rows give
     the post-processing pipeline.
 
-    A ``planner`` block records how the sweep was autoscheduled: the active
-    machine-profile fingerprint (``"heuristic"`` when untuned), the engine's
-    shard/worker decisions, and the process-global kernel/backend decision
-    counters — so every JSON artifact shows which dispatch path produced it.
+    A ``planner`` block records how the sweep was scheduled: the engine's
+    shard-layout and shard-executor decisions with their sources
+    (``override`` or ``heuristic``), the reduction-tree totals and, when the
+    shard executor reports any, its transport provenance — so every JSON
+    artifact shows which path produced it.  Kernel plans and backends are
+    counted by the ``kernel.plan.*`` metrics and ``stabilizer_jobs``.
 
     When an :class:`~repro.obs.observe.Observation` is active, an ``obs``
     block (metrics snapshot, span summary, structured log records) rides
     along too, so traced/metered runs are diagnosable from the artifact
     alone.
     """
-    from repro.core import costmodel
     from repro.obs.observe import current_observation
 
     stats = getattr(engine, "lifetime_stats", None)
@@ -223,14 +224,11 @@ def attach_engine_meta(report: ExperimentReport, engine, trace=None) -> Experime
         engine_meta = stats.as_dict()
         engine_meta.update(engine.cache.stats())
         report.meta["engine"] = engine_meta
-        fingerprint = costmodel.active_fingerprint()
         report.meta["planner"] = {
-            "machine_profile": fingerprint if fingerprint is not None else "heuristic",
             "engine": {
                 kind: dict(counts)
                 for kind, counts in sorted(stats.planner_decisions.items())
             },
-            "costmodel": costmodel.decision_counts(),
             "reduction": {
                 "merges": stats.reduction_merges,
                 "tree_depth": stats.reduction_tree_depth,
@@ -240,8 +238,9 @@ def attach_engine_meta(report: ExperimentReport, engine, trace=None) -> Experime
             },
         }
         if stats.transport:
-            # Socket / fault-injecting executors only: per-host chunk
-            # counts, retries, re-placements and injected-fault tallies.
+            # Networked and fault-injecting executors only (socket, broker,
+            # fault injector): chunk counts, retries, re-placements, leases
+            # and injected-fault tallies.
             report.meta["planner"]["transport"] = stats.transport
     observation = current_observation()
     if observation is not None:

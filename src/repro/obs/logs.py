@@ -1,9 +1,9 @@
 """Structured logging that lands in artifacts, not just on stderr.
 
-The scattered warn-once paths of the stack (GPU kernel fallback, corrupt
-machine profiles) historically went through :mod:`warnings` — visible on an
-interactive stderr, invisible in the JSON artifact of a headless sweep.
-This module gives them one structured sink:
+The stack's warnings (a cache that cannot persist, a broker with no
+workers, a transport retry) historically went through :mod:`warnings` —
+visible on an interactive stderr, invisible in the JSON artifact of a
+headless sweep.  This module gives them one structured sink:
 
 * Every record is appended to a bounded process-global ring buffer with a
   monotonically increasing sequence number.  Observation contexts
@@ -16,9 +16,9 @@ This module gives them one structured sink:
 
 Usage::
 
-    logger = get_logger("repro.core.kernels")
-    logger.warn_once("gpu-fallback", "kernel plan 'gpu' requested but ...",
-                     plan="tiled")
+    logger = get_logger("repro.engine.broker")
+    logger.warn_once("broker-no-workers", "no worker joined broker ...",
+                     broker="127.0.0.1:7640")
 
 ``warn_once`` keys are process-global: the first call with a key emits and
 records, later ones are dropped — the same contract the ``warnings``

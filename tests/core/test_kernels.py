@@ -1,6 +1,6 @@
 """Property suite for the shape-adaptive pairwise Hamming kernels (PR 5).
 
-Every kernel plan — the bit-stable ``dense``/``legacy`` arithmetic, the
+Every kernel plan — the bit-stable ``dense`` arithmetic, the
 symmetric ``tiled`` sweep, the fused ``streaming`` traversal and the
 ``spectral`` level transforms — must agree with ``hammer_reference`` (the
 paper's Algorithm 1, pure-Python loops) on arbitrary supports, including
@@ -37,7 +37,7 @@ from repro.core.bitstring import pairwise_block_size
 from repro.core.weights import NoiseAwareWeights
 from repro.exceptions import DistributionError
 
-ALL_PLANS = ("dense", "tiled", "streaming", "spectral", "legacy")
+ALL_PLANS = ("dense", "tiled", "streaming", "spectral")
 
 
 @pytest.fixture(autouse=True)
@@ -92,8 +92,8 @@ class TestKernelEquivalence:
     @settings(max_examples=40, deadline=None)
     def test_chs_plans_agree(self, dist):
         packed = dist.packed()
-        expected = chs_histogram(packed, packed.probabilities, dist.num_bits, plan="legacy")
-        for plan in ("dense", "tiled", "streaming", "spectral"):
+        expected = chs_histogram(packed, packed.probabilities, dist.num_bits, plan="dense")
+        for plan in ("tiled", "streaming", "spectral"):
             got = chs_histogram(packed, packed.probabilities, dist.num_bits, plan=plan)
             assert np.allclose(got, expected, atol=1e-9), plan
 
@@ -105,7 +105,7 @@ class TestKernelEquivalence:
 
     @pytest.mark.parametrize("width", [63, 64, 65])
     def test_word_boundary_widths_large_support(self, width):
-        """The symmetric kernels agree with legacy across the uint64 seam."""
+        """The symmetric kernels agree with a forced dense across the uint64 seam."""
         rng = np.random.default_rng(width)
         center = rng.integers(0, 2, size=width, dtype=np.uint8)
         bits = np.unique(
@@ -114,7 +114,7 @@ class TestKernelEquivalence:
         strings = ["".join("1" if b else "0" for b in row) for row in bits]
         weights = rng.random(len(strings)) + 0.01
         dist = Distribution(dict(zip(strings, weights)), num_bits=width)
-        _force("legacy")
+        _force("dense")
         expected = hammer(dist)
         for plan in ("tiled", "streaming"):
             _force(plan)
@@ -289,6 +289,9 @@ class TestSpectralPlan:
         assert 0 < event["args"]["split"] < event["args"]["levels"]
 
     def test_forced_on_a_wide_register_runs_tiled(self):
+        from repro.core.hammer import neighborhood_scores
+        from repro.obs import Observation
+
         rng = np.random.default_rng(21)
         bits = np.unique(rng.integers(0, 2, size=(200, DENSE_CHS_MAX_BITS + 1)), axis=0)
         strings = ["".join("1" if b else "0" for b in row) for row in bits]
@@ -300,6 +303,20 @@ class TestSpectralPlan:
         assert forced[3] == "tiled"
         for ref, got in zip(tiled[:3], forced[:3]):
             assert np.array_equal(ref, got)
+        # The counter, the span and HammerResult.kernel name the plan that ran.
+        _force("spectral")
+        with Observation() as observation:
+            result = neighborhood_scores(dist)
+        counters = observation.registry.snapshot()["counters"]
+        assert result.kernel == "tiled"
+        assert counters["kernel.plan.tiled"] == 1
+        assert "kernel.plan.spectral" not in counters
+        (event,) = [
+            event
+            for event in observation.chrome_trace()["traceEvents"]
+            if event["name"] == "kernel.hammer"
+        ]
+        assert event["args"]["plan"] == "tiled"
 
 
 class TestPopcountDispatch:
@@ -385,13 +402,16 @@ class TestTuningOverrides:
         assert small_rows == 10 and small_cols == 10
 
     def test_kernel_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HAMMER_KERNEL", "legacy")
-        assert tuning.kernel_override() == "legacy"
+        monkeypatch.setenv("REPRO_HAMMER_KERNEL", "dense")
+        assert tuning.kernel_override() == "dense"
         monkeypatch.setenv("REPRO_HAMMER_KERNEL", "auto")
         assert tuning.kernel_override() is None
-        monkeypatch.setenv("REPRO_HAMMER_KERNEL", "warp")
-        with pytest.raises(DistributionError):
-            tuning.kernel_override()
+        # "legacy" and "gpu" were plan names once; a stale setting must fail
+        # loudly and name the valid plans.
+        for stale in ("warp", "legacy", "gpu"):
+            monkeypatch.setenv("REPRO_HAMMER_KERNEL", stale)
+            with pytest.raises(DistributionError, match="spectral"):
+                tuning.kernel_override()
 
     def test_set_kernel_override_validates(self):
         with pytest.raises(DistributionError):
@@ -404,7 +424,6 @@ class TestTuningOverrides:
             "pairwise_block_entries",
             "tile_entries",
             "kernel_override",
-            "machine_profile",
         }
         assert report["kernel_override"] == "auto"
 
@@ -421,106 +440,3 @@ class TestAverageChsRoutesThroughKernels:
         expected = average_chs(dist)
         _force(plan)
         assert np.allclose(average_chs(dist), expected, atol=1e-9)
-
-
-class TestGpuTier:
-    """The optional CuPy tier: graceful degradation everywhere, exact on-device.
-
-    Only the final class is ``gpu``-marked; the fallback contract must hold
-    (and is exercised) on machines with no CUDA device at all.
-    """
-
-    def test_gpu_plan_name_is_registered(self):
-        assert "gpu" in tuning.KERNEL_PLANS
-        tuning.set_kernel_override("gpu")
-        assert tuning.kernel_override() == "gpu"
-
-    def test_gpu_env_override_accepted(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HAMMER_KERNEL", "gpu")
-        assert tuning.kernel_override() == "gpu"
-
-    def test_fallback_without_device_is_bit_identical_to_tiled(self):
-        import warnings
-
-        from repro.core import kernels
-
-        if kernels.gpu_available():
-            pytest.skip("CUDA device present: fallback path not reachable")
-        rng = np.random.default_rng(11)
-        bits = np.unique(rng.integers(0, 2, size=(1400, 70), dtype=np.uint8), axis=0)
-        strings = ["".join("1" if b else "0" for b in row) for row in bits]
-        dist = Distribution(
-            dict(zip(strings, rng.random(len(strings)) + 0.01)), num_bits=70
-        )
-        packed = dist.packed()
-        probs = dist.probability_vector()
-        weight_fn = lambda chs: np.where(chs > 0, 1.0 / np.maximum(chs, 1e-12), 0.0)  # noqa: E731
-        reference = kernels.hammer_pass(packed, probs, 5, weight_fn, True, plan="tiled")
-        kernels._GPU_STATE["warned"] = False
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            degraded = kernels.hammer_pass(packed, probs, 5, weight_fn, True, plan="gpu")
-        assert degraded[3] == "tiled"  # provenance records where it actually ran
-        for ref, got in zip(reference[:3], degraded[:3]):
-            assert np.array_equal(ref, got)
-        # The warning fires once per process, not once per call.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            kernels.chs_histogram(packed, probs, 5, plan="gpu")
-        assert not caught
-
-    def test_dispatcher_never_picks_gpu_without_device(self):
-        from repro.core import kernels
-
-        if kernels.gpu_available():
-            pytest.skip("CUDA device present")
-        assert choose_plan(DENSE_SUPPORT_MAX + 1, 12) != "gpu"
-
-    @pytest.mark.gpu
-    def test_gpu_distances_bit_identical_to_cpu(self):
-        from repro.core import kernels
-
-        rng = np.random.default_rng(13)
-        for num_words in (1, 2, 3):
-            words_a = rng.integers(0, 2**63, size=(97, num_words), dtype=np.uint64)
-            words_b = rng.integers(0, 2**63, size=(53, num_words), dtype=np.uint64)
-            cpu = kernels._tile_distances(words_a, words_b)
-            gpu = kernels._tile_distances_gpu(words_a, words_b)
-            assert cpu.dtype == gpu.dtype
-            assert np.array_equal(cpu, gpu)
-
-    @pytest.mark.gpu
-    def test_gpu_plan_bit_identical_to_tiled(self):
-        from repro.core import kernels
-
-        rng = np.random.default_rng(17)
-        bits = np.unique(rng.integers(0, 2, size=(1400, 70), dtype=np.uint8), axis=0)
-        strings = ["".join("1" if b else "0" for b in row) for row in bits]
-        dist = Distribution(
-            dict(zip(strings, rng.random(len(strings)) + 0.01)), num_bits=70
-        )
-        packed = dist.packed()
-        probs = dist.probability_vector()
-        weight_fn = lambda chs: np.where(chs > 0, 1.0 / np.maximum(chs, 1e-12), 0.0)  # noqa: E731
-        tiled = kernels.hammer_pass(packed, probs, 5, weight_fn, True, plan="tiled")
-        gpu = kernels.hammer_pass(packed, probs, 5, weight_fn, True, plan="gpu")
-        assert gpu[3] == "gpu"
-        for ref, got in zip(tiled[:3], gpu[:3]):
-            assert np.array_equal(ref, got)
-
-    def test_profile_gpu_ranking_ignored_without_device(self):
-        from repro.core import costmodel, kernels
-
-        if kernels.gpu_available():
-            pytest.skip("CUDA device present")
-        # A travelled profile tuned on a GPU box ranks gpu first; this
-        # machine has no device, so the dispatcher must fall through.
-        fast = costmodel.CostCurve(terms=("1",), coefficients=(1e-9,))
-        slow = costmodel.CostCurve(terms=("1",), coefficients=(10.0,))
-        profile = costmodel.MachineProfile(
-            kernels={"gpu": fast, "tiled": slow, "streaming": slow}
-        )
-        costmodel.set_active_profile(profile)
-        try:
-            assert choose_plan(DENSE_SUPPORT_MAX + 1, 12) != "gpu"
-        finally:
-            costmodel.reset_active_profile()

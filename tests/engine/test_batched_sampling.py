@@ -175,3 +175,29 @@ class TestShardedSampling:
         assert engine.last_run_stats.sharded_jobs == 0
         assert engine.last_run_stats.sample_shards == 0
         assert sum(result.noisy.counts().values()) == 30_000
+
+
+class TestShardProvenance:
+    """Each shard layout is counted with its source: override or heuristic."""
+
+    def test_env_threshold_is_an_override(self, device, monkeypatch):
+        monkeypatch.setenv("REPRO_SAMPLE_SHARD_SHOTS", "5000")
+        engine = ExecutionEngine()
+        engine.run(_jobs(device, count=1, shots=8_192), seed=3)
+        stats = engine.last_run_stats
+        assert stats.sample_shards == 2  # 5000 + 3192
+        assert stats.planner_decisions["shard"] == {"chunk:5000/override": 1}
+
+    def test_constructor_threshold_is_an_override(self, device):
+        engine = ExecutionEngine(sample_shard_shots=4_096)
+        engine.run(_jobs(device, count=1, shots=8_192), seed=3)
+        stats = engine.last_run_stats
+        assert stats.sample_shards == 2
+        assert stats.planner_decisions["shard"] == {"chunk:4096/override": 1}
+
+    def test_default_threshold_is_the_heuristic(self, device):
+        engine = ExecutionEngine()
+        engine.run(_jobs(device, count=1, shots=8_192), seed=3)
+        stats = engine.last_run_stats
+        assert stats.sharded_jobs == 0
+        assert stats.planner_decisions["shard"] == {"none/heuristic": 1}

@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.calibration import synthetic_snapshot
+from repro.circuits.bv import bernstein_vazirani
 from repro.engine.hashing import (
     circuit_fingerprint,
     ideal_key,
@@ -150,3 +151,16 @@ class TestKnownCollisionTraps:
         base = sample_key(circuit, model, 64, "bitflip", (0, 0))
         assert base != sample_key(circuit, model, 128, "bitflip", (0, 0))
         assert base != sample_key(circuit, model, 64, "trajectory", (0, 0))
+
+
+class TestPinnedSampleKeys:
+    def test_sample_key_digests_are_stable(self):
+        """Persistent ``--cache-dir`` entries stay valid: the digests never move."""
+        circuit = bernstein_vazirani("10110")
+        args = (circuit, NoiseModel(), 1_024, "bitflip", (0, 0))
+        assert sample_key(*args) == (
+            "8d3f400ecb99cddf1c1a912a32270cf34db7730c319e48ba1ed6d52784f11e1a"
+        )
+        assert sample_key(*args, shard_shots=256) == (
+            "f9b103e3d934f25fc73cf0f0de2af9a7dba367e7888bf01be1b6bbf2a32d0e70"
+        )

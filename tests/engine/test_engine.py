@@ -142,7 +142,7 @@ class TestCacheAccounting:
     def test_disk_write_failure_degrades_to_memory_only(self, tmp_path):
         cache_dir = tmp_path / "artifacts"
         cache = ExecutionCache(cache_dir=str(cache_dir))
-        # Occupy the namespace directory's path with a file so the disk
+        # Put a file at the namespace directory's path so the disk
         # write fails (works even when the suite runs as root, for whom
         # permission bits are advisory).
         (cache_dir / "ideal").write_bytes(b"roadblock")

@@ -120,24 +120,3 @@ class TestStderrModes:
         assert capsys.readouterr().err == ""
         assert len(log_records()) == 1
 
-
-class TestGpuFallbackRouting:
-    def test_kernel_fallback_emits_structured_record_and_warning(self, quiet, monkeypatch):
-        """The PR-8 contract: the GPU fallback is artifact-visible, not stderr-only."""
-        import warnings
-
-        from repro.core import kernels
-
-        monkeypatch.setattr(kernels, "gpu_available", lambda: False)
-        # Clear the process-global once-guards so this test is order-independent
-        # (reset_logs cleared the logger's, _GPU_STATE carries the legacy one).
-        monkeypatch.setitem(kernels._GPU_STATE, "warned", False)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            assert kernels._gpu_plan_or_fallback() == "tiled"
-        events = [record["event"] for record in log_records()]
-        assert "gpu-fallback" in events
-        # The once-guard drops the second emission entirely.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert kernels._gpu_plan_or_fallback() == "tiled"
-        assert events.count("gpu-fallback") == 1
