@@ -335,6 +335,9 @@ class PackedOutcomes:
         kernel behind :meth:`Distribution.from_bit_matrix` (and the weighted
         merges ``mapped`` / ``marginal`` / ``merged_with`` reduce to).  Only
         the unique support is ever rendered to strings, never the rows.
+        Shot counts on registers of at most 64 bits are counted on the
+        packed ``uint64`` key column; wider registers and weighted sums sort
+        whole packed rows (see :meth:`_aggregate_words`).
         """
         bits = np.ascontiguousarray(bits, dtype=np.uint8)
         if bits.ndim != 2 or bits.shape[0] == 0 or bits.shape[1] == 0:
@@ -348,7 +351,18 @@ class PackedOutcomes:
     def _aggregate_words(
         cls, words: np.ndarray, num_bits: int, weights: np.ndarray | None = None
     ) -> tuple["PackedOutcomes", np.ndarray]:
-        """Deduplicate already-packed rows, summing ``weights`` per unique row."""
+        """Deduplicate already-packed rows, summing ``weights`` per unique row.
+
+        Shot counts on a register of at most 64 bits (``weights`` omitted,
+        one word per row) are counted on the single ``uint64`` key column,
+        which NumPy sorts as plain unsigned integers: the same ascending
+        support and the same counts as the row path, without its sort of
+        structured records compared word by word.  Wider registers and
+        weighted sums take that row path.
+        """
+        if weights is None and words.shape[1] == 1:
+            keys, counts = np.unique(words.reshape(-1), return_counts=True)
+            return cls(keys.reshape(-1, 1), num_bits), counts.astype(float)
         unique_words, inverse = np.unique(words, axis=0, return_inverse=True)
         inverse = inverse.reshape(-1)
         if weights is None:

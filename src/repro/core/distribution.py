@@ -158,9 +158,12 @@ class Distribution:
     def from_bit_matrix(cls, bits: np.ndarray, num_bits: int | None = None) -> "Distribution":
         """Build a distribution from a ``(shots, n)`` 0/1 sample matrix.
 
-        The shot matrix is deduplicated with array operations (pack to uint64
-        words, unique rows, bincount) — no per-shot strings are ever created;
-        only the unique support is rendered once.  The resulting distribution
+        The shot matrix is deduplicated with array operations — no per-shot
+        strings are ever created; only the unique support is rendered once.
+        Rows are packed to uint64 words; up to 64 bits, shots are counted
+        with ``np.unique(..., return_counts=True)`` on the single key column,
+        and wider registers count unique packed rows with a bincount (see
+        :meth:`PackedOutcomes.aggregate_bit_matrix`).  The resulting distribution
         arrives with its packed view pre-cached, so downstream Hamming kernels
         never re-pack.
         """

@@ -258,7 +258,9 @@ def sample_bitflip_batch(
     the group's, and every returned histogram is bit-identical to a lone
     :func:`sample_bitflip_distribution` call with the same generator state
     (packing and shot deduplication are row-wise, so doing them per job or
-    over a concatenation is the same arithmetic).
+    over a concatenation is the same arithmetic).  Up to 64 qubits the shots
+    are counted on the packed uint64 key column; wider registers count
+    unique packed rows (see :meth:`PackedOutcomes._aggregate_words`).
     """
     if not requests:
         return []
@@ -289,7 +291,9 @@ def sample_bitflip_chunk(
     own :class:`numpy.random.SeedSequence`-derived generator; a chunk returns
     its deduplicated packed support and per-outcome shot counts — a compact,
     picklable partial histogram that :func:`merge_counted_chunks` reduces
-    deterministically.
+    deterministically.  The shots are counted the way
+    :meth:`PackedOutcomes.aggregate_bit_matrix` counts them: on the packed
+    uint64 key column up to 64 qubits, by unique packed rows beyond.
     """
     if shots <= 0:
         raise CircuitError(f"shots must be positive, got {shots}")

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Distribution, HammerConfig, PackedOutcomes, hammer, hammer_reference
+from repro.core.bitstring import pack_bit_matrix
 from repro.core.pipeline import HammerStage, PostProcessingPipeline, TruncationStage
 from repro.core.spectrum import (
     average_chs,
@@ -52,6 +53,29 @@ def supports(draw):
     unique = np.unique(bits, axis=0)
     strings = ["".join("1" if b else "0" for b in row) for row in unique]
     return num_bits, strings
+
+
+@st.composite
+def shot_matrices(draw):
+    """A ``(shots, width)`` sample matrix whose shots repeat a small row pool.
+
+    Widths 1-64 fill one packed word and 65-130 two or three; 64 and 128 are
+    drawn on purpose, because their random rows mix set and clear top bits
+    of a word, which a signed sort would misorder.  A pool of one row gives
+    an all-equal matrix, and one shot a single row.
+    """
+    num_bits = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=64),
+            st.integers(min_value=65, max_value=130),
+            st.sampled_from([64, 128]),
+        )
+    )
+    shots = draw(st.integers(min_value=1, max_value=3_000))
+    pool_size = draw(st.integers(min_value=1, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
+    pool = rng.integers(0, 2, size=(pool_size, num_bits), dtype=np.uint8)
+    return pool[rng.integers(0, pool_size, size=shots)]
 
 
 @st.composite
@@ -106,6 +130,36 @@ class TestPackRoundTrip:
         packed2, counts2 = PackedOutcomes.aggregate_bit_matrix(shuffled)
         assert np.array_equal(packed.words, packed2.words)
         assert np.array_equal(counts, counts2)
+
+    @given(shot_matrices())
+    @settings(max_examples=60, deadline=None)
+    @example(np.ones((1, 64), dtype=np.uint8))
+    @example(np.ones((300, 64), dtype=np.uint8))
+    @example(np.eye(64, dtype=np.uint8)[[0, 63, 0, 1, 63]])
+    def test_aggregate_matches_unique_rows(self, bits):
+        """Both counting paths equal ``np.unique`` over whole rows + bincount."""
+        num_bits = bits.shape[1]
+        words = pack_bit_matrix(bits)
+        unique_words, inverse = np.unique(words, axis=0, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        expected = np.bincount(inverse).astype(float)
+        for packed, counts in (
+            PackedOutcomes.aggregate_bit_matrix(bits),
+            PackedOutcomes._aggregate_words(words, num_bits),
+        ):
+            assert packed.words.dtype == np.uint64
+            assert packed.words.shape == (len(expected), (num_bits + 63) // 64)
+            assert np.array_equal(packed.words, unique_words)
+            assert counts.dtype == np.float64
+            assert np.array_equal(counts, expected)
+        weights = np.random.default_rng(len(bits)).random(len(bits))
+        expected = np.bincount(inverse, weights=weights)
+        for packed, totals in (
+            PackedOutcomes.aggregate_bit_matrix(bits, weights),
+            PackedOutcomes._aggregate_words(words, num_bits, weights),
+        ):
+            assert np.array_equal(packed.words, unique_words)
+            assert totals.tobytes() == expected.tobytes()
 
     def test_rejects_empty(self):
         with pytest.raises(BitstringError):

@@ -9,6 +9,8 @@ layouts can never alias.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -201,3 +203,40 @@ class TestShardProvenance:
         stats = engine.last_run_stats
         assert stats.sharded_jobs == 0
         assert stats.planner_decisions["shard"] == {"none/heuristic": 1}
+
+
+def _digest(words: np.ndarray, counts: np.ndarray) -> str:
+    return hashlib.sha256(words.tobytes() + counts.tobytes()).hexdigest()
+
+
+class TestPinnedSamples:
+    """The sampled histograms never move: same support, order and counts.
+
+    Each digest covers the packed uint64 words and the float64 counts in
+    support order, so a change to how shots are drawn, packed, sorted or
+    counted shows here before it reaches a golden row or a cached entry.
+    """
+
+    circuit = bernstein_vazirani("1011010011")
+
+    def test_batch_job_digest_is_stable(self, device):
+        ideal = get_backend("statevector").ideal_distribution(self.circuit)
+        rng = np.random.default_rng(np.random.SeedSequence((8, 0)))
+        (noisy,) = sample_bitflip_batch(
+            self.circuit, device.noise_model, [(32_768, rng)], ideal=ideal
+        )
+        counts = np.fromiter(noisy.counts().values(), dtype=float)
+        assert _digest(noisy.packed().words, counts) == (
+            "7cb481ba2c3b59f494e7280f91dec0544f49ebf92232660b21005f15647646a1"
+        )
+
+    def test_chunk_digest_is_stable(self, device):
+        ideal = get_backend("statevector").ideal_distribution(self.circuit)
+        rng = np.random.default_rng(np.random.SeedSequence((8, 0, 0)))
+        words, counts = sample_bitflip_chunk(
+            self.circuit, device.noise_model, 65_536, rng, ideal=ideal
+        )
+        assert words.dtype == np.uint64 and counts.dtype == np.float64
+        assert _digest(words, counts) == (
+            "d75f3bc0f938b1d90a3c0de59f4751b9570a4fc7e719bb64d864d622e49c700f"
+        )
