@@ -6,12 +6,25 @@ standard tensored-calibration technique: measure each qubit's 2x2 assignment
 (confusion) matrix, invert the tensor product and apply it to the measured
 histogram, clipping negative quasi-probabilities and renormalising.
 
-Because the correction factorises over qubits we never materialise the
-``2^n x 2^n`` matrix: each outcome's corrected weight is accumulated by
-iterating over the observed support and redistributing probability with the
-per-qubit inverse matrices truncated to single-bit-flip neighbourhoods (exact
-inversion over the observed support, which is the practical formulation used
-for wide circuits).
+The corrected quasi-probability of an observed outcome ``x`` is the full
+tensored inverse ``(M_0 ⊗ … ⊗ M_{n-1})^{-1}`` applied to the measured
+probability vector and read at ``x``.  Because the correction factorises over
+qubits the ``2^n x 2^n`` matrix is never materialised, and because outcomes
+never measured carry zero probability, the sum over all ``2^n`` outcomes
+equals the sum over the observed support.  Two exact paths compute it and
+differ only in summation order:
+
+* registers of at most :data:`~repro.core.kernels.DENSE_CHS_MAX_BITS` bits
+  scatter the probabilities into a zero-padded vector of length ``2^n``,
+  apply each qubit's 2x2 inverse along that qubit's axis in ``O(n * 2^n)``
+  and read the result back at the support — the tensored mitigation of
+  qiskit-ignis' ``TensoredMeasFitter``;
+* wider registers, whose ``2^n`` vector would not fit, loop over the
+  observed support in ``O(N^2 * n)`` for ``N`` outcomes.  The loop is also
+  the reference the hypercube path is tested against.
+
+Which path ran is counted as ``mitigation.plan.hypercube`` or
+``mitigation.plan.support``.
 """
 
 from __future__ import annotations
@@ -21,8 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.distribution import Distribution
+from repro.core.kernels import DENSE_CHS_MAX_BITS
 from repro.core.pipeline import PostProcessingStage
 from repro.exceptions import NoiseModelError
+from repro.obs.metrics import counter_add
 from repro.quantum.noise import ReadoutError
 
 __all__ = ["ReadoutCalibration", "mitigate_readout", "ReadoutMitigationStage"]
@@ -90,24 +105,23 @@ class ReadoutCalibration:
         return inverses
 
 
-def mitigate_readout(distribution: Distribution, calibration: ReadoutCalibration) -> Distribution:
-    """Apply tensored readout-error inversion over the observed support.
+def _tensored_inverse_on_hypercube(packed, inverses: list[np.ndarray]) -> np.ndarray:
+    """``(M_0^{-1} ⊗ … ⊗ M_{n-1}^{-1}) · P`` on the dense ``2^n`` vector, at the support.
 
-    The corrected quasi-probability of an observed outcome ``x`` is
-
-        q(x) = Σ_y  Π_k  (M_k^{-1})[x_k, y_k]  ·  P(y)
-
-    with the sum restricted to the observed support (outcomes never measured
-    contribute nothing).  Negative entries are clipped to zero and the result
-    renormalised — the same pragmatic choice production mitigation code makes.
+    String position ``k`` is bit ``n-1-k`` of ``words[:, 0]``, so in the
+    C-ordered ``(2,) * n`` view of the vector it is axis ``k``: each inverse
+    is one batched 2x2 product over a ``(2^k, 2, 2^(n-1-k))`` reshape.
     """
-    if calibration.num_qubits != distribution.num_bits:
-        raise NoiseModelError(
-            f"calibration is for {calibration.num_qubits} qubits but the distribution has "
-            f"{distribution.num_bits} bits"
-        )
-    inverses = calibration.inverse_matrices()
-    packed = distribution.packed()
+    indices = packed.words[:, 0].astype(np.intp)
+    dense = np.zeros(1 << packed.num_bits, dtype=float)
+    dense[indices] = packed.probabilities
+    for position, inverse in enumerate(inverses):
+        dense = np.matmul(inverse, dense.reshape(1 << position, 2, -1)).reshape(-1)
+    return dense[indices]
+
+
+def _tensored_inverse_on_support(packed, inverses: list[np.ndarray]) -> np.ndarray:
+    """The same quantity as a loop over the observed support, ``O(N^2 * n)``."""
     probabilities = packed.probabilities
     bits = packed.bit_matrix()
     num_outcomes = packed.num_outcomes
@@ -119,6 +133,38 @@ def mitigate_readout(distribution: Distribution, calibration: ReadoutCalibration
         for qubit, inverse in enumerate(inverses):
             factors *= inverse[bits[target_index, qubit], bits[:, qubit]]
         corrected[target_index] = float(np.dot(factors, probabilities))
+    return corrected
+
+
+def mitigate_readout(distribution: Distribution, calibration: ReadoutCalibration) -> Distribution:
+    """Apply tensored readout-error inversion, read at the observed support.
+
+    The corrected quasi-probability of an observed outcome ``x`` is
+
+        q(x) = Σ_y  Π_k  (M_k^{-1})[x_k, y_k]  ·  P(y)
+
+    summed over every outcome ``y``; those never measured have ``P(y) = 0``,
+    so only the observed support contributes.  Registers of at most
+    :data:`~repro.core.kernels.DENSE_CHS_MAX_BITS` bits compute it on the
+    dense ``2^n`` hypercube in ``O(n * 2^n)``, wider ones by a loop over the
+    support (see the module docstring); the path is counted as
+    ``mitigation.plan.<plan>``.  Negative entries are clipped to zero and the
+    result renormalised — the same pragmatic choice production mitigation
+    code makes.
+    """
+    if calibration.num_qubits != distribution.num_bits:
+        raise NoiseModelError(
+            f"calibration is for {calibration.num_qubits} qubits but the distribution has "
+            f"{distribution.num_bits} bits"
+        )
+    inverses = calibration.inverse_matrices()
+    packed = distribution.packed()
+    if packed.num_bits <= DENSE_CHS_MAX_BITS:
+        corrected = _tensored_inverse_on_hypercube(packed, inverses)
+        counter_add("mitigation.plan.hypercube")
+    else:
+        corrected = _tensored_inverse_on_support(packed, inverses)
+        counter_add("mitigation.plan.support")
 
     corrected = np.clip(corrected, 0.0, None)
     total = corrected.sum()

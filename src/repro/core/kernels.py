@@ -132,9 +132,10 @@ else:  # pragma: no cover - exercised only on NumPy < 2
 # ---------------------------------------------------------------------------
 # Shared primitives
 # ---------------------------------------------------------------------------
-#: Widest register for which the dense Walsh–Hadamard paths — the CHS
-#: transform and the ``spectral`` plan — are considered (2**20 float64 work
-#: vectors = 8 MiB each).
+#: Widest register for which the dense hypercube paths — the CHS
+#: Walsh–Hadamard transform, the ``spectral`` plan and the tensored inverse
+#: of :func:`repro.baselines.readout_mitigation.mitigate_readout` — are
+#: considered (2**20 float64 work vectors = 8 MiB each).
 DENSE_CHS_MAX_BITS = 20
 
 #: Largest support handled by the ``dense`` plan (the bit-identical historical
