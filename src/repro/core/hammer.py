@@ -188,9 +188,10 @@ def neighborhood_scores(
 
     This is the vectorised implementation: it reads the distribution's cached
     packed view (uint64 words + probability vector) and evaluates the
-    ``O(N^2)`` pairwise Hamming structure with popcounts in fixed-size row
-    blocks (bounded memory).  ``hammer(dist)`` is a thin wrapper returning
-    only the reconstructed distribution.
+    ``O(N^2)`` pairwise Hamming structure through the shape-dispatched
+    kernel plans of :mod:`repro.core.kernels` in bounded memory; the plan
+    that ran is :attr:`HammerResult.kernel`.  ``hammer(dist)`` is a thin
+    wrapper returning only the reconstructed distribution.
     """
     cfg = config or HammerConfig()
     num_bits = distribution.num_bits

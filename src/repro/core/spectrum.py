@@ -212,10 +212,11 @@ def average_chs(distribution: Distribution, max_distance: int | None = None) -> 
     Algorithm 1 (every ordered pair ``(x, y)`` contributes ``P(y)`` to bin
     ``d(x, y)``), divided by the number of outcomes so the result is an
     average rather than a sum.  It is one call to the shared
-    :func:`~repro.core.bitstring.xor_distance_histogram` kernel (dense
-    Walsh–Hadamard for narrow registers with wide supports, blocked popcount
-    + ``bincount`` otherwise) — no ``N x N`` distance matrix, per-distance
-    mask, or string is ever materialised.
+    :func:`~repro.core.kernels.chs_histogram` kernel (dense Walsh–Hadamard
+    for narrow registers with wide supports; otherwise blocked popcount +
+    ``bincount`` up to :data:`~repro.core.kernels.DENSE_SUPPORT_MAX`
+    outcomes and the symmetric triangular sweep above) — no ``N x N``
+    distance matrix, per-distance mask, or string is ever materialised.
     """
     num_bits = distribution.num_bits
     limit = num_bits if max_distance is None else max_distance

@@ -319,6 +319,60 @@ class TestSpectralPlan:
         assert event["args"]["plan"] == "tiled"
 
 
+def _shot_histogram(num_bits, num_outcomes, seed):
+    """Exactly ``num_outcomes`` outcomes with integer shot counts.
+
+    The all-zeros answer holds most of the shots; the other outcomes are
+    the distinct bit-flip patterns in draw order, each with a geometric
+    1-, 2-, 3-shot count.  Flips are dense on narrow registers so that
+    almost the whole hypercube can be reached.
+    """
+    rng = np.random.default_rng(seed)
+    flip_rate = 0.5 if num_bits <= 12 else 0.1
+    draws = rng.random((20 * num_outcomes, num_bits)) < flip_rate
+    draws = np.vstack([np.zeros((1, num_bits), dtype=bool), draws])
+    _, first = np.unique(draws, axis=0, return_index=True)
+    rows = draws[np.sort(first)[:num_outcomes]]
+    assert len(rows) == num_outcomes
+    counts = rng.geometric(0.6, size=num_outcomes).astype(float)
+    counts[0] = 8.0 * num_outcomes
+    strings = ["".join("1" if bit else "0" for bit in row) for row in rows]
+    return Distribution(dict(zip(strings, counts)), num_bits=num_bits)
+
+
+class TestAboveTheDenseBound:
+    """Supports just past ``DENSE_SUPPORT_MAX`` against the ``dense`` plan they left.
+
+    ``test_all_plans_match_reference`` holds ``dense`` to
+    ``hammer_reference``; here the auto-dispatched plan must agree with a
+    forced ``dense`` run within a relative 1e-12, with the same zero set.
+    """
+
+    @pytest.mark.parametrize(
+        "num_bits, num_outcomes, plan",
+        [
+            (10, 257, "spectral"),
+            (10, 416, "spectral"),
+            (10, 1022, "spectral"),
+            (53, 257, "tiled"),
+            (53, 1024, "tiled"),
+        ],
+    )
+    @pytest.mark.parametrize("noise_aware", [False, True], ids=["inverse_chs", "noise_aware"])
+    def test_auto_plan_matches_forced_dense(self, num_bits, num_outcomes, plan, noise_aware):
+        from repro.core.hammer import neighborhood_scores
+
+        dist = _shot_histogram(num_bits, num_outcomes, seed=num_outcomes)
+        config = HammerConfig()
+        if noise_aware:
+            flips = np.random.default_rng(num_bits).uniform(0.005, 0.2, size=num_bits)
+            config = HammerConfig(weight_scheme=NoiseAwareWeights(flips))
+        result = neighborhood_scores(dist, config)
+        assert result.kernel == plan
+        _force("dense")
+        _assert_matches(result.distribution, hammer(dist, config))
+
+
 class TestPopcountDispatch:
     def test_lut_matches_native(self):
         rng = np.random.default_rng(3)
@@ -350,6 +404,12 @@ class TestDispatcher:
     def test_large_supports_on_wider_registers_tile(self):
         assert choose_plan(DENSE_SUPPORT_MAX + 1, DENSE_CHS_MAX_BITS + 1) == "tiled"
         assert choose_plan(50_000, 127) == "tiled"
+
+    def test_literal_shapes_around_the_dense_bound(self):
+        assert choose_plan(256, 8) == "dense"
+        assert choose_plan(257, 10) == "spectral"
+        assert choose_plan(1022, 10) == "spectral"
+        assert choose_plan(257, 53) == "tiled"
 
     def test_very_wide_registers_stream(self):
         wide = 64 * STREAMING_MIN_WORDS

@@ -11,6 +11,11 @@ When a change is *supposed* to move the numbers, regenerate with::
     PYTHONPATH=src python -m pytest tests/golden --regen-golden
 
 and commit the updated fixtures together with the change that explains them.
+
+Every fixture must also stay on the bit-stable ``dense`` kernel plan: each
+payload is built once under an observation, and its ``kernel.plan.*``
+counters are checked in both modes, so a fixture whose support crosses
+``DENSE_SUPPORT_MAX`` fails loudly instead of drifting.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from repro.datasets.google_qaoa import generate_google_dataset, small_table1_con
 from repro.engine import ExecutionEngine
 from repro.experiments.bv_study import BvStudyConfig, run_bv_study
 from repro.experiments.runner import _json_default, _json_sanitize
+from repro.obs import Observation
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 
@@ -46,6 +52,14 @@ def _table1_payload() -> dict:
 _PAYLOADS = {
     "fig8_rows.json": _fig8_payload,
     "table1_rows.json": _table1_payload,
+}
+
+#: The ``kernel.plan.*`` counters each payload records: the fig8 sweep makes
+#: 12 HAMMER calls on 5-8-bit supports of at most 249 outcomes, all on the
+#: ``dense`` plan; the Table 1 composition runs no HAMMER.
+_KERNEL_PLANS = {
+    "fig8_rows.json": {"kernel.plan.dense": 12},
+    "table1_rows.json": {},
 }
 
 
@@ -88,10 +102,27 @@ def _flat_diff(expected, actual, path="") -> list[str]:
     return []
 
 
-@pytest.mark.parametrize("fixture_name", sorted(_PAYLOADS))
-def test_golden_rows_have_not_drifted(fixture_name, request):
+@pytest.fixture(scope="module", params=sorted(_PAYLOADS))
+def observed_payload(request):
+    """One build of a payload: ``(fixture name, canonical payload, plan counters)``."""
+    with Observation() as observation:
+        payload = _canonical(_PAYLOADS[request.param]())
+    counters = observation.registry.snapshot()["counters"]
+    plans = {name: count for name, count in counters.items() if name.startswith("kernel.plan.")}
+    return request.param, payload, plans
+
+
+def test_golden_payloads_stay_on_the_dense_plan(observed_payload):
+    fixture_name, _, plans = observed_payload
+    assert plans == _KERNEL_PLANS[fixture_name], (
+        f"{fixture_name} ran kernel plans {plans}, expected {_KERNEL_PLANS[fixture_name]}: "
+        "a golden support crossed DENSE_SUPPORT_MAX or the dispatch changed"
+    )
+
+
+def test_golden_rows_have_not_drifted(observed_payload, request):
+    fixture_name, actual, _ = observed_payload
     fixture_path = GOLDEN_DIR / fixture_name
-    actual = _canonical(_PAYLOADS[fixture_name]())
     if request.config.getoption("--regen-golden"):
         fixture_path.write_text(json.dumps(actual, indent=2, sort_keys=True) + "\n")
         pytest.skip(f"regenerated {fixture_path.name}")
