@@ -8,8 +8,11 @@ capacity mid-run is impossible.  This module inverts the topology:
 :class:`ShardBroker`
     A TCP service (``repro shard-broker --listen HOST:PORT``) that owns
     the chunk queue.  Drivers **submit** batches; workers **pull** chunks.
-    Every chunk handed to a worker carries a **lease** (TTL = 3x the
-    heartbeat interval); the worker renews it with heartbeat frames while
+    A worker's ``next`` that finds the queue empty is held until a chunk is
+    queued or the hold (a tenth of the heartbeat, 20 ms to 0.5 s) runs
+    out, so a submitted batch starts at once on an idle worker.  Every
+    chunk handed to a worker carries a **lease** (TTL = 3x the heartbeat
+    interval); the worker renews it with heartbeat frames while
     computing.  An expired lease — a wedged worker — or a disconnect — a
     dead one — re-queues the chunk for any live worker.  Because the
     engine's reduction tree drops duplicate chunk deliveries, this
@@ -19,8 +22,9 @@ capacity mid-run is impossible.  This module inverts the topology:
 
 :class:`BrokerWorker`
     The client side of ``repro shard-worker --broker HOST:PORT``:
-    registers on connect, polls for chunks, heartbeats while computing,
-    ships results (or the task's error) back.  ``max_chunks`` is the
+    registers on connect, pulls chunks with ``next`` requests that the
+    broker holds until one is queued, heartbeats while computing, ships
+    results (or the task's error) back.  ``max_chunks`` is the
     deterministic failure knob: the worker computes that many chunks, then
     dies abruptly *while holding its next lease* — exactly the failure the
     lease machinery exists to absorb.
@@ -146,7 +150,8 @@ class ShardBroker:
         Lease heartbeat interval in seconds; defaults to
         ``REPRO_SHARD_HEARTBEAT`` (2s).  A chunk's lease TTL is
         :data:`LEASE_TTL_HEARTBEATS` times this — a worker that misses
-        that many heartbeats forfeits the chunk.
+        that many heartbeats forfeits the chunk.  An idle worker's ``next``
+        is held for a tenth of it (20 ms to 0.5 s) before ``wait`` answers.
     auth_key:
         HMAC secret; defaults to ``REPRO_SHARD_KEY`` from the environment
         (``None`` when unset — the localhost opt-out).  Frames failing
@@ -164,10 +169,16 @@ class ShardBroker:
         if self.heartbeat <= 0:
             raise EngineError(f"heartbeat must be > 0, got {self.heartbeat}")
         self.lease_ttl = LEASE_TTL_HEARTBEATS * self.heartbeat
+        # How long an idle worker's ``next`` waits for a chunk: one round
+        # trip per hold while idle, floored so a tiny test heartbeat does not
+        # spin, capped so SIGTERM reaches an idle worker within 0.5 s.
+        self._hold = max(0.02, min(self.heartbeat / 10.0, 0.5))
         self._auth_key = resolve_shard_key() if auth_key is _KEY_FROM_ENV else auth_key
         self._server = socket.create_server((host, port))
         self.host, self.port = self._server.getsockname()[:2]
         self._lock = threading.Lock()
+        #: Notified whenever chunks join the queue, and on stop.
+        self._work = threading.Condition(self._lock)
         self._closed = threading.Event()
         self._connections: set[socket.socket] = set()
         self._queue: deque[int] = deque()
@@ -268,6 +279,7 @@ class ShardBroker:
         with self._lock:
             connections = list(self._connections)
             self._connections.clear()
+            self._work.notify_all()
         for conn in connections:
             try:
                 conn.close()
@@ -310,23 +322,33 @@ class ShardBroker:
         # Front of the queue: a re-issued chunk is the batch's straggler.
         self._queue.appendleft(chunk_id)
         self._stats["leases_reissued"] += 1
+        self._work.notify()
         return 1
 
     def _lease_next(self, worker_id: int):
-        with self._lock:
-            while self._queue:
-                chunk_id = self._queue.popleft()
-                meta = self._chunks.get(chunk_id)
-                if meta is None:
-                    continue
-                batch, task_index = meta
-                if batch.cancelled or chunk_id in batch.completed:
-                    continue
-                deadline = time.monotonic() + self.lease_ttl
-                self._leases[chunk_id] = [worker_id, deadline]
-                self._stats["leases_issued"] += 1
-                return chunk_id, batch.fn, batch.tasks[task_index]
-        return None
+        """Lease the next live chunk, waiting up to the hold for one to be queued.
+
+        None when the hold runs out, or the broker stops, with no chunk to give.
+        """
+        give_up = time.monotonic() + self._hold
+        with self._work:
+            while True:
+                while self._queue:
+                    chunk_id = self._queue.popleft()
+                    meta = self._chunks.get(chunk_id)
+                    if meta is None:
+                        continue
+                    batch, task_index = meta
+                    if batch.cancelled or chunk_id in batch.completed:
+                        continue
+                    deadline = time.monotonic() + self.lease_ttl
+                    self._leases[chunk_id] = [worker_id, deadline]
+                    self._stats["leases_issued"] += 1
+                    return chunk_id, batch.fn, batch.tasks[task_index]
+                remaining = give_up - time.monotonic()
+                if remaining <= 0 or self._closed.is_set():
+                    return None
+                self._work.wait(remaining)
 
     def _renew(self, chunk_id: int, worker_id: int) -> None:
         with self._lock:
@@ -487,6 +509,7 @@ class ShardBroker:
                 self._next_chunk_id += 1
                 self._chunks[chunk_id] = (batch, task_index)
                 self._queue.append(chunk_id)
+            self._work.notify(len(batch.tasks))
             if not batch.tasks:
                 batch.deliveries.put(("done",))
         try:
@@ -527,6 +550,11 @@ class ShardBroker:
 # ---------------------------------------------------------------------------
 class BrokerWorker:
     """Registers with a broker and pulls chunks until stopped.
+
+    The broker holds each ``next`` until a chunk is queued, so an idle
+    worker starts a submitted batch at once.  A ``wait`` reply only means
+    the hold ran out, and the worker asks again straight away: one round
+    trip per hold while idle.
 
     Parameters
     ----------
@@ -627,8 +655,6 @@ class BrokerWorker:
         (deterministic — reconnecting cannot help).
         """
         sock = self._connect()
-        # Wait-poll cadence: a fraction of the heartbeat so idle workers
-        # notice new work quickly without hammering the broker.
         try:
             self._send(sock, ("register", f"worker-{os.getpid()}"))
             reply = recv_message(sock, self._auth_key)
@@ -638,12 +664,10 @@ class BrokerWorker:
                 float(reply[2]) if self._heartbeat_override is None
                 else float(self._heartbeat_override)
             )
-            poll = max(0.02, min(interval / 10.0, 0.5))
             while not self._stop.is_set():
                 self._send(sock, ("next",))
                 reply = recv_message(sock, self._auth_key)
                 if reply[0] == "wait":
-                    self._stop.wait(poll)
                     continue
                 if reply[0] != "chunk":
                     raise TransportError(f"unexpected broker reply {reply[0]!r}")

@@ -14,7 +14,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from repro.circuits.qaoa import QaoaParameters, default_qaoa_parameters, qaoa_circuit
 from repro.core.distribution import Distribution
@@ -79,6 +78,9 @@ def optimize_qaoa(
         followed by HAMMER, to reproduce the paper's setting).
     max_evaluations:
         Budget of objective evaluations (circuit executions).
+
+    SciPy is imported on the first call, so importing this module does not
+    load it.
     """
     if max_evaluations <= 0:
         raise ExperimentError(f"max_evaluations must be positive, got {max_evaluations}")
@@ -102,6 +104,8 @@ def optimize_qaoa(
             )
         )
         return float(expected)
+
+    from scipy import optimize
 
     optimize.minimize(
         objective,

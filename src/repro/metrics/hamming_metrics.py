@@ -12,7 +12,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.core.distribution import Distribution
 from repro.core.spectrum import _expected_distance_of_bins, spectrum_bins, uniform_model_ehd
@@ -114,12 +113,22 @@ def structure_ratio(distribution: Distribution, correct_outcomes: Sequence[str])
 
 
 def spearman_correlation(x_values: Sequence[float], y_values: Sequence[float]) -> float:
-    """Spearman rank correlation coefficient (Figure 11 uses this statistic)."""
+    """Spearman rank correlation coefficient (Figure 11 uses this statistic).
+
+    Returns 0.0 when either series is constant, where the rank correlation
+    is undefined.  SciPy is imported on the first non-constant call, so
+    importing this module does not load it.
+    """
     if len(x_values) != len(y_values):
         raise DistributionError("x and y must have the same length")
     if len(x_values) < 3:
         raise DistributionError("need at least 3 points for a rank correlation")
-    coefficient, _ = stats.spearmanr(np.asarray(x_values), np.asarray(y_values))
+    x, y = np.asarray(x_values), np.asarray(y_values)
+    if np.all(x == x[0]) or np.all(y == y[0]):
+        return 0.0
+    from scipy import stats
+
+    coefficient, _ = stats.spearmanr(x, y)
     if np.isnan(coefficient):
         return 0.0
     return float(coefficient)

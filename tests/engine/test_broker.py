@@ -10,6 +10,7 @@ provenance (``leases_reissued``, ``workers_joined/left``) and
 from __future__ import annotations
 
 import socket
+import sys
 import threading
 import time
 
@@ -175,6 +176,97 @@ class TestShardBroker:
             assert provenance["heartbeats"] >= 1
         finally:
             executor.close()
+
+
+class TestHeldNext:
+    """An idle worker's ``next`` is held until a chunk is queued.
+
+    At ``heartbeat=5`` the hold is 0.5 s: a batch submitted inside it must be
+    answered with its chunk at once, neither ``wait`` nor at the hold's end.
+    """
+
+    HOLD_S = 0.5
+
+    @staticmethod
+    def _register(broker) -> socket.socket:
+        worker = socket.create_connection((broker.host, broker.port), timeout=5.0)
+        send_message(worker, ("register", "raw"))
+        assert recv_message(worker)[0] == "registered"
+        return worker
+
+    def test_held_next_answers_a_chunk_submitted_during_the_hold(self):
+        broker = ShardBroker(heartbeat=5.0).start()
+        executor = BrokerExecutor(broker=broker.address, join_deadline=5.0, timeout=10.0)
+        worker = self._register(broker)
+        try:
+            collected: list = []
+
+            def submit():
+                time.sleep(0.05)
+                collected.extend(executor.run(_double, [21]))
+
+            asked = time.monotonic()
+            send_message(worker, ("next",))
+            driver = threading.Thread(target=submit, daemon=True)
+            driver.start()
+            reply = recv_message(worker)
+            answered = time.monotonic() - asked
+            assert reply[0] == "chunk", reply
+            assert answered < self.HOLD_S
+            _, chunk_id, fn, task = reply
+            send_message(worker, ("result", chunk_id, fn(task)))
+            assert recv_message(worker) == ("ok",)
+            driver.join(timeout=10.0)
+            assert not driver.is_alive()
+            assert collected == [42]
+        finally:
+            worker.close()
+            executor.close()
+            broker.stop()
+
+    def test_stop_ends_a_held_next(self):
+        broker = ShardBroker(heartbeat=5.0).start()
+        before = set(threading.enumerate())
+        worker = self._register(broker)
+        try:
+            (connection,) = [
+                thread
+                for thread in set(threading.enumerate()) - before
+                if "_serve_connection" in thread.name
+            ]
+            send_message(worker, ("next",))
+            time.sleep(0.05)  # the broker is now holding the request
+            stopped = time.monotonic()
+            broker.stop()
+            connection.join(timeout=5.0)
+            assert not connection.is_alive()
+            # Woken by stop(), not by the hold running out ~0.45 s later.
+            assert time.monotonic() - stopped < self.HOLD_S / 2
+        finally:
+            worker.close()
+            broker.stop()
+
+    def test_many_held_workers_lease_each_chunk_once(self):
+        # More workers than cores, all holding ``next`` on one condition,
+        # with a short switch interval: a lost update would lease a chunk
+        # twice (or never), which the counters and results would show.
+        broker = ShardBroker(heartbeat=1.0).start()
+        executor = BrokerExecutor(broker=broker.address, join_deadline=5.0, timeout=30.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(6):
+                _start_worker(broker)
+            tasks = list(range(60))
+            for _ in range(3):
+                assert sorted(executor.run(_double, tasks)) == [2 * task for task in tasks]
+            stats = broker.stats()
+            assert stats["leases_issued"] == stats["chunks_completed"] == 3 * len(tasks)
+            assert stats["leases_reissued"] == stats["duplicate_results"] == 0
+        finally:
+            sys.setswitchinterval(interval)
+            executor.close()
+            broker.stop()
 
 
 # ---------------------------------------------------------------------------

@@ -69,8 +69,11 @@ class TestSpearman:
     def test_perfect_inverse(self):
         assert spearman_correlation([1, 2, 3, 4], [4, 3, 2, 1]) == pytest.approx(-1.0)
 
+    @pytest.mark.filterwarnings("error")
     def test_constant_series_returns_zero(self):
+        # Undefined on a constant series: 0.0, and no ConstantInputWarning.
         assert spearman_correlation([1, 2, 3], [5, 5, 5]) == 0.0
+        assert spearman_correlation([7, 7, 7], [1, 2, 3]) == 0.0
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(DistributionError):
