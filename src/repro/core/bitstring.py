@@ -174,36 +174,46 @@ def random_bitstring(num_bits: int, rng: np.random.Generator | None = None) -> s
     return "".join("1" if bit else "0" for bit in bits)
 
 
+def _checked_bit_matrix(bits: np.ndarray) -> np.ndarray:
+    """``bits`` as a C-contiguous uint8 array, once every value is known to be 0 or 1.
+
+    The check runs on the caller's dtype, before the cast: cast first and 256
+    wraps to 0, -255 to 1 and 1.7 truncates to 1, each passing for a bit.
+    uint8 needs one ``> 1`` pass and bool none; any other dtype must compare
+    equal to 0 or 1 (so NaN, strings and fractions are rejected).
+    """
+    bits = np.asarray(bits)
+    if bits.dtype != np.bool_:
+        invalid = bits > 1 if bits.dtype == np.uint8 else (bits != 0) & (bits != 1)
+        if np.any(invalid):
+            raise BitstringError("bit matrix contains values outside {0, 1}")
+    return np.ascontiguousarray(bits, dtype=np.uint8)
+
+
 def pack_bit_matrix(bits: np.ndarray) -> np.ndarray:
     """Pack a ``(N, width)`` 0/1 matrix into ``(N, ceil(width/64))`` uint64 words.
 
     Bit layout matches :func:`pack_bitstrings`: word ``w`` holds bit columns
     ``[64w, 64w + 64)`` MSB-first; the final word is right-aligned in its low
-    bits when ``width`` is not a multiple of 64.
+    bits when ``width`` is not a multiple of 64.  The columns are copied once
+    into a zeroed ``(N, 64 * words)`` uint8 block, each row laid out as its
+    words' bits with the final word's padding in front of its columns; one
+    ``np.packbits`` over the flat block then yields the words' bytes in
+    order, read as big-endian uint64 and converted to native order.
     """
-    bits = np.ascontiguousarray(bits, dtype=np.uint8)
+    bits = _checked_bit_matrix(bits)
     if bits.ndim != 2:
         raise BitstringError(f"expected a 2-D bit matrix, got ndim={bits.ndim}")
     n_rows, width = bits.shape
     if width == 0:
         raise BitstringError("bit matrix must have at least one column")
-    if bits.size and not np.all(bits <= 1):
-        raise BitstringError("bit matrix contains values outside {0, 1}")
     num_words = (width + 63) // 64
-    words = np.zeros((n_rows, num_words), dtype=np.uint64)
-    if n_rows == 0:
-        return words
-    for word_index in range(num_words):
-        lo = word_index * 64
-        hi = min(lo + 64, width)
-        columns = bits[:, lo:hi]
-        pad = 64 - (hi - lo)
-        if pad:
-            columns = np.concatenate(
-                [np.zeros((n_rows, pad), dtype=np.uint8), columns], axis=1
-            )
-        words[:, word_index] = np.packbits(columns, axis=1).view(">u8").ravel()
-    return words
+    lead = 64 * (num_words - 1)  # columns of the full words before the last
+    block = np.zeros((n_rows, 64 * num_words), dtype=np.uint8)
+    block[:, :lead] = bits[:, :lead]
+    block[:, lead + 64 * num_words - width :] = bits[:, lead:]
+    words = np.packbits(block).view(">u8").astype(np.uint64)
+    return words.reshape(n_rows, num_words)
 
 
 def unpack_bit_matrix(words: np.ndarray, num_bits: int) -> np.ndarray:
@@ -317,7 +327,7 @@ class PackedOutcomes:
         cls, bits: np.ndarray, probabilities: np.ndarray | None = None
     ) -> "PackedOutcomes":
         """Pack the rows of a ``(N, width)`` 0/1 matrix, one outcome per row."""
-        bits = np.ascontiguousarray(bits, dtype=np.uint8)
+        bits = _checked_bit_matrix(bits)
         if bits.ndim != 2 or bits.shape[1] == 0:
             raise BitstringError(f"expected a non-empty 2-D bit matrix, got shape {bits.shape}")
         return cls(pack_bit_matrix(bits), bits.shape[1], probabilities, _bits=bits)
@@ -339,13 +349,12 @@ class PackedOutcomes:
         packed ``uint64`` key column; wider registers and weighted sums sort
         whole packed rows (see :meth:`_aggregate_words`).
         """
-        bits = np.ascontiguousarray(bits, dtype=np.uint8)
+        bits = np.asarray(bits)
         if bits.ndim != 2 or bits.shape[0] == 0 or bits.shape[1] == 0:
             raise BitstringError(
                 f"expected a non-empty (shots, width) matrix, got shape {bits.shape}"
             )
-        words = pack_bit_matrix(bits)
-        return cls._aggregate_words(words, bits.shape[1], weights)
+        return cls._aggregate_words(pack_bit_matrix(bits), bits.shape[1], weights)
 
     @classmethod
     def _aggregate_words(

@@ -36,6 +36,17 @@ bit matrices end to end and hands the final matrix to
 :meth:`Distribution.from_bit_matrix`, which deduplicates shots with array ops
 and delivers the histogram with its packed Hamming view pre-cached — no
 per-shot strings are ever materialised.
+
+The bit-flip draw (:meth:`_BitflipPlan.draw`) makes exactly these generator
+calls, in this order: ``choice(shots)`` over the ideal support,
+``random((shots, n))`` for the gate flips, ``random(shots)`` for the scramble
+test, ``integers(0, 2, (k, n), uint8)`` for the k scrambled shots (only when
+k > 0) and ``random((shots, n))`` for readout.  That sequence is the
+histogram contract: change a call, a size or the order and every pinned
+digest, golden row and benchmark reference moves.  The draw works in place
+on one contiguous ``(shots, n)`` uint8 matrix, and both ``(shots, n)``
+uniform draws fill one float64 buffer; the readout step is shared with the
+trajectory path (:func:`_apply_readout_errors_to_bits`).
 """
 
 from __future__ import annotations
@@ -81,14 +92,30 @@ def _samples_to_bit_matrix(samples: list[str]) -> np.ndarray:
 
 
 def _apply_readout_errors_to_bits(
-    bits: np.ndarray, noise_model: NoiseModel, rng: np.random.Generator
+    bits: np.ndarray,
+    p10: np.ndarray,
+    p01: np.ndarray,
+    rng: np.random.Generator,
+    uniforms: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Apply per-qubit readout assignment errors to a (shots, n) bit matrix."""
-    num_qubits = bits.shape[1]
-    p10, p01 = noise_model.readout_flip_probabilities(num_qubits)
-    flip_probability = np.where(bits == 0, p10[None, :], p01[None, :])
-    flips = rng.random(bits.shape) < flip_probability
-    return np.bitwise_xor(bits, flips.astype(np.uint8))
+    """Apply per-qubit readout assignment errors to a (shots, n) bit matrix, in place.
+
+    ``bits`` is a uint8 0/1 matrix.  One ``rng.random(bits.shape)`` uniform
+    per bit (written into ``uniforms`` when given) decides its flip: a 0 in
+    column q flips when its uniform is below ``p10[q]``, a 1 when it is below
+    ``p01[q]``.  The flip mask is chosen with bool ops, ``lo ^ ((lo ^ hi) &
+    bits)`` for ``lo = u < p10`` and ``hi = u < p01``, so no per-bit float
+    threshold matrix is built.  Returns ``bits``.
+    """
+    uniforms = rng.random(bits.shape, out=uniforms)
+    as_bool = bits.view(np.bool_)
+    lo = np.less(uniforms, p10)
+    hi = np.less(uniforms, p01)
+    hi ^= lo
+    hi &= as_bool
+    lo ^= hi
+    as_bool ^= lo
+    return bits
 
 
 def apply_readout_errors(
@@ -102,8 +129,8 @@ def apply_readout_errors(
     if not samples:
         return samples
     bits = _samples_to_bit_matrix(samples)
-    noisy_bits = _apply_readout_errors_to_bits(bits, noise_model, rng)
-    return _bitstrings_from_matrix(noisy_bits)
+    p10, p01 = noise_model.readout_flip_probabilities(bits.shape[1])
+    return _bitstrings_from_matrix(_apply_readout_errors_to_bits(bits, p10, p01, rng))
 
 
 def sample_trajectory_distribution(
@@ -146,7 +173,8 @@ def sample_trajectory_distribution(
         ).astype(np.int64)
         shot_blocks.append(np.repeat(sampled.packed().bit_matrix(), counts, axis=0))
     bits = np.vstack(shot_blocks)
-    bits = _apply_readout_errors_to_bits(bits, noise_model, generator)
+    p10, p01 = noise_model.readout_flip_probabilities(circuit.num_qubits)
+    _apply_readout_errors_to_bits(bits, p10, p01, generator)
     return Distribution.from_bit_matrix(bits, num_bits=circuit.num_qubits)
 
 
@@ -191,29 +219,33 @@ class _BitflipPlan:
         )
 
     def draw(self, shots: int, generator: np.random.Generator) -> np.ndarray:
-        """One ``(shots, n)`` noisy bit matrix, historical RNG draw order."""
-        # Draw shot indices over the ideal support and gather their bit rows
-        # from the cached packed view — no per-shot strings in this path.
+        """One ``(shots, n)`` noisy 0/1 uint8 bit matrix, drawn in place.
+
+        The generator calls, their sizes and their order are the histogram
+        contract (every pinned digest, golden row and benchmark reference
+        depends on them): ``choice(shots)`` over the ideal support,
+        ``random((shots, n))`` for the gate flips, ``random(shots)`` for the
+        scramble test, ``integers(0, 2, (k, n), uint8)`` for the k scrambled
+        shots (only when k > 0), and ``random((shots, n))`` for readout.
+
+        The work happens on one C-contiguous matrix: the chosen ideal rows
+        are gathered into it, the gate-flip mask is XORed straight into its
+        bits, scrambled rows are overwritten, and the readout flips are
+        applied by :func:`_apply_readout_errors_to_bits`.  Both ``(shots,
+        n)`` uniform draws fill the same float64 buffer.
+        """
         chosen = generator.choice(self.num_outcomes, size=shots, p=self.probability_vector)
-        bits = self.source_bits[chosen]
-
-        # Gate/idle/crosstalk errors as independent per-qubit flips.
-        gate_flips = generator.random(bits.shape) < self.flip_probabilities[None, :]
-        bits = np.bitwise_xor(bits, gate_flips.astype(np.uint8))
-
-        # Fully scrambled trials: replace with uniform random outcomes.
+        bits = self.source_bits.take(chosen, axis=0)
+        uniforms = generator.random(bits.shape)
+        as_bool = bits.view(np.bool_)
+        as_bool ^= np.less(uniforms, self.flip_probabilities)
         if self.scramble_probability > 0:
             scrambled = generator.random(shots) < self.scramble_probability
             if scrambled.any():
-                random_bits = generator.integers(
+                bits[scrambled] = generator.integers(
                     0, 2, size=(int(scrambled.sum()), self.num_qubits), dtype=np.uint8
                 )
-                bits[scrambled] = random_bits
-
-        # Readout errors.
-        flip_probability = np.where(bits == 0, self.p10[None, :], self.p01[None, :])
-        flips = generator.random(bits.shape) < flip_probability
-        return np.bitwise_xor(bits, flips.astype(np.uint8))
+        return _apply_readout_errors_to_bits(bits, self.p10, self.p01, generator, uniforms)
 
 
 def sample_bitflip_distribution(

@@ -171,6 +171,42 @@ class TestPackRoundTrip:
         with pytest.raises(BitstringError):
             PackedOutcomes.from_bit_matrix(np.array([[2, 0], [0, 1]]))
 
+    @pytest.mark.parametrize(
+        "bits",
+        [
+            np.array([[256, 257, 1]]),
+            np.array([[-255, 0, 1]]),
+            np.array([[0.5, 1.0, 0.0]]),
+            np.array([[1.7, 0.0, 1.0]]),
+            np.array([[np.nan, 0.0, 1.0]]),
+        ],
+        ids=["256-257", "minus-255", "half", "1.7", "nan"],
+    )
+    @pytest.mark.parametrize(
+        "entry",
+        [pack_bit_matrix, PackedOutcomes.from_bit_matrix, PackedOutcomes.aggregate_bit_matrix],
+        ids=["pack_bit_matrix", "from_bit_matrix", "aggregate_bit_matrix"],
+    )
+    def test_rejects_values_a_uint8_cast_would_turn_into_bits(self, entry, bits):
+        """The 0/1 check runs on the caller's dtype: 256 must not wrap to 0."""
+        with pytest.raises(BitstringError, match="outside"):
+            entry(bits)
+
+    @pytest.mark.parametrize("width", [1, 10, 63, 64, 65, 127, 128, 129, 130, 200])
+    def test_pack_matches_per_word_ints_for_every_bit_dtype(self, width):
+        """Every word equals ``int(columns, 2)``; bool, int and float 0/1 pack alike."""
+        rng = np.random.default_rng(width)
+        bits = rng.integers(0, 2, size=(9, width), dtype=np.uint8)
+        words = pack_bit_matrix(bits)
+        assert words.dtype == np.uint64 and words.shape == (9, (width + 63) // 64)
+        for row, values in enumerate(bits):
+            text = "".join(map(str, values))
+            expected = [int(text[lo : lo + 64], 2) for lo in range(0, width, 64)]
+            assert words[row].tolist() == expected
+        for dtype in (bool, np.int64, np.float64):
+            assert pack_bit_matrix(bits.astype(dtype)).tobytes() == words.tobytes()
+        assert pack_bit_matrix(bits[:0]).shape == (0, words.shape[1])
+
 
 class TestDistanceKernels:
     @given(supports())
@@ -298,6 +334,11 @@ class TestDistributionArrayBackend:
     def test_from_bit_matrix_rejects_empty(self):
         with pytest.raises(DistributionError):
             Distribution.from_bit_matrix(np.zeros((0, 3), dtype=np.uint8))
+
+    def test_from_bit_matrix_rejects_values_that_would_wrap(self):
+        # Cast first, [256, 257] would read as "01" and merge with the second shot.
+        with pytest.raises(DistributionError, match="outside"):
+            Distribution.from_bit_matrix(np.array([[256, 257], [0, 1]]))
 
     def test_from_packed_rejects_duplicate_rows(self):
         duplicated = PackedOutcomes.from_bit_matrix(

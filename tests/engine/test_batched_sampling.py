@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from repro.backends import get_backend
+from repro.calibration.generators import snapshot_noise_model
 from repro.circuits.bv import bernstein_vazirani
+from repro.circuits.ghz import ghz_circuit
 from repro.engine import CircuitJob, ExecutionEngine
 from repro.engine.hashing import sample_key
 from repro.exceptions import EngineError, MergeError
@@ -215,6 +217,9 @@ class TestPinnedSamples:
     Each digest covers the packed uint64 words and the float64 counts in
     support order, so a change to how shots are drawn, packed, sorted or
     counted shows here before it reaches a golden row or a cached entry.
+    The BV cases have a one-outcome ideal on one word; the GHZ cases add a
+    64-outcome ideal and a two-word register under per-qubit calibrated
+    noise with scrambled shots.
     """
 
     circuit = bernstein_vazirani("1011010011")
@@ -239,4 +244,27 @@ class TestPinnedSamples:
         assert words.dtype == np.uint64 and counts.dtype == np.float64
         assert _digest(words, counts) == (
             "d75f3bc0f938b1d90a3c0de59f4751b9570a4fc7e719bb64d864d622e49c700f"
+        )
+
+    def test_multi_outcome_batch_digest_is_stable(self, device):
+        circuit = ghz_circuit(6)
+        ideal = get_backend("statevector").ideal_distribution(circuit)
+        rng = np.random.default_rng(np.random.SeedSequence((8, 1)))
+        (noisy,) = sample_bitflip_batch(circuit, device.noise_model, [(32_768, rng)], ideal=ideal)
+        assert noisy.num_outcomes == 64
+        counts = np.fromiter(noisy.counts().values(), dtype=float)
+        assert _digest(noisy.packed().words, counts) == (
+            "ee21e0c5d188107751c722890ce68457fdb8fab4a6888292318458029ac743f8"
+        )
+
+    def test_two_word_chunk_digest_is_stable(self):
+        wide = get_device("ibm-manhattan")
+        noise_model = snapshot_noise_model(wide, spread=0.3, calibration_seed=5)
+        circuit = ghz_circuit(65)
+        ideal = get_backend("stabilizer").ideal_distribution(circuit)
+        rng = np.random.default_rng(np.random.SeedSequence((8, 0, 1)))
+        words, counts = sample_bitflip_chunk(circuit, noise_model, 65_536, rng, ideal=ideal)
+        assert words.shape == (64_326, 2) and counts.sum() == 65_536
+        assert _digest(words, counts) == (
+            "51c70273b55e60fb8edb41c3bdf727c076e595b3e5508d3cf118bd8bb45b1886"
         )

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.circuits import bernstein_vazirani, ghz_circuit
 from repro.core import Distribution
@@ -18,6 +20,7 @@ from repro.quantum import (
     sample_noisy_distribution,
     sample_trajectory_distribution,
 )
+from repro.quantum.sampler import _apply_readout_errors_to_bits, _BitflipPlan
 
 
 @pytest.fixture
@@ -136,3 +139,101 @@ class TestDispatchAndSampler:
     def test_noisy_sampler_rejects_bad_shots(self, mild_noise):
         with pytest.raises(CircuitError):
             NoisySampler(mild_noise, shots=0)
+
+
+# ----------------------------------------------------------------------
+# The in-place draw against the code it replaced
+# ----------------------------------------------------------------------
+def _reference_readout(bits, p10, p01, rng):
+    """The readout step before the in-place rewrite: a float64 threshold matrix."""
+    flip_probability = np.where(bits == 0, p10[None, :], p01[None, :])
+    flips = rng.random(bits.shape) < flip_probability
+    return np.bitwise_xor(bits, flips.astype(np.uint8))
+
+
+def _reference_draw(plan, shots, generator):
+    """``_BitflipPlan.draw`` before the in-place rewrite."""
+    chosen = generator.choice(plan.num_outcomes, size=shots, p=plan.probability_vector)
+    bits = plan.source_bits[chosen]
+    gate_flips = generator.random(bits.shape) < plan.flip_probabilities[None, :]
+    bits = np.bitwise_xor(bits, gate_flips.astype(np.uint8))
+    if plan.scramble_probability > 0:
+        scrambled = generator.random(shots) < plan.scramble_probability
+        if scrambled.any():
+            random_bits = generator.integers(
+                0, 2, size=(int(scrambled.sum()), plan.num_qubits), dtype=np.uint8
+            )
+            bits[scrambled] = random_bits
+    return _reference_readout(bits, plan.p10, plan.p01, generator)
+
+
+#: Register widths: anything from 1 to 130 bits, word boundaries often.
+_widths = st.sampled_from([1, 63, 64, 65, 128]) | st.integers(min_value=1, max_value=130)
+
+
+def _per_qubit(rng, num_qubits, scale):
+    """Heterogeneous per-qubit probabilities in [0, scale], some exactly 0 or 1."""
+    values = rng.random(num_qubits) * scale
+    edges = rng.random(num_qubits)
+    values[edges < 0.05] = 0.0
+    values[edges > 0.97] = 1.0
+    return values
+
+
+@st.composite
+def bitflip_plans(draw):
+    """A ``_BitflipPlan`` over an arbitrary ideal support and per-qubit noise."""
+    num_qubits = draw(_widths)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    rows = rng.integers(0, 2, size=(draw(st.integers(1, 64)), num_qubits), dtype=np.uint8)
+    source = np.unique(rows, axis=0)
+    weights = rng.random(len(source)) ** draw(st.sampled_from([1, 4]))
+    weights[0] += 1e-3
+    scale = draw(st.sampled_from([0.0, 0.02, 0.3, 1.0]))
+    return _BitflipPlan(
+        num_qubits=num_qubits,
+        source_bits=source,
+        probability_vector=weights / weights.sum(),
+        num_outcomes=len(source),
+        flip_probabilities=_per_qubit(rng, num_qubits, scale),
+        scramble_probability=draw(st.sampled_from([0.0, 1.0]) | st.floats(1e-4, 0.3)),
+        p10=_per_qubit(rng, num_qubits, scale),
+        p01=_per_qubit(rng, num_qubits, scale),
+    )
+
+
+class TestInPlaceDraw:
+    """The in-place draw is bit-identical to the code it replaced.
+
+    The generator's state afterwards must match too: that pins the call
+    contract (the same draws, of the same sizes, in the same order), which
+    every pinned digest, golden row and benchmark reference depends on.
+    """
+
+    @given(bitflip_plans(), st.integers(1, 5_000), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_draw_matches_reference(self, plan, shots, seed):
+        source = plan.source_bits.copy()
+        fast_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        bits = plan.draw(shots, fast_rng)
+        expected = _reference_draw(plan, shots, reference_rng)
+        assert bits.dtype == np.uint8 and bits.shape == (shots, plan.num_qubits)
+        assert np.array_equal(bits, expected)
+        assert fast_rng.bit_generator.state == reference_rng.bit_generator.state
+        assert np.array_equal(plan.source_bits, source)
+
+    @given(_widths, st.integers(1, 2_000), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    @example(1, 1, 0)
+    def test_readout_matches_reference(self, num_qubits, shots, seed):
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, size=(shots, num_qubits), dtype=np.uint8)
+        p10 = _per_qubit(rng, num_qubits, 0.3)
+        p01 = _per_qubit(rng, num_qubits, 0.3)
+        expected_rng = np.random.default_rng(seed + 1)
+        expected = _reference_readout(bits, p10, p01, expected_rng)
+        fast_rng = np.random.default_rng(seed + 1)
+        noisy = _apply_readout_errors_to_bits(bits, p10, p01, fast_rng)
+        assert noisy is bits
+        assert np.array_equal(noisy, expected)
+        assert fast_rng.bit_generator.state == expected_rng.bit_generator.state
