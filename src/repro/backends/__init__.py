@@ -2,12 +2,13 @@
 
 A :class:`~repro.backends.base.SimulatorBackend` turns a circuit into its
 noise-free measurement distribution.  Two implementations register here at
-import time — the dense :class:`StatevectorBackend` (the historical default,
+import time — the dense :class:`StatevectorBackend` (any gate set,
 bit-identical numerics) and the packed-tableau :class:`StabilizerBackend`
 (exact and fast for Clifford circuits at device-scale widths) — plus the
 ``"auto"`` dispatch rule that picks the stabilizer whenever the (transpiled)
-circuit is Clifford.  The execution engine routes its ideal phase through
-this registry and folds the resolved backend into its cache keys.
+circuit is Clifford, which is what a bit-flip job that names no backend
+uses.  The execution engine routes its ideal phase through this registry
+and folds the resolved backend into its cache keys.
 """
 
 from repro.backends.base import (

@@ -1,9 +1,10 @@
-"""Dense statevector backend (the historical default, unchanged numerics).
+"""Dense statevector backend (any gate set, unchanged numerics).
 
 Thin adapter over :mod:`repro.quantum.statevector`.  The engine's ideal
 phase historically ran ``simulate_statevector(circuit).measurement_distribution()``
 verbatim; this backend performs exactly that call, so every pre-backend
-study row stays bit-identical when ``backend="statevector"`` (the default).
+study row stays bit-identical on it.  It runs non-Clifford bit-flip jobs,
+trajectory jobs and any job that names ``backend="statevector"``.
 """
 
 from __future__ import annotations

@@ -16,6 +16,8 @@ benchmarks:
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.bitstring import hamming_distance
 from repro.core.distribution import Distribution
 from repro.exceptions import DistributionError
@@ -29,13 +31,16 @@ def most_frequent_outcome(distribution: Distribution) -> str:
 
 
 def majority_vote_outcome(distribution: Distribution) -> str:
-    """Infer each bit from its marginal probability of being '1'."""
-    num_bits = distribution.num_bits
-    ones_probability = [0.0] * num_bits
-    for outcome, probability in distribution.items():
-        for position, bit in enumerate(outcome):
-            if bit == "1":
-                ones_probability[position] += probability
+    """Infer each bit from its marginal probability of being '1'.
+
+    Each marginal is a column sum of the support's bit matrix weighted by
+    the outcome probabilities.  ``np.cumsum`` adds the rows in support
+    order, one at a time, as a walk over :meth:`Distribution.items` would,
+    so every marginal (and every 0.5 tie) comes out bit for bit the same.
+    """
+    probabilities = distribution.weight_vector() / distribution.total_weight
+    bits = distribution.packed().bit_matrix()
+    ones_probability = np.cumsum(bits * probabilities[:, None], axis=0)[-1]
     return "".join("1" if p >= 0.5 else "0" for p in ones_probability)
 
 

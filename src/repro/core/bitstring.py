@@ -195,11 +195,13 @@ def pack_bit_matrix(bits: np.ndarray) -> np.ndarray:
 
     Bit layout matches :func:`pack_bitstrings`: word ``w`` holds bit columns
     ``[64w, 64w + 64)`` MSB-first; the final word is right-aligned in its low
-    bits when ``width`` is not a multiple of 64.  The columns are copied once
-    into a zeroed ``(N, 64 * words)`` uint8 block, each row laid out as its
-    words' bits with the final word's padding in front of its columns; one
-    ``np.packbits`` over the flat block then yields the words' bytes in
-    order, read as big-endian uint64 and converted to native order.
+    bits when ``width`` is not a multiple of 64.  The final word's columns
+    need only ``ceil(columns / 8)`` bytes: when they are not a whole number
+    of bytes, the rows are copied once into a zeroed uint8 block with the
+    missing bits in front of those columns.  One ``np.packbits`` over the
+    flat rows then yields each row's bytes, which land right-aligned in the
+    row's ``8 * words`` bytes, read as big-endian uint64 and converted to
+    native order.
     """
     bits = _checked_bit_matrix(bits)
     if bits.ndim != 2:
@@ -209,11 +211,31 @@ def pack_bit_matrix(bits: np.ndarray) -> np.ndarray:
         raise BitstringError("bit matrix must have at least one column")
     num_words = (width + 63) // 64
     lead = 64 * (num_words - 1)  # columns of the full words before the last
-    block = np.zeros((n_rows, 64 * num_words), dtype=np.uint8)
-    block[:, :lead] = bits[:, :lead]
-    block[:, lead + 64 * num_words - width :] = bits[:, lead:]
-    words = np.packbits(block).view(">u8").astype(np.uint64)
-    return words.reshape(n_rows, num_words)
+    tail_bytes = (width - lead + 7) // 8
+    pad = lead + 8 * tail_bytes - width
+    if pad:
+        padded = np.zeros((n_rows, width + pad), dtype=np.uint8)
+        _copy_rows(padded[:, :lead], bits[:, :lead])
+        _copy_rows(padded[:, lead + pad :], bits[:, lead:])
+        bits = padded
+    row_bytes = np.packbits(bits).reshape(n_rows, lead // 8 + tail_bytes)
+    if tail_bytes < 8:
+        placed = np.zeros((n_rows, 8 * num_words), dtype=np.uint8)
+        _copy_rows(placed[:, : lead // 8], row_bytes[:, : lead // 8])
+        _copy_rows(placed[:, 8 * num_words - tail_bytes :], row_bytes[:, lead // 8 :])
+        row_bytes = placed
+    return row_bytes.view(">u8").astype(np.uint64)
+
+
+def _copy_rows(target: np.ndarray, source: np.ndarray) -> None:
+    """``target[...] = source`` for ``(N, k)`` uint8 blocks with contiguous rows.
+
+    Each row is copied as one ``k``-byte void element: NumPy's strided copy
+    moves short uint8 rows byte by byte, about twice as slow.
+    """
+    if source.shape[1]:
+        row = np.dtype(f"V{source.shape[1]}")
+        target.view(row)[:, 0] = source.view(row)[:, 0]
 
 
 def unpack_bit_matrix(words: np.ndarray, num_bits: int) -> np.ndarray:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -110,8 +111,9 @@ class HammerResult:
     average_chs:
         The (unnormalised, Algorithm-1 style) cumulative Hamming strength
         vector computed in step 1.
-    scores:
-        The neighbourhood score of each outcome, keyed by outcome.
+    score_vector:
+        The neighbourhood score of each outcome, in the input's outcome order
+        (which :attr:`distribution` keeps).
     config:
         The configuration the run used.
     """
@@ -119,7 +121,7 @@ class HammerResult:
     distribution: Distribution
     weights: np.ndarray
     average_chs: np.ndarray
-    scores: dict[str, float]
+    score_vector: np.ndarray
     config: HammerConfig
     #: Kernel plan the pairwise pass ran: "dense" for the exact legacy
     #: arithmetic at small supports, "spectral" above that on registers of
@@ -130,6 +132,14 @@ class HammerResult:
     def num_bits(self) -> int:
         """Output width of the reconstructed distribution."""
         return self.distribution.num_bits
+
+    @cached_property
+    def scores(self) -> dict[str, float]:
+        """The neighbourhood score of each outcome, keyed by outcome.
+
+        Rendered on first access: HAMMER itself never needs the bitstrings.
+        """
+        return dict(zip(self.distribution.outcomes(), self.score_vector.tolist()))
 
 
 def hammer_reference(
@@ -233,7 +243,7 @@ def neighborhood_scores(
         distribution=reconstructed,
         weights=weights,
         average_chs=chs,
-        scores=dict(zip(distribution.outcomes(), scores.tolist())),
+        score_vector=scores,
         config=cfg,
         kernel=plan,
     )

@@ -38,6 +38,7 @@ its outputs stay within a relative 1e-12 of ``tiled``.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.exceptions import DistributionError
@@ -46,6 +47,7 @@ __all__ = [
     "KERNEL_PLANS",
     "kernel_override",
     "set_kernel_override",
+    "forced_kernel",
     "pairwise_block_entries",
     "pairwise_block_size",
     "tile_entries",
@@ -174,6 +176,18 @@ def set_kernel_override(name: str | None) -> None:
             f"unknown kernel plan {name!r}; expected one of {KERNEL_PLANS + ('auto',)}"
         )
     _override = name
+
+
+@contextmanager
+def forced_kernel(name: str):
+    """Force a kernel plan inside a ``with`` block, then restore the previous override."""
+    global _override
+    previous = _override
+    set_kernel_override(name)
+    try:
+        yield
+    finally:
+        _override = previous
 
 
 def pairwise_block_entries() -> int:

@@ -8,10 +8,12 @@ three phases, deduplicating shared work through the content-addressed
    once per unique ``(circuit, coupling map, basis gates)`` key.
 2. **Ideal simulation** — the noise-free distribution of each unique
    *executed* circuit is computed once, through the job's resolved
-   :mod:`~repro.backends` backend (dense statevector by default — the
-   dominant cost of every paper sweep — or the stabilizer tableau for
-   Clifford circuits, which unlocks device-scale widths).  The resolved
-   backend is part of the cache key.
+   :mod:`~repro.backends` backend: by default the stabilizer tableau when a
+   bit-flip job's executed circuit is Clifford (every BV sweep), the dense
+   statevector otherwise.  The ``"auto"`` probe runs in an
+   ``engine.resolve_backend`` span, each computed ideal counts
+   ``ideal.backend.<name>``, and the resolved backend is part of the cache
+   key.
 3. **Sampling** — every job draws its noisy histogram with its own RNG.
    Bit-flip jobs that share an executed circuit and noise fingerprint are
    *grouped*: the circuit-dependent noise arrays and ideal support views
@@ -285,6 +287,7 @@ def _ideal_task(task: tuple) -> tuple[str, Distribution, float]:
     key, circuit, backend_name = task
     backend = get_backend(backend_name)
     counter_add("engine.ideals_computed")
+    counter_add(f"ideal.backend.{backend_name}")
     with trace_span("engine.task.ideal", backend=backend_name, qubits=circuit.num_qubits):
         start = time.perf_counter()
         ideal = backend.ideal_distribution(circuit)
@@ -675,10 +678,16 @@ class ExecutionEngine:
             )
             backend_name = resolved_backends.get(rkey)
             if backend_name is None:
-                try:
-                    backend_name = resolve_backend(job.backend, executed).name
-                except BackendError as error:
-                    raise EngineError(f"job {job.job_id!r}: {error}") from error
+                # An "auto" probe runs the tableau pass (which the stabilizer
+                # backend then reuses), so it gets its own span.
+                with trace_span(
+                    "engine.resolve_backend", requested=job.backend, qubits=executed.num_qubits
+                ) as span:
+                    try:
+                        backend_name = resolve_backend(job.backend, executed).name
+                    except BackendError as error:
+                        raise EngineError(f"job {job.job_id!r}: {error}") from error
+                    span.set(backend=backend_name)
                 resolved_backends[rkey] = backend_name
             if tkey is None:
                 key = ideal_key(executed, backend=backend_name)

@@ -59,9 +59,14 @@ class CircuitJob:
     backend:
         Ideal-simulation backend: a registry name
         (``"statevector"``/``"stabilizer"``) or ``"auto"``, which picks the
-        stabilizer fast path whenever the executed (post-transpile) circuit
-        is Clifford.  The default keeps the historical dense statevector,
-        bit-identical RNG streams included.
+        stabilizer tableau whenever the executed (post-transpile) circuit is
+        Clifford and the dense statevector otherwise.  When not given, a
+        ``"bitflip"`` job resolves to ``"auto"`` and a ``"trajectory"`` job
+        (which re-simulates noisy statevectors) to ``"statevector"``; an
+        explicit value is kept.  Both backends return the same ideal
+        distribution, so no histogram moves, but the resolved backend is
+        part of the ideal and sample cache keys: a ``--cache-dir`` written
+        while Clifford jobs defaulted to the statevector misses once.
     metadata:
         Free-form study-level tags (device name, sweep coordinates, …),
         copied onto the :class:`JobResult`.
@@ -76,10 +81,13 @@ class CircuitJob:
     device: DeviceProfile | None = None
     map_to_logical: bool = True
     method: str = "bitflip"
-    backend: str = "statevector"
+    backend: str | None = None
     metadata: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.backend is None:
+            default = "statevector" if self.method == "trajectory" else AUTO_BACKEND
+            object.__setattr__(self, "backend", default)
         if not self.job_id:
             raise EngineError("job_id must be a non-empty string")
         if self.shots <= 0:

@@ -75,18 +75,15 @@ def inference_strength(
     For circuits with multiple correct outcomes the *largest* correct
     probability is compared against the largest incorrect probability.
     Returns ``math.inf`` when no incorrect outcome appears in the support.
+    The correct rows are found with :meth:`Distribution.support_mask`, on
+    the packed words of a packed-form histogram.
     """
     correct = [correct_outcomes] if isinstance(correct_outcomes, str) else list(correct_outcomes)
     if not correct:
         raise DistributionError("correct_outcomes must not be empty")
-    correct_set = set(correct)
     best_correct = max(distribution.probability(outcome) for outcome in correct)
     probabilities = distribution.probability_vector()
-    incorrect_mask = np.fromiter(
-        (outcome not in correct_set for outcome in distribution.outcomes()),
-        dtype=bool,
-        count=distribution.num_outcomes,
-    )
+    incorrect_mask = ~distribution.support_mask(correct)
     if not incorrect_mask.any():
         return math.inf
     best_incorrect = float(probabilities[incorrect_mask].max())

@@ -168,9 +168,7 @@ def sample_trajectory_distribution(
         sampled = state.sample(trajectory_shots, rng=generator)
         # Expand the per-trajectory histogram to one row per shot without
         # materialising per-shot strings: repeat the packed support's rows.
-        counts = np.fromiter(
-            sampled.counts().values(), dtype=float, count=sampled.num_outcomes
-        ).astype(np.int64)
+        counts = sampled.weight_vector().astype(np.int64)
         shot_blocks.append(np.repeat(sampled.packed().bit_matrix(), counts, axis=0))
     bits = np.vstack(shot_blocks)
     p10, p01 = noise_model.readout_flip_probabilities(circuit.num_qubits)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import tuning
 from repro.datasets import GoogleDatasetConfig, IbmSuiteConfig, generate_google_dataset, generate_ibm_suite
 from repro.exceptions import ExperimentError
 from repro.experiments import (
@@ -55,8 +56,26 @@ class TestComplexity:
         report = run_runtime_scaling(config)
         assert len(report.rows) == 2
         assert report.summary["max_runtime_seconds"] > 0
-        # O(N^2) algorithm: quadrupling N should cost clearly more than linear.
+        # Both sizes are timed on the one O(N^2) plan, whatever the
+        # dispatcher would pick (dense at 100 outcomes, spectral at 400).
+        assert [row["plan"] for row in report.rows] == ["tiled", "tiled"]
+        assert [row["dispatched_plan"] for row in report.rows] == ["dense", "spectral"]
+        assert tuning.kernel_override() is None
+        # The pair count is exactly quadratic ...
+        assert [row["pairs"] for row in report.rows] == [100**2, 400**2]
+        assert abs(report.summary["work_scaling_exponent"] - 2.0) <= 1e-12
+        # ... and quadrupling N on that plan costs clearly more than linear.
         assert report.summary["empirical_scaling_exponent"] > 1.0
+
+    def test_runtime_scaling_restores_the_previous_override(self):
+        tuning.set_kernel_override("dense")
+        try:
+            report = run_runtime_scaling(ComplexityStudyConfig(support_sizes=(50, 100), num_bits=12))
+            assert tuning.kernel_override() == "dense"
+        finally:
+            tuning.set_kernel_override(None)
+        assert [row["plan"] for row in report.rows] == ["tiled", "tiled"]
+        assert [row["dispatched_plan"] for row in report.rows] == ["dense", "dense"]
 
 
 class TestHeadlineSummary:

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Distribution
+from repro.core.bitstring import PackedOutcomes
 from repro.exceptions import DistributionError
 from repro.metrics import (
     classical_fidelity,
@@ -136,3 +138,33 @@ class TestSummaries:
     def test_geometric_mean_rejects_empty(self):
         with pytest.raises(DistributionError):
             geometric_mean([])
+
+
+class TestWordLookup:
+    """PST and IST of a packed-form histogram equal the mapping form's exactly."""
+
+    @given(
+        st.dictionaries(
+            st.integers(0, 2**66 - 1).map(lambda v: format(v, "066b")),
+            st.floats(min_value=0.01, max_value=10.0),
+            min_size=2,
+            max_size=40,
+        ),
+        st.data(),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_packed_form_matches_mapping_form(self, data, draw):
+        mapping = Distribution(data, validate=False)
+        packed = Distribution.from_packed(
+            PackedOutcomes(PackedOutcomes.from_strings(list(data)).words, 66),
+            weights=np.array(list(data.values())),
+        )
+        outcomes = list(data)
+        correct = draw.draw(st.lists(st.sampled_from(outcomes), min_size=1, max_size=3))
+        correct += ["0" * 66 if "0" * 66 not in data else "1" * 66, "01", "x" * 66]
+        assert probability_of_successful_trial(packed, correct) == probability_of_successful_trial(
+            mapping, correct
+        )
+        assert inference_strength(packed, correct) == inference_strength(mapping, correct)
+        assert packed.support_mask(correct).tolist() == [o in correct for o in outcomes]
+        assert packed._weights is None
