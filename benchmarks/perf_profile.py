@@ -183,13 +183,26 @@ def test_memo_cold_sweep_speedup(bench_record):
     assert speedup >= 2.0, f"memo-cold sweep speedup regressed: {speedup:.2f}x < 2x"
 
 
-def test_grouped_sampling_matches_and_beats_per_job_loop(bench_record):
-    """Grouped multi-seed sampling: bit-identical to the per-job loop, faster."""
+def test_grouped_sampling_matches_and_beats_per_job_loop(bench_record, monkeypatch):
+    """Grouped multi-seed sampling: bit-identical to the per-job loop, one plan per group.
+
+    The batch builds the group's plan (noise arrays, ideal views) once where
+    the loop builds one per job.  The timings are recorded, not asserted:
+    the plan is built from the circuit's instruction table in about a tenth
+    of one job's draw, so both paths spend their time in the same per-job
+    draws and their ratio says little about grouping.
+    ``tests/engine/test_batched_sampling.py::TestOnePlanPerGroup`` checks
+    the same property in tier-1.
+    """
     from repro.backends import get_backend
     from repro.circuits.bv import bernstein_vazirani
     from repro.engine import CircuitJob, ExecutionEngine
     from repro.quantum.device import get_device
-    from repro.quantum.sampler import sample_bitflip_batch, sample_bitflip_distribution
+    from repro.quantum.sampler import (
+        _BitflipPlan,
+        sample_bitflip_batch,
+        sample_bitflip_distribution,
+    )
     from repro.quantum.transpiler import transpile
 
     # The shape where grouping pays: a routed circuit (hundreds of gates to
@@ -213,6 +226,15 @@ def test_grouped_sampling_matches_and_beats_per_job_loop(bench_record):
     # Warm-up.
     sample_bitflip_batch(circuit, device.noise_model, generators()[:2], ideal=ideal)
 
+    builds = []
+    build = _BitflipPlan.build
+
+    def counting_build(*args):
+        builds.append(args[0])
+        return build(*args)
+
+    monkeypatch.setattr(_BitflipPlan, "build", counting_build)
+
     start = time.perf_counter()
     per_job = [
         sample_bitflip_distribution(circuit, device.noise_model, shots, rng=rng, ideal=ideal)
@@ -224,6 +246,7 @@ def test_grouped_sampling_matches_and_beats_per_job_loop(bench_record):
     batched = sample_bitflip_batch(circuit, device.noise_model, generators(), ideal=ideal)
     batch_seconds = time.perf_counter() - start
 
+    assert len(builds) == num_jobs + 1, f"{len(builds)} plans for {num_jobs} jobs and one batch"
     for lone, grouped in zip(per_job, batched):
         assert lone.counts() == grouped.counts()
     speedup = loop_seconds / batch_seconds
@@ -238,7 +261,6 @@ def test_grouped_sampling_matches_and_beats_per_job_loop(bench_record):
         f"\ngrouped sampling ({num_jobs} jobs x {shots} shots): per-job "
         f"{loop_seconds:.3f}s -> batched {batch_seconds:.3f}s ({speedup:.2f}x)"
     )
-    assert speedup >= 1.5, f"grouped sampling barely beats the loop: {speedup:.2f}x"
 
     # The engine path groups these jobs automatically.
     engine = ExecutionEngine()

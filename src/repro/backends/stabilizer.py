@@ -145,13 +145,20 @@ class StabilizerState:
         self.x[:, tword] ^= np.where(xc, tmask, np.uint64(0))
         self.z[:, cword] ^= np.where(zt, cmask, np.uint64(0))
 
-    _PRIMITIVES = {"h": h, "s": s, "x": x_gate, "y": y_gate, "z": z_gate, "cx": cx}
-
     # ------------------------------------------------------------------
     # Circuit application
     # ------------------------------------------------------------------
     def apply_circuit(self, circuit: QuantumCircuit) -> None:
-        """Apply every instruction of a Clifford circuit."""
+        """Apply every instruction of a Clifford circuit.
+
+        The lowered primitives run on bit columns rather than on the packed
+        rows: each qubit's X column and Z column over the ``2n`` rows is one
+        Python int (bit ``i`` = row ``i``), and so are the signs, so a gate
+        is a few big-int XOR/AND operations instead of several NumPy calls.
+        The columns are read from the rows once before the loop and written
+        back once after it (also when a primitive raises, leaving the state
+        the per-gate methods would have left).
+        """
         if circuit.num_qubits != self.num_qubits:
             raise BackendError("circuit and state have different qubit counts")
         offending = first_non_clifford(circuit)
@@ -160,9 +167,69 @@ class StabilizerState:
                 f"circuit {circuit.name!r} contains non-Clifford gate "
                 f"{offending.name!r}{offending.params or ''} on qubits {offending.qubits}"
             )
-        for instruction in circuit.instructions:
-            for primitive in lower_to_primitives(instruction):
-                self._PRIMITIVES[primitive[0]](self, *primitive[1:])
+        n = self.num_qubits
+        xs, zs, signs = self._read_columns()
+        try:
+            for instruction in circuit.instructions:
+                for primitive in lower_to_primitives(instruction):
+                    kind, qubit = primitive[0], primitive[1]
+                    if kind == "cx":
+                        target = primitive[2]
+                        if qubit == target:
+                            raise BackendError("cx control and target must differ")
+                        if not (0 <= qubit < n and 0 <= target < n):
+                            self._locate(qubit)
+                            self._locate(target)
+                        x_control, z_target = xs[qubit], zs[target]
+                        signs ^= x_control & z_target & ~(xs[target] ^ zs[qubit])
+                        xs[target] ^= x_control
+                        zs[qubit] ^= z_target
+                        continue
+                    if not 0 <= qubit < n:
+                        self._locate(qubit)  # raises the out-of-range error
+                    if kind == "h":
+                        signs ^= xs[qubit] & zs[qubit]
+                        xs[qubit], zs[qubit] = zs[qubit], xs[qubit]
+                    elif kind == "s":
+                        signs ^= xs[qubit] & zs[qubit]
+                        zs[qubit] ^= xs[qubit]
+                    elif kind == "x":
+                        signs ^= zs[qubit]
+                    elif kind == "z":
+                        signs ^= xs[qubit]
+                    elif kind == "y":
+                        signs ^= xs[qubit] ^ zs[qubit]
+                    else:
+                        raise BackendError(f"unknown tableau primitive {kind!r}")
+        finally:
+            self._write_columns(xs, zs, signs)
+
+    def _read_columns(self) -> tuple[list[int], list[int], int]:
+        """The X columns, Z columns and signs as ints over the rows (bit ``i`` = row ``i``)."""
+        n = self.num_qubits
+        columns = np.concatenate(
+            [unpack_bit_matrix(self.x, n), unpack_bit_matrix(self.z, n), self.r[:, None]], axis=1
+        )
+        packed = np.packbits(columns.T, axis=1, bitorder="little")
+        raw, width = packed.tobytes(), packed.shape[1]
+        ints = [int.from_bytes(raw[at : at + width], "little") for at in range(0, len(raw), width)]
+        return ints[:n], ints[n : 2 * n], ints[2 * n]
+
+    def _write_columns(self, xs: list[int], zs: list[int], signs: int) -> None:
+        """Store columns from :meth:`_read_columns` back into the packed rows."""
+        n = self.num_qubits
+        rows = 2 * n
+        width = (rows + 7) // 8
+        raw = b"".join(column.to_bytes(width, "little") for column in (*xs, *zs, signs))
+        columns = np.unpackbits(
+            np.frombuffer(raw, dtype=np.uint8).reshape(rows + 1, width),
+            axis=1,
+            count=rows,
+            bitorder="little",
+        )
+        self.x[:] = pack_bit_matrix(np.ascontiguousarray(columns[:n].T))
+        self.z[:] = pack_bit_matrix(np.ascontiguousarray(columns[n:rows].T))
+        self.r[:] = columns[rows]
 
     # ------------------------------------------------------------------
     # Row products (Aaronson–Gottesman "rowsum")

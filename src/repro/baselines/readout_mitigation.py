@@ -29,6 +29,7 @@ Which path ran is counted as ``mitigation.plan.hypercube`` or
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,13 @@ from repro.exceptions import NoiseModelError
 from repro.obs.metrics import counter_add
 from repro.quantum.noise import ReadoutError
 
-__all__ = ["ReadoutCalibration", "mitigate_readout", "ReadoutMitigationStage"]
+__all__ = ["ReadoutCalibration", "apply_per_qubit", "mitigate_readout", "ReadoutMitigationStage"]
+
+
+def _check_column_sums(matrices) -> None:
+    """Every column of every 2x2 confusion matrix must sum to 1 (one check over the stack)."""
+    if matrices and not np.allclose(np.stack(matrices).sum(axis=1), 1.0, atol=1e-6):
+        raise NoiseModelError("confusion matrix columns must each sum to 1")
 
 
 @dataclass(frozen=True)
@@ -50,12 +57,13 @@ class ReadoutCalibration:
     confusion_matrices: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        for matrix in self.confusion_matrices:
+        matrices = self.confusion_matrices
+        for index, matrix in enumerate(matrices):
             if matrix.shape != (2, 2):
+                # A matrix before this one with bad columns is reported first.
+                _check_column_sums(matrices[:index])
                 raise NoiseModelError("each confusion matrix must be 2x2")
-            columns = matrix.sum(axis=0)
-            if not np.allclose(columns, 1.0, atol=1e-6):
-                raise NoiseModelError("confusion matrix columns must each sum to 1")
+        _check_column_sums(matrices)
 
     @property
     def num_qubits(self) -> int:
@@ -75,11 +83,12 @@ class ReadoutCalibration:
         p01 = np.asarray(p01, dtype=float)
         if p10.shape != p01.shape or p10.ndim != 1:
             raise NoiseModelError("p10 and p01 must be 1-D arrays of equal length")
-        return cls(
-            confusion_matrices=tuple(
-                np.array([[1.0 - a, b], [a, 1.0 - b]]) for a, b in zip(p10, p01)
-            )
-        )
+        matrices = np.empty((p10.shape[0], 2, 2))
+        matrices[:, 0, 0] = 1.0 - p10
+        matrices[:, 0, 1] = p01
+        matrices[:, 1, 0] = p10
+        matrices[:, 1, 1] = 1.0 - p01
+        return cls(confusion_matrices=tuple(matrices))
 
     @classmethod
     def from_noise_model(cls, noise_model, num_qubits: int) -> "ReadoutCalibration":
@@ -95,29 +104,39 @@ class ReadoutCalibration:
         return cls.from_flip_probabilities(p10, p01)
 
     def inverse_matrices(self) -> list[np.ndarray]:
-        """Per-qubit inverses of the confusion matrices."""
-        inverses = []
-        for matrix in self.confusion_matrices:
-            determinant = np.linalg.det(matrix)
-            if abs(determinant) < 1e-9:
-                raise NoiseModelError("confusion matrix is singular; cannot invert")
-            inverses.append(np.linalg.inv(matrix))
-        return inverses
+        """Per-qubit inverses of the confusion matrices.
+
+        One ``np.linalg.det`` and one ``np.linalg.inv`` over the ``(n, 2, 2)``
+        stack; each result equals the per-matrix call's.
+        """
+        if not self.confusion_matrices:
+            return []
+        stack = np.stack(self.confusion_matrices)
+        if np.any(np.abs(np.linalg.det(stack)) < 1e-9):
+            raise NoiseModelError("confusion matrix is singular; cannot invert")
+        return list(np.linalg.inv(stack))
+
+
+def apply_per_qubit(matrices: Sequence[np.ndarray], dense: np.ndarray) -> np.ndarray:
+    """``(M_0 ⊗ … ⊗ M_{n-1}) · v`` for a dense vector ``v`` of length ``2^n``.
+
+    Index ``i`` of ``v`` is the outcome whose string position ``k`` is bit
+    ``n-1-k`` of ``i`` (the one-word packed key), so in the C-ordered
+    ``(2,) * n`` view of the vector string position ``k`` is axis ``k``: each
+    matrix is one batched 2x2 product over a ``(2^k, 2, 2^(n-1-k))``
+    reshape, ``O(n * 2^n)`` in all.
+    """
+    for position, matrix in enumerate(matrices):
+        dense = np.matmul(matrix, dense.reshape(1 << position, 2, -1)).reshape(-1)
+    return dense
 
 
 def _tensored_inverse_on_hypercube(packed, inverses: list[np.ndarray]) -> np.ndarray:
-    """``(M_0^{-1} ⊗ … ⊗ M_{n-1}^{-1}) · P`` on the dense ``2^n`` vector, at the support.
-
-    String position ``k`` is bit ``n-1-k`` of ``words[:, 0]``, so in the
-    C-ordered ``(2,) * n`` view of the vector it is axis ``k``: each inverse
-    is one batched 2x2 product over a ``(2^k, 2, 2^(n-1-k))`` reshape.
-    """
+    """``(M_0^{-1} ⊗ … ⊗ M_{n-1}^{-1}) · P`` on the dense ``2^n`` vector, at the support."""
     indices = packed.words[:, 0].astype(np.intp)
     dense = np.zeros(1 << packed.num_bits, dtype=float)
     dense[indices] = packed.probabilities
-    for position, inverse in enumerate(inverses):
-        dense = np.matmul(inverse, dense.reshape(1 << position, 2, -1)).reshape(-1)
-    return dense[indices]
+    return apply_per_qubit(inverses, dense)[indices]
 
 
 def _tensored_inverse_on_support(packed, inverses: list[np.ndarray]) -> np.ndarray:

@@ -146,10 +146,6 @@ class CalibrationSnapshot:
     # Lookups
     # ------------------------------------------------------------------
     @cached_property
-    def _edge_errors(self) -> dict[tuple[int, int], float]:
-        return {edge: float(rate) for edge, rate in zip(self.edges, self.two_qubit_error)}
-
-    @cached_property
     def median_two_qubit_error(self) -> float:
         """Median coupler error; fallback for pairs without an entry."""
         if len(self.edges) == 0:
@@ -158,8 +154,33 @@ class CalibrationSnapshot:
 
     def edge_error(self, qubit_a: int, qubit_b: int) -> float:
         """Two-qubit gate error of a pair (median fallback for unlisted pairs)."""
-        key = (min(qubit_a, qubit_b), max(qubit_a, qubit_b))
-        return self._edge_errors.get(key, self.median_two_qubit_error)
+        if 0 <= qubit_a < self.num_qubits and 0 <= qubit_b < self.num_qubits:
+            return float(self.edge_error_matrix[qubit_a, qubit_b])
+        return self.median_two_qubit_error
+
+    @cached_property
+    def edge_error_matrix(self) -> np.ndarray:
+        """``(n, n)`` two-qubit gate error of every ordered pair of covered qubits.
+
+        Listed couplers in both orientations; every other pair, the diagonal
+        included, holds :attr:`median_two_qubit_error`.
+        """
+        matrix = np.full((self.num_qubits, self.num_qubits), self.median_two_qubit_error)
+        if self.edges:
+            first, second = np.array(self.edges).T
+            matrix[first, second] = self.two_qubit_error
+            matrix[second, first] = self.two_qubit_error
+        matrix.setflags(write=False)
+        return matrix
+
+    def edge_errors(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+        """:meth:`edge_error` of many pairs at once (pairs outside ``[0, n)`` get the median)."""
+        inside = (first >= 0) & (first < self.num_qubits) & (second >= 0) & (second < self.num_qubits)
+        if inside.all():
+            return self.edge_error_matrix[first, second]
+        errors = np.full(first.shape, self.median_two_qubit_error)
+        errors[inside] = self.edge_error_matrix[first[inside], second[inside]]
+        return errors
 
     def supports_width(self, num_qubits: int) -> bool:
         """True when the per-qubit vectors cover a circuit of this width."""

@@ -6,6 +6,12 @@ gates are identical.  The fingerprints below are computed from a canonical
 binary encoding — gate names are length-prefixed, qubit indices and float
 parameters are packed at fixed width — so the digest is stable across
 processes and Python sessions (unlike ``hash()``, which is salted).
+
+The encoding is :meth:`QuantumCircuit.canonical_bytes
+<repro.quantum.circuit.QuantumCircuit.canonical_bytes>`, built from the
+circuit's instruction table and memoised on the circuit: every key below
+digests the same bytes, so an executed circuit is encoded once for its ideal
+key and its sample key.
 """
 
 from __future__ import annotations
@@ -27,20 +33,6 @@ __all__ = [
 ]
 
 
-def _hash_circuit_into(digest: "hashlib._Hash", circuit: QuantumCircuit) -> None:
-    digest.update(struct.pack("<q", circuit.num_qubits))
-    digest.update(struct.pack("<q", len(circuit.instructions)))
-    for instruction in circuit.instructions:
-        name = instruction.name.encode("utf-8")
-        digest.update(struct.pack("<q", len(name)))
-        digest.update(name)
-        digest.update(struct.pack("<q", len(instruction.qubits)))
-        digest.update(struct.pack(f"<{len(instruction.qubits)}q", *instruction.qubits))
-        digest.update(struct.pack("<q", len(instruction.params)))
-        if instruction.params:
-            digest.update(struct.pack(f"<{len(instruction.params)}d", *instruction.params))
-
-
 def circuit_fingerprint(circuit: QuantumCircuit) -> str:
     """Hex digest identifying a circuit by its exact instruction content.
 
@@ -48,7 +40,7 @@ def circuit_fingerprint(circuit: QuantumCircuit) -> str:
     must not split cache entries for structurally identical circuits.
     """
     digest = hashlib.sha256(b"repro-circuit-v1")
-    _hash_circuit_into(digest, circuit)
+    digest.update(circuit.canonical_bytes())
     return digest.hexdigest()
 
 
@@ -79,7 +71,7 @@ def transpile_key(
     a warm ``--cache-dir`` run has to match a cold one exactly.
     """
     digest = hashlib.sha256(b"repro-transpile-v2")
-    _hash_circuit_into(digest, circuit)
+    digest.update(circuit.canonical_bytes())
     digest.update(coupling_fingerprint(coupling_map).encode("ascii"))
     if basis_gates is None:
         digest.update(b"basis:none")
@@ -96,7 +88,7 @@ def ideal_key(circuit: QuantumCircuit, backend: str = "statevector") -> str:
     cached artifacts must reproduce exactly what an uncached run computes.
     """
     digest = hashlib.sha256(b"repro-ideal-v2")
-    _hash_circuit_into(digest, circuit)
+    digest.update(circuit.canonical_bytes())
     digest.update(("backend:" + backend).encode("utf-8"))
     return digest.hexdigest()
 
@@ -159,7 +151,7 @@ def sample_key(
     key valid.
     """
     digest = hashlib.sha256(b"repro-sample-v2")
-    _hash_circuit_into(digest, circuit)
+    digest.update(circuit.canonical_bytes())
     digest.update(noise_fingerprint(noise_model).encode("ascii"))
     digest.update(struct.pack("<q", shots))
     method_bytes = method.encode("utf-8")

@@ -27,13 +27,14 @@ Two consumers use these models:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.exceptions import NoiseModelError
-from repro.quantum.circuit import Instruction, QuantumCircuit
+from repro.quantum.circuit import Instruction, InstructionTable, QuantumCircuit
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (calibration -> device -> noise)
     from repro.calibration.snapshot import CalibrationSnapshot
@@ -259,15 +260,31 @@ class NoiseModel:
         idle errors and crosstalk into a single independent flip probability
         per qubit.  This is the error model the fast bit-flip sampler and the
         dataset emulators use.
+
+        The gate part reads the circuit's instruction table: one error per
+        gate (:meth:`_gate_errors`), and the survival product multiplies each
+        qubit's factors in instruction order (``np.multiply.at`` applies its
+        indices in order), exactly as a walk over the instructions would.
         """
         num_qubits = circuit.num_qubits
         self.require_width(num_qubits)
-        survival = np.ones(num_qubits, dtype=float)
         two_qubit_neighbors = circuit.two_qubit_gates_per_qubit()
-        for instruction in circuit.instructions:
-            flip = PauliNoise.depolarizing(self.gate_error(instruction)).bitflip_probability
-            for qubit in instruction.qubits:
-                survival[qubit] *= 1.0 - flip
+        table = circuit.table
+        errors = self._gate_errors(table)
+        # The gates a walk over the instructions raises at: a rate outside
+        # [0, 1], a qubit outside the survival array, and (calibrated) a
+        # gate without qubits.  The first one raises what the walk raised.
+        failing = ~((errors >= 0.0) & (errors <= 1.0))
+        outside = (table.qubits >= num_qubits) | (table.qubits < -num_qubits)
+        if outside.any():
+            failing[np.repeat(np.arange(len(table)), table.arity)[outside]] = True
+        if self.calibration is not None:
+            failing |= table.arity == 0
+        if failing.any():
+            self._raise_for_gate(table.instructions()[int(np.argmax(failing))], num_qubits)
+        third = errors / 3.0
+        survival = np.ones(num_qubits, dtype=float)
+        np.multiply.at(survival, table.qubits, np.repeat(1.0 - (third + third), table.arity))
         depth = circuit.depth()
         if self.calibration is None:
             if self.idle_error_per_layer > 0 and depth > 0:
@@ -284,6 +301,39 @@ class NoiseModel:
                 survival[qubit] *= 1.0 - (2.0 / 3.0) * crosstalk_exposure
         return 1.0 - survival
 
+    def _gate_errors(self, table: InstructionTable) -> np.ndarray:
+        """:meth:`gate_error` of every gate of an instruction table, in gate order.
+
+        Two-qubit gates read :meth:`CalibrationSnapshot.edge_errors
+        <repro.calibration.snapshot.CalibrationSnapshot.edge_errors>` (the
+        median for unlisted pairs), every other gate its first qubit's
+        single-qubit error.  Checks nothing: a gate :meth:`gate_error` would
+        reject gets an arbitrary value here.
+        """
+        two_qubit = table.arity == 2
+        if self.calibration is None:
+            return np.where(two_qubit, self.two_qubit_error, self.single_qubit_error)
+        errors = np.empty(len(table))
+        first = table.first_qubit_offsets()
+        if table.qubits.size:
+            covered = self.calibration.num_qubits
+            leading = table.qubits[np.minimum(first, table.qubits.size - 1)]
+            errors[:] = self.calibration.single_qubit_error[np.clip(leading, -covered, covered - 1)]
+        errors[two_qubit] = self.calibration.edge_errors(*table.two_qubit_pairs())
+        return errors
+
+    def _raise_for_gate(self, instruction: Instruction, num_qubits: int) -> None:
+        """Raise what a per-instruction walk raises at this gate.
+
+        The walk looks the gate's error up (:meth:`gate_error`: calibration
+        width, then the rate), checks it lies in [0, 1] and then indexes a
+        per-qubit survival array with each of the gate's qubits.
+        """
+        PauliNoise.depolarizing(self.gate_error(instruction))
+        survival = np.ones(num_qubits)
+        for qubit in instruction.qubits:
+            survival[qubit] *= 1.0
+
     def scramble_probability(self, circuit: QuantumCircuit) -> float:
         """Probability that a trial is fully scrambled (uniform-error background).
 
@@ -292,13 +342,12 @@ class NoiseModel:
         scrambling probability; the result feeds the uniform background
         component of the bit-flip sampler, which is what makes the EHD grow
         with circuit size in the characterisation experiments (Figure 12).
+        With a calibration attached, the per-gate survival factors multiply
+        one after another in instruction order.
         """
         if self.calibration is not None:
-            survival = 1.0
-            for instruction in circuit.instructions:
-                if instruction.num_qubits == 2:
-                    survival *= 1.0 - 0.5 * self.calibration.edge_error(*instruction.qubits)
-            return float(1.0 - survival)
+            errors = self.calibration.edge_errors(*circuit.table.two_qubit_pairs())
+            return float(1.0 - math.prod((1.0 - 0.5 * errors).tolist()))
         num_two_qubit = circuit.num_two_qubit_gates()
         per_gate = self.two_qubit_error * 0.5
         return float(1.0 - (1.0 - per_gate) ** num_two_qubit)

@@ -23,6 +23,7 @@ from repro.engine.hashing import sample_key
 from repro.exceptions import EngineError, MergeError
 from repro.quantum.device import get_device
 from repro.quantum.sampler import (
+    _BitflipPlan,
     merge_counted_chunks,
     sample_bitflip_batch,
     sample_bitflip_chunk,
@@ -100,6 +101,60 @@ class TestGroupedSampling:
 
     def test_empty_batch_request_list(self, device):
         assert sample_bitflip_batch(bernstein_vazirani("11"), device.noise_model, []) == []
+
+
+@pytest.fixture
+def plan_builds(monkeypatch):
+    """The circuits ``_BitflipPlan.build`` is called with, in call order."""
+    built = []
+    build = _BitflipPlan.build
+
+    def counting_build(circuit, noise_model, ideal):
+        built.append(circuit)
+        return build(circuit, noise_model, ideal)
+
+    monkeypatch.setattr(_BitflipPlan, "build", counting_build)
+    return built
+
+
+class TestOnePlanPerGroup:
+    """Grouping shares one plan (noise arrays, ideal views) across a group's jobs."""
+
+    def test_a_batch_builds_one_plan_and_a_lone_call_one_per_job(self, device, plan_builds):
+        circuit = bernstein_vazirani("1011010")
+        ideal = get_backend("statevector").ideal_distribution(circuit)
+
+        def requests():
+            return [
+                (256, np.random.default_rng(np.random.SeedSequence((11, index))))
+                for index in range(32)
+            ]
+
+        batched = sample_bitflip_batch(circuit, device.noise_model, requests(), ideal=ideal)
+        assert len(plan_builds) == 1
+        lone = [
+            sample_bitflip_distribution(circuit, device.noise_model, shots, rng=rng, ideal=ideal)
+            for shots, rng in requests()
+        ]
+        assert len(plan_builds) == 33
+        assert [d.counts() for d in batched] == [d.counts() for d in lone]
+
+    def test_the_engine_builds_one_plan_per_group(self, device, plan_builds):
+        scaled = device.noise_model.scaled(2.0)
+        jobs = _jobs(device, count=5) + [
+            CircuitJob(
+                job_id=f"scaled-{index}",
+                circuit=bernstein_vazirani("10110"),
+                shots=2048,
+                noise_model=scaled,
+            )
+            for index in range(3)
+        ]
+        engine = ExecutionEngine(max_workers=1)
+        engine.run(jobs, seed=7)
+        assert engine.last_run_stats.sample_groups == 2
+        assert engine.last_run_stats.grouped_sample_jobs == 8
+        assert len(plan_builds) == 2
 
 
 class TestShardedSampling:
