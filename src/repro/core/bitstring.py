@@ -26,7 +26,6 @@ from repro.core.kernels import (
     DENSE_CHS_MAX_BITS as _DENSE_CHS_MAX_BITS,
     chs_histogram,
     popcount_u64 as _popcount,
-    walsh_hadamard_inplace as _walsh_hadamard_inplace,
 )
 from repro.exceptions import BitstringError
 

@@ -171,18 +171,42 @@ def walsh_hadamard_inplace(array: np.ndarray) -> np.ndarray:
     """Unnormalised fast Walsh–Hadamard transform of each row, O(n * 2**n).
 
     ``array`` is one C-contiguous vector of length ``2**n`` or a stack of
-    such rows; every butterfly pairs entries inside one row, so a whole
-    stack transforms with the same few NumPy calls as a single vector.
+    such rows, transformed in place and returned; anything else raises
+    ``ValueError``.
+
+    The radix-2 network runs in Pease's constant-geometry order (J. ACM
+    15(2), 1968): every stage reads the adjacent pairs ``(2j, 2j + 1)`` of
+    one buffer and writes their sum to entry ``j`` and their difference to
+    entry ``j + 2**(n-1)`` of the other, so each of the ``n`` stages is one
+    ``add`` and one ``subtract`` with a ``2**(n-1)``-long inner loop per
+    row.  Each stage rotates the index bits down by one, so stage ``s``
+    pairs the entries that differ in bit ``s`` of the input index, bit 0
+    first, and the output comes out in natural order.  Those are the
+    butterflies of the in-place network (``i`` with ``i + 2**s`` at stage
+    ``s``), in the same stage order and on the same operands, as
+    ``left + right`` and ``left - right`` with ``left`` the entry whose bit
+    is clear, so every entry rounds exactly as in that network: the rounding
+    every CHS, every ``spectral`` row and the spectral round-off bound rest on.
     """
-    half = 1
-    size = array.shape[-1]
-    while half < size:
-        paired = array.reshape(-1, 2 * half)
-        left = paired[:, :half].copy()
-        right = paired[:, half:]
-        paired[:, :half] += right
-        np.subtract(left, right, out=right)
-        half *= 2
+    size = array.shape[-1] if array.ndim else 0
+    if size < 1 or size & (size - 1):
+        raise ValueError(f"the last axis must have a power-of-two length, got {size}")
+    if not array.flags.c_contiguous:
+        raise ValueError("the Walsh–Hadamard transform needs a C-contiguous array")
+    half = size // 2
+    work = np.empty_like(array)
+    # Even stages read ``array`` and write ``work``, odd stages the reverse.
+    stages = [
+        (source[..., 0::2], source[..., 1::2], target[..., :half], target[..., half:])
+        for source, target in ((array, work), (work, array))
+    ]
+    num_stages = size.bit_length() - 1
+    for stage in range(num_stages):
+        left, right, sums, differences = stages[stage & 1]
+        np.add(left, right, out=sums)
+        np.subtract(left, right, out=differences)
+    if num_stages & 1:
+        array[...] = work
     return array
 
 
@@ -399,12 +423,19 @@ def _symmetric_chs_mass(
 #: Cost of one of the ``n * 2**n`` butterfly entries of a hypercube
 #: transform, with its share of the scatter, running sum, multiply and
 #: gather around it, in units of one unordered pair of the tiled score
-#: sweep.  On the fig8 histograms (widths 12-14, 2.5k-12.9k outcomes; 2-vCPU
-#: x86-64, NumPy 2.4) total kernel time was lowest at 0.5 and within 10% of
-#: it anywhere in 0.125-1.0, so one fixed constant serves.
+#: sweep.  It was fitted to an in-place butterfly about three times slower
+#: than the constant-geometry transform.  Re-measured with the latter by
+#: replaying one iteration's captured kernel calls (best of 7-15 replays per
+#: value; 2-vCPU x86-64, NumPy 2.4): fig8-cold's 9 calls (widths 12-14,
+#: 2.5k-12.9k outcomes) are fastest at 0.0625-0.125, 10-15% below 0.5;
+#: zoo-warm's 56 (10 bits, 416-1022 outcomes) are flat from 0.0625 to 0.5;
+#: 1.0 and 2.0 are slower on both.  Scores agree within a relative 1.2e-15
+#: at every value tried, but not bit for bit, so 0.5 stays until a re-fit is
+#: measured end to end.
 SPECTRAL_TRANSFORM_COST = 0.5
 
-#: Largest stack of level transforms held at once (one row at ``n = 20``).
+#: Largest stack of level transforms held at once (one row at ``n = 20``),
+#: plus one work array of the same size while a transform runs.
 SPECTRAL_BLOCK_BYTES = 8 << 20
 
 

@@ -30,8 +30,11 @@ The ``spectral`` plan takes no size from this module.  Its split between
 transformed probability levels and the pairwise sweep is a closed-form
 choice, minimising ``2·m·n·2ⁿ·c + N_high(m)²/2`` with one fixed constant
 ``c`` (:data:`repro.core.kernels.SPECTRAL_TRANSFORM_COST`; no environment
-variable), and its stacked transforms are capped at 8 MiB per block.
-Transform scores below ``τ = ½·min(W[d] > 0)·min P`` snap to exact zero, so
+variable), and its stacked transforms are capped at 8 MiB per block.  Each
+transform also holds one work array of its block's size, so a block peaks
+at twice its size, 16 MiB at ``n = 20``: 4 MiB more than the in-place
+butterfly it replaced, which copied half a block per stage.  Transform
+scores below ``τ = ½·min(W[d] > 0)·min P`` snap to exact zero, so
 its outputs stay within a relative 1e-12 of ``tiled``.
 """
 
