@@ -306,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="restrict scenario-sweep to a named scenario (repeatable; "
                              "see the 'scenarios' subcommand for the registry)")
     parser.add_argument("--cache-dir", type=str, default=None, metavar="PATH",
-                        help="persist transpiles + ideal distributions across runs")
+                        help="persist transpiles, ideal and sampled distributions and "
+                             "HAMMER reconstructions across runs")
     parser.add_argument("--repeat", type=_positive_int, default=1, metavar="N",
                         help="profile only: run the experiment N times (fresh engine "
                              "each) and report median per-phase seconds")

@@ -22,11 +22,7 @@ from collections.abc import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.core import tuning
-from repro.core.kernels import (
-    DENSE_CHS_MAX_BITS as _DENSE_CHS_MAX_BITS,
-    chs_histogram,
-    popcount_u64 as _popcount,
-)
+from repro.core.kernels import chs_histogram, popcount_u64 as _popcount
 from repro.exceptions import BitstringError
 
 __all__ = [

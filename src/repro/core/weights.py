@@ -28,7 +28,17 @@ __all__ = [
 
 
 class WeightScheme(abc.ABC):
-    """Strategy that turns an average CHS vector into per-distance weights."""
+    """Strategy that turns an average CHS vector into per-distance weights.
+
+    :meth:`ExecutionEngine.hammer <repro.engine.engine.ExecutionEngine.hammer>`
+    caches reconstructions under a key that reads a scheme's class and its
+    instance fields, so a scheme handed to the engine-backed studies must
+    keep its parameters as plain fields: ``None``, strings, numbers, NumPy
+    numeric arrays, and tuples, lists, dicts or other schemes of these.  A
+    field holding anything else (a callable, say) makes the engine raise
+    :class:`~repro.exceptions.EngineError`; :func:`repro.core.hammer.hammer`
+    itself takes any scheme.
+    """
 
     #: registry name used by :func:`resolve_weight_scheme`
     name: str = "abstract"

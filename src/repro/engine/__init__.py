@@ -22,6 +22,7 @@ from repro.engine.executors import (
 from repro.engine.hashing import (
     circuit_fingerprint,
     coupling_fingerprint,
+    hammer_key,
     ideal_key,
     noise_fingerprint,
     sample_key,
@@ -58,6 +59,7 @@ __all__ = [
     "tree_merge_segments",
     "circuit_fingerprint",
     "coupling_fingerprint",
+    "hammer_key",
     "ideal_key",
     "noise_fingerprint",
     "sample_key",

@@ -1,6 +1,6 @@
 """Content-addressed artifact cache for the execution engine.
 
-Two namespaces are used by :class:`~repro.engine.engine.ExecutionEngine`:
+Four namespaces are used by :class:`~repro.engine.engine.ExecutionEngine`:
 
 ``"transpile"``
     Key: :func:`~repro.engine.hashing.transpile_key` (circuit + coupling map
@@ -15,12 +15,19 @@ Two namespaces are used by :class:`~repro.engine.engine.ExecutionEngine`:
     per-job seed entropy).  Value: the noisy measurement
     :class:`Distribution`.  Because the key pins the RNG entropy, a hit
     returns exactly the histogram an uncached run would draw.
+``"hammer"``
+    Key: :func:`~repro.engine.hashing.hammer_key` (the input histogram's
+    packed words, probabilities and weights + every :class:`HammerConfig`
+    field + the kernel context).  Value: the reconstructed
+    :class:`Distribution` (:meth:`ExecutionEngine.hammer`).  A content key:
+    it carries no job context.
 
 Entries always live in an in-process dict; when a ``cache_dir`` is given they
 are additionally persisted as pickle files (``<dir>/<namespace>/<key>.pkl``,
 written atomically via a temp file + rename) so repeated sweeps across
 processes — e.g. re-running a CLI figure with the same ``--cache-dir`` —
-skip every transpile and statevector simulation of the previous run.
+skip every transpile, simulation, sampling and HAMMER pass of the previous
+run.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ __all__ = ["ExecutionCache"]
 
 _logger = get_logger("repro.engine.cache")
 
-_NAMESPACES = ("transpile", "ideal", "sample")
+_NAMESPACES = ("transpile", "ideal", "sample", "hammer")
 
 
 class ExecutionCache:

@@ -35,6 +35,13 @@ three phases, deduplicating shared work through the content-addressed
    sampling too, while heterogeneous (calibrated) runs never collide with
    uniform ones.
 
+The transpile and ideal phases share one cached map (look each key up,
+compute each distinct miss once, store it).  :meth:`ExecutionEngine.hammer`
+runs HAMMER through the same map, in the calling process, after a study has
+its histograms, keyed by the histogram's content and the
+:class:`~repro.core.hammer.HammerConfig`, so a re-run on a filled
+``cache_dir`` reconstructs nothing.
+
 Determinism
 -----------
 Each job's generator is seeded with ``np.random.SeedSequence((seed, index))``
@@ -75,6 +82,7 @@ import numpy as np
 
 from repro.backends import get_backend, resolve_backend
 from repro.core.distribution import Distribution
+from repro.core.hammer import HammerConfig, hammer
 from repro.obs.metrics import counter_add, gauge_max
 from repro.obs.observe import absorb_payload, observation_active, observed_call
 from repro.obs.phases import record_phase_seconds
@@ -88,6 +96,7 @@ from repro.engine.executors import (
 )
 from repro.engine.hashing import (
     circuit_fingerprint,
+    hammer_key,
     ideal_key,
     noise_fingerprint,
     sample_key,
@@ -294,6 +303,15 @@ def _ideal_task(task: tuple) -> tuple[str, Distribution, float]:
         return key, ideal, time.perf_counter() - start
 
 
+def _hammer_task(task: tuple) -> tuple[str, Distribution, float]:
+    key, distribution, config = task
+    start = time.perf_counter()
+    # Through the module global: perfbench's selftest rebinds ``hammer`` to
+    # perturb outputs and prove its output check catches them.
+    reconstructed = hammer(distribution, config)
+    return key, reconstructed, time.perf_counter() - start
+
+
 def _sample_group_task(task: tuple) -> list[tuple[int, Distribution, float]]:
     """Sample one group of bit-flip jobs sharing (executed circuit, noise model).
 
@@ -353,6 +371,15 @@ def _timed_call(task: tuple) -> tuple[Any, float]:
 
 def _shutdown_pool(pool: ProcessPoolExecutor) -> None:
     pool.shutdown(wait=True)
+
+
+def _owners(keys: Sequence[str | None], computed: dict[str, float]) -> dict[str, int]:
+    """The first job of each computed key: the job its work and time are booked to."""
+    owners: dict[str, int] = {}
+    for index, key in enumerate(keys):
+        if key in computed:
+            owners.setdefault(key, index)
+    return owners
 
 
 class ExecutionEngine:
@@ -507,6 +534,34 @@ class ExecutionEngine:
             return results
         return list(pool.map(fn, tasks, chunksize=chunksize))
 
+    def _cached_map(
+        self, namespace: str, pool: ProcessPoolExecutor | None, fn: Callable, tasks: Iterable
+    ) -> tuple[dict[str, Any], dict[str, float]]:
+        """Serve each task from cache ``namespace``, computing every distinct miss once.
+
+        A task's first element is its cache key and ``fn`` returns ``(key,
+        artifact, seconds)``.  A key repeated among ``tasks`` is looked up
+        and computed once; computed artifacts are stored.  Returns every
+        key's artifact and the seconds of each computed one.
+        """
+        artifacts: dict[str, Any] = {}
+        misses: dict[str, tuple] = {}
+        for task in tasks:
+            key = task[0]
+            if key in artifacts or key in misses:
+                continue
+            cached = self.cache.get(namespace, key)
+            if cached is None:
+                misses[key] = task
+            else:
+                artifacts[key] = cached
+        seconds: dict[str, float] = {}
+        for key, artifact, elapsed in self._map(pool, fn, list(misses.values())):
+            self.cache.put(namespace, key, artifact)
+            artifacts[key] = artifact
+            seconds[key] = elapsed
+        return artifacts, seconds
+
     def _pool_chunksize(self, num_tasks: int) -> int:
         """Tasks per pool dispatch: about four chunks per worker.
 
@@ -626,29 +681,18 @@ class ExecutionEngine:
         # ---- Phase 1: transpilation (once per unique circuit/target) ----
         phase_start = time.perf_counter()
         job_tkeys: list[str | None] = []
-        transpile_artifacts: dict[str, _TranspileArtifact] = {}
-        transpile_owner: dict[str, int] = {}
-        to_transpile: list[tuple] = []
-        for index, job in enumerate(jobs):
+        transpile_tasks: list[tuple] = []
+        for job in jobs:
             if not job.wants_transpile:
                 job_tkeys.append(None)
                 continue
             key = transpile_key(job.circuit, job.coupling_map, job.basis_gates)
             job_tkeys.append(key)
-            if key in transpile_artifacts or key in transpile_owner:
-                continue
-            cached = self.cache.get("transpile", key)
-            if cached is not None:
-                transpile_artifacts[key] = cached
-            else:
-                transpile_owner[key] = index
-                to_transpile.append((key, job.circuit, job.coupling_map, job.basis_gates))
-        transpile_seconds: dict[str, float] = {}
-        for key, artifact, seconds in self._map(pool, _transpile_task, to_transpile):
-            self.cache.put("transpile", key, artifact)
-            transpile_artifacts[key] = artifact
-            transpile_seconds[key] = seconds
-        stats.unique_transpiles_computed = len(to_transpile)
+            transpile_tasks.append((key, job.circuit, job.coupling_map, job.basis_gates))
+        transpile_artifacts, transpile_seconds = self._cached_map(
+            "transpile", pool, _transpile_task, transpile_tasks
+        )
+        stats.unique_transpiles_computed = len(transpile_seconds)
         record_phase_seconds("transpile", time.perf_counter() - phase_start)
 
         # ---- Phase 2: ideal distributions (once per unique executed circuit
@@ -657,9 +701,7 @@ class ExecutionEngine:
         executed_circuits: list[QuantumCircuit] = []
         job_backends: list[str] = []
         job_ikeys: list[str] = []
-        ideal_distributions: dict[str, Distribution] = {}
-        ideal_owner: dict[str, int] = {}
-        to_simulate: list[tuple] = []
+        ideal_tasks: list[tuple] = []
         tkey_ikeys: dict[tuple[str, str], str] = {}
         resolved_backends: dict[tuple, str] = {}
         for index, job in enumerate(jobs):
@@ -699,20 +741,11 @@ class ExecutionEngine:
             executed_circuits.append(executed)
             job_backends.append(backend_name)
             job_ikeys.append(key)
-            if key in ideal_distributions or key in ideal_owner:
-                continue
-            cached = self.cache.get("ideal", key)
-            if cached is not None:
-                ideal_distributions[key] = cached
-            else:
-                ideal_owner[key] = index
-                to_simulate.append((key, executed, backend_name))
-        ideal_seconds: dict[str, float] = {}
-        for key, ideal, seconds in self._map(pool, _ideal_task, to_simulate):
-            self.cache.put("ideal", key, ideal)
-            ideal_distributions[key] = ideal
-            ideal_seconds[key] = seconds
-        stats.unique_ideals_computed = len(to_simulate)
+            ideal_tasks.append((key, executed, backend_name))
+        ideal_distributions, ideal_seconds = self._cached_map(
+            "ideal", pool, _ideal_task, ideal_tasks
+        )
+        stats.unique_ideals_computed = len(ideal_seconds)
         record_phase_seconds("ideal", time.perf_counter() - phase_start)
 
         # ---- Phase 3: noisy sampling (one independent RNG stream per job) ----
@@ -889,6 +922,8 @@ class ExecutionEngine:
         record_phase_seconds("sample", time.perf_counter() - phase_start)
 
         # ---- Assemble results in batch order ----
+        transpile_owner = _owners(job_tkeys, transpile_seconds)
+        ideal_owner = _owners(job_ikeys, ideal_seconds)
         results: list[JobResult] = []
         for index, job in enumerate(jobs):
             noisy, sample_seconds, sample_hit = sampled_by_index[index]
@@ -907,9 +942,11 @@ class ExecutionEngine:
                     ideal = ideal.mapped(permutation)
             transpile_hit = transpiled and transpile_owner.get(tkey) != index
             ideal_hit = ideal_owner.get(ikey) != index
-            prepare_seconds = transpile_seconds.get(tkey, 0.0) if transpile_owner.get(tkey) == index else 0.0
+            prepare_seconds = 0.0
+            if transpile_owner.get(tkey) == index:
+                prepare_seconds += transpile_seconds[tkey]
             if ideal_owner.get(ikey) == index:
-                prepare_seconds += ideal_seconds.get(ikey, 0.0)
+                prepare_seconds += ideal_seconds[ikey]
             stats.transpiled_jobs += 1 if transpiled else 0
             stats.transpile_cache_hits += 1 if transpile_hit else 0
             stats.ideal_cache_hits += 1 if ideal_hit else 0
@@ -946,3 +983,21 @@ class ExecutionEngine:
     def run_single(self, job: CircuitJob, seed: int = 0) -> JobResult:
         """Execute one job (convenience wrapper around :meth:`run`)."""
         return self.run([job], seed=seed)[0]
+
+    def hammer(
+        self, requests: Iterable[tuple[Distribution, HammerConfig | None]]
+    ) -> list[Distribution]:
+        """HAMMER-reconstruct each ``(distribution, config)`` request, in request order.
+
+        Each request is served from the ``"hammer"`` cache namespace under
+        :func:`~repro.engine.hashing.hammer_key`, so a hit (from memory or
+        the ``cache_dir``) is exactly what :func:`repro.core.hammer.hammer`
+        would return.  Equal requests compute once.  Misses run in the
+        calling process at any ``max_workers``: the key reads this process's
+        kernel plan and budgets, so the plan it names is the plan that runs,
+        and the ``hammer`` phase and ``kernel.*`` counters stay with the
+        caller's observation.
+        """
+        tasks = [(hammer_key(noisy, config), noisy, config) for noisy, config in requests]
+        reconstructed, _ = self._cached_map("hammer", None, _hammer_task, tasks)
+        return [reconstructed[key] for key, _, _ in tasks]

@@ -12,13 +12,24 @@ The encoding is :meth:`QuantumCircuit.canonical_bytes
 circuit's instruction table and memoised on the circuit: every key below
 digests the same bytes, so an executed circuit is encoded once for its ideal
 key and its sample key.
+
+:func:`hammer_key` is the one key that digests no circuit: it addresses a
+HAMMER reconstruction by the histogram's own arrays and the config.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import struct
 
+import numpy as np
+
+from repro.core import tuning
+from repro.core.distribution import Distribution
+from repro.core.hammer import HammerConfig
+from repro.core.weights import WeightScheme, resolve_weight_scheme
+from repro.exceptions import EngineError
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.coupling import CouplingMap
 from repro.quantum.noise import NoiseModel
@@ -30,6 +41,7 @@ __all__ = [
     "transpile_key",
     "ideal_key",
     "sample_key",
+    "hammer_key",
 ]
 
 
@@ -162,4 +174,95 @@ def sample_key(
     digest.update(("backend:" + backend).encode("utf-8"))
     if shard_shots is not None:
         digest.update(struct.pack("<q", shard_shots))
+    return digest.hexdigest()
+
+
+def _update_value(digest, value) -> None:
+    """Feed one config value into ``digest``, tagged by kind, numbers exactly.
+
+    A weight scheme, nested ones included, is keyed by its class and fields;
+    a sequence or dict by its items in order, so a reordered dict costs a
+    miss, never a wrong hit.  A value with no stable encoding (a callable,
+    an arbitrary object) is refused.
+    """
+    if value is None:
+        digest.update(b"N")
+    elif isinstance(value, str):
+        data = value.encode("utf-8")
+        digest.update(b"S" + struct.pack("<q", len(data)) + data)
+    elif isinstance(value, (float, np.floating)):
+        digest.update(b"F" + struct.pack("<d", value))
+    elif isinstance(value, (bool, int, np.bool_, np.integer)):
+        data = str(int(value)).encode("ascii")
+        digest.update(b"I" + struct.pack("<q", len(data)) + data)
+    elif isinstance(value, WeightScheme):
+        digest.update(b"W")
+        _update_value(digest, f"{type(value).__module__}.{type(value).__qualname__}")
+        _update_items(digest, sorted(vars(value).items()))
+    elif isinstance(value, dict):
+        digest.update(b"M")
+        _update_items(digest, list(value.items()))
+    elif isinstance(value, (tuple, list)):
+        if all(type(item) is float for item in value):
+            digest.update(b"D" + struct.pack(f"<q{len(value)}d", len(value), *value))
+        else:
+            digest.update(b"L" + struct.pack("<q", len(value)))
+            for item in value:
+                _update_value(digest, item)
+    elif isinstance(value, np.ndarray) and value.dtype.kind in "biuf":
+        array = np.ascontiguousarray(value, dtype=value.dtype.newbyteorder("<"))
+        digest.update(b"A")
+        _update_value(digest, array.dtype.str)
+        _update_value(digest, array.shape)
+        digest.update(array)
+    else:
+        raise EngineError(f"cannot key a HAMMER config holding {value!r}")
+
+
+def _update_items(digest, items: list) -> None:
+    """Feed ``(name, value)`` pairs into ``digest``, count first."""
+    digest.update(struct.pack("<q", len(items)))
+    for name, value in items:
+        _update_value(digest, name)
+        _update_value(digest, value)
+
+
+def hammer_key(distribution: Distribution, config: HammerConfig | None = None) -> str:
+    """Cache key of one HAMMER reconstruction: the histogram's content plus the config.
+
+    HAMMER is a pure function of what it reads, so the key needs no job
+    context and no measurement permutation can make it stale.  It digests:
+
+    * the width and the packed support's uint64 words and probability
+      vector (what the kernel reads), plus the raw weights and their total
+      (what the degenerate all-zero-score fallback returns), each array
+      through the buffer protocol (uncopied on a little-endian host);
+    * every field of the config in declaration order, the weight scheme
+      resolved to an instance (``None``, ``HammerConfig()`` and
+      ``"inverse_chs"`` share one key) and keyed by its class and fields;
+    * the kernel context that can move output bits: the forced plan, if
+      any, and the tile and block budgets that fix accumulation order.
+
+    v1: any change that moves a HAMMER output bit (kernel arithmetic, a
+    split constant, a weight formula) must bump the tag, or a warm
+    ``--cache-dir`` keeps replaying the old bits.
+    """
+    if config is None:
+        config = HammerConfig()
+    packed = distribution.packed()
+    digest = hashlib.sha256(b"repro-hammer-v1")
+    digest.update(
+        struct.pack("<qqd", packed.num_bits, packed.num_outcomes, distribution.total_weight)
+    )
+    digest.update(np.ascontiguousarray(packed.words, dtype="<u8"))
+    digest.update(np.ascontiguousarray(packed.probabilities, dtype="<f8"))
+    digest.update(np.ascontiguousarray(distribution.weight_vector(), dtype="<f8"))
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if field.name == "weight_scheme":
+            value = resolve_weight_scheme(value)
+        _update_value(digest, field.name)
+        _update_value(digest, value)
+    _update_value(digest, tuning.kernel_override())
+    digest.update(struct.pack("<qq", tuning.tile_entries(), tuning.pairwise_block_entries()))
     return digest.hexdigest()

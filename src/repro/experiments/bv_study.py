@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.circuits.bv import bernstein_vazirani, random_bv_key
-from repro.core.hammer import HammerConfig, hammer
+from repro.core.hammer import HammerConfig
 from repro.datasets.ibm_suite import default_ibm_devices
 from repro.engine import CircuitJob, ExecutionEngine
 from repro.exceptions import ExperimentError
@@ -123,12 +123,12 @@ def run_bv_study(
                     )
                 )
     results = engine.run(jobs, seed=config.seed)
+    reconstructions = engine.hammer((result.noisy, hammer_config) for result in results)
 
     rows: list[dict[str, object]] = []
-    for result in results:
+    for result, reconstructed in zip(results, reconstructions):
         secret_key = result.metadata["secret_key"]
         noisy = result.noisy
-        reconstructed = hammer(noisy, hammer_config)
         baseline_pst = probability_of_successful_trial(noisy, secret_key)
         hammer_pst = probability_of_successful_trial(reconstructed, secret_key)
         baseline_ist = inference_strength(noisy, secret_key)
@@ -183,7 +183,7 @@ def run_bv_single_example(
     )
     result = engine.run_single(job, seed=seed)
     noisy = result.noisy
-    reconstructed = hammer(noisy)
+    (reconstructed,) = engine.hammer([(noisy, None)])
     strongest_incorrect = next(
         outcome for outcome, _ in noisy.ranked_outcomes() if outcome != secret_key
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.hammer import HammerConfig, hammer
+from repro.core.hammer import HammerConfig
 from repro.engine import CircuitJob, ExecutionEngine
 from repro.exceptions import ExperimentError
 from repro.experiments.runner import ExperimentReport, attach_engine_meta
@@ -131,7 +131,7 @@ def run_landscape_study(
         "ideal": scan_from_distributions(problem, betas, gammas, [r.ideal for r in results]),
         "baseline": scan_from_distributions(problem, betas, gammas, [r.noisy for r in results]),
         "hammer": scan_from_distributions(
-            problem, betas, gammas, [hammer(r.noisy, hammer_config) for r in results]
+            problem, betas, gammas, engine.hammer((r.noisy, hammer_config) for r in results)
         ),
     }
     rows = []

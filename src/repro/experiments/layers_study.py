@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.circuits.qaoa import default_qaoa_parameters, qaoa_circuit
-from repro.core.hammer import HammerConfig, hammer
+from repro.core.hammer import HammerConfig
 from repro.engine import CircuitJob, ExecutionEngine
 from repro.exceptions import ExperimentError
 from repro.experiments.runner import ExperimentReport, attach_engine_meta
@@ -90,15 +90,15 @@ def run_layers_study(
                 )
             )
     results = engine.run(jobs, seed=config.seed)
+    reconstructions = engine.hammer((result.noisy, hammer_config) for result in results)
 
     per_layer: dict[int, dict[str, list[float]]] = {
         p: {"noiseless": [], "baseline": [], "hammer": []} for p in config.layer_values
     }
-    for result in results:
+    for result, reconstructed in zip(results, reconstructions):
         evaluator = evaluators[result.metadata["num_nodes"]]
         minimum_cost = evaluator.minimum_cost()
         num_layers = result.metadata["num_layers"]
-        reconstructed = hammer(result.noisy, hammer_config)
         per_layer[num_layers]["noiseless"].append(
             cost_ratio(result.ideal, evaluator.cost, minimum_cost)
         )

@@ -31,10 +31,10 @@ import numpy as np
 
 from repro.baselines.inference import majority_vote_outcome
 from repro.baselines.readout_mitigation import ReadoutCalibration, mitigate_readout
-from repro.calibration.scenario import Scenario, all_scenarios, get_scenario
+from repro.calibration.scenario import Scenario, all_scenarios, get_scenario, scenario_device
 from repro.circuits.bv import bernstein_vazirani, bv_correct_outcome, random_bv_key
 from repro.circuits.ghz import ghz_circuit, ghz_correct_outcomes
-from repro.core.hammer import HammerConfig, hammer
+from repro.core.hammer import HammerConfig
 from repro.core.weights import NoiseAwareWeights
 from repro.engine import CircuitJob, ExecutionEngine
 from repro.exceptions import ExperimentError
@@ -114,6 +114,21 @@ def _scenario_workload(
     return bernstein_vazirani(secret_key), [bv_correct_outcome(secret_key)], secret_key
 
 
+def _noise_aware_config(device, result) -> HammerConfig:
+    """Calibration-aware HAMMER for one job: the analytic flip spectrum of what ran.
+
+    The flips must describe the executed circuit (routing SWAPs dominate the
+    flip mass on sparse topologies), gathered into the histogram's logical
+    bit order.
+    """
+    flip_probabilities = device.noise_model.accumulated_bitflip_probabilities(
+        result.executed_circuit
+    )
+    return HammerConfig(
+        weight_scheme=NoiseAwareWeights(result.to_logical_order(flip_probabilities))
+    )
+
+
 def run_scenario_study(
     config: ScenarioStudyConfig | None = None,
     hammer_config: HammerConfig | None = None,
@@ -129,7 +144,7 @@ def run_scenario_study(
     rng = np.random.default_rng(config.seed)
     jobs: list[CircuitJob] = []
     correct_by_job: dict[str, list[str]] = {}
-    devices = {scenario.name: scenario.device() for scenario in scenarios}
+    devices = {scenario.name: scenario_device(scenario.name) for scenario in scenarios}
     for scenario in scenarios:
         device = devices[scenario.name]
         shots = config.shots if config.shots is not None else scenario.shots
@@ -152,9 +167,16 @@ def run_scenario_study(
             )
 
     results = engine.run(jobs, seed=config.seed)
+    reconstructions = engine.hammer((result.noisy, hammer_config) for result in results)
+    noise_aware_reconstructions = engine.hammer(
+        (result.noisy, _noise_aware_config(devices[result.metadata["scenario"]], result))
+        for result in results
+    )
 
     rows: list[dict[str, object]] = []
-    for result in results:
+    for result, reconstructed, noise_aware in zip(
+        results, reconstructions, noise_aware_reconstructions
+    ):
         scenario = get_scenario(result.metadata["scenario"])
         device = devices[scenario.name]
         correct = correct_by_job[result.job_id]
@@ -168,16 +190,6 @@ def run_scenario_study(
             result.to_logical_order(p10), result.to_logical_order(p01)
         )
         mitigated = mitigate_readout(noisy, calibration)
-        reconstructed = hammer(noisy, hammer_config)
-        # The analytic flip spectrum must describe the circuit that actually
-        # ran (routing SWAPs dominate the flip mass on sparse topologies).
-        flip_probabilities = device.noise_model.accumulated_bitflip_probabilities(
-            result.executed_circuit
-        )
-        noise_aware_config = HammerConfig(
-            weight_scheme=NoiseAwareWeights(result.to_logical_order(flip_probabilities))
-        )
-        noise_aware = hammer(noisy, noise_aware_config)
 
         baseline_pst = probability_of_successful_trial(noisy, correct)
         mitigated_pst = probability_of_successful_trial(mitigated, correct)

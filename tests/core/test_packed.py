@@ -286,10 +286,10 @@ class TestDenseChsPath:
         return Distribution(data, num_bits=num_bits)
 
     def test_dense_path_is_selected(self):
-        from repro.core.bitstring import _DENSE_CHS_MAX_BITS
+        from repro.core.kernels import DENSE_CHS_MAX_BITS
 
         dist = self._wide_support_distribution()
-        assert dist.num_bits <= _DENSE_CHS_MAX_BITS
+        assert dist.num_bits <= DENSE_CHS_MAX_BITS
         assert (3 * dist.num_bits + 1) * (1 << dist.num_bits) < dist.num_outcomes**2
 
     def test_dense_average_chs_matches_reference(self):

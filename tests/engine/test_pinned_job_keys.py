@@ -6,11 +6,14 @@ the 37 jobs of the fig8-cold and zoo-warm workloads at seed 8 (see
 instruction table.  A moved digest would make every persistent ``--cache-dir``
 entry unreachable, so the keys are compared exactly, both as the hashing
 functions derive them for each job and as the file names the engine wrote.
+A warm zoo run on the filled cache builds no ``Instruction`` and makes no
+HAMMER kernel call.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,11 +73,28 @@ def test_a_warm_zoo_run_builds_no_instructions(workload_runs, run_workload, monk
         built.append(table)
         return original(table)
 
+    # ``import repro.core.hammer`` would bind the function ``repro.core``
+    # re-exports under that name; the kernel hook lives on the module.
+    hammer_module = sys.modules["repro.core.hammer"]
+    kernel_calls = []
+    scores = hammer_module.neighborhood_scores
+
+    def counting_scores(distribution, config=None):
+        kernel_calls.append(distribution.num_outcomes)
+        return scores(distribution, config)
+
     monkeypatch.setattr(InstructionTable, "instructions", counting)
+    monkeypatch.setattr(hammer_module, "neighborhood_scores", counting_scores)
     warm = run_workload("zoo-warm", cold.cache_dir)
     assert len(warm.results) == 28
     assert all(result.transpile_cache_hit for result in warm.results)
     assert built == []
     assert all(result.executed_circuit._instructions is None for result in warm.results)
+    # Every plain and noise-aware reconstruction came from the hammer namespace.
+    assert kernel_calls == []
+    assert len(list((cold.cache_dir / "hammer").glob("*.pkl"))) == 56
     assert warm.report.rows == cold.report.rows
     assert warm.report.summary == cold.report.summary
+    # The counter is live: a direct call reaches it.
+    hammer_module.hammer(warm.results[0].noisy)
+    assert kernel_calls == [warm.results[0].noisy.num_outcomes]

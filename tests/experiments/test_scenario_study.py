@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.calibration import available_scenarios
+from repro.calibration.scenario import Scenario
 from repro.engine import ExecutionEngine
 from repro.exceptions import ExperimentError
 from repro.experiments import ScenarioStudyConfig, run_scenario_study
@@ -57,6 +58,27 @@ class TestScenarioStudy:
         # The second sweep re-used every transpile, ideal and sampled histogram.
         assert engine.last_run_stats.sample_cache_hits == len(first.rows)
         assert engine.last_run_stats.unique_ideals_computed == 0
+
+    def test_repeat_run_reconstructs_nothing_and_builds_no_device(self, monkeypatch):
+        engine = ExecutionEngine()
+        first = run_scenario_study(_small_config(), engine=engine)
+        engine.cache.reset_counters()
+        built = []
+        device = Scenario.device
+
+        def counting(scenario):
+            built.append(scenario.name)
+            return device(scenario)
+
+        monkeypatch.setattr(Scenario, "device", counting)
+        second = run_scenario_study(_small_config(), engine=engine)
+        assert second.rows == first.rows
+        assert second.summary == first.summary
+        # Both reconstructions of every job (plain and noise-aware) are hits,
+        # and every device comes from the scenario memo.
+        stats = engine.cache.stats()
+        assert (stats["hammer_hits"], stats["hammer_misses"]) == (2 * len(first.rows), 0)
+        assert built == []
 
     def test_empty_selection_rejected(self):
         with pytest.raises(ExperimentError):

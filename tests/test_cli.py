@@ -127,6 +127,15 @@ class TestProfileSubcommand:
         assert payload["meta"]["tuning"]["kernel_override"] == "auto"
         assert "engine" in payload["meta"]
 
+    def test_profile_reports_hammer_at_two_jobs(self, capsys):
+        # HAMMER runs in the calling process at any --jobs, so its phase is
+        # booked where the profile collects it.
+        assert main(["profile", "fig8", "--jobs", "2", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        hammer_rows = [row for row in payload["rows"] if row["phase"] == "hammer"]
+        assert len(hammer_rows) == 1
+        assert hammer_rows[0]["seconds"] > 0.0
+
     def test_profile_text_output(self, capsys):
         assert main(["profile", "fig8a"]) == 0
         output = capsys.readouterr().out
