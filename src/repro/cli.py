@@ -17,7 +17,6 @@ Usage::
     python -m repro.cli profile fig8 --repeat 5   # median-of-5 phase timings
     python -m repro.cli profile fig8 --metrics    # + obs counters/gauges/histograms
     python -m repro.cli trace fig8 --trace-out trace.json   # Chrome trace export
-    python -m repro.cli shard-worker --listen 127.0.0.1:7641   # serve shard chunks
     python -m repro.cli shard-broker --listen 127.0.0.1:7640   # lease-broker service
     python -m repro.cli shard-worker --broker 127.0.0.1:7640   # pull worker
 
@@ -41,20 +40,18 @@ with ``meta["obs"]`` metrics.  ``profile --metrics`` runs the phase
 profiler with the metrics registry active and appends the counter / gauge
 / histogram table.
 
-``shard-worker`` turns this process into a multi-node shard host.  With
-``--listen HOST:PORT`` it serves chunk tasks to engines whose
-``REPRO_SHARD_EXECUTOR=socket`` / ``REPRO_SHARD_HOSTS`` point at it; with
-``--broker HOST:PORT`` it instead registers with a ``shard-broker`` and
-*pulls* chunks under heartbeat-renewed leases (see
-:mod:`repro.engine.broker`; README "Scale-out & reduction trees" has both
-quickstarts).  ``--max-requests`` and ``--delay`` make failure scenarios
-reproducible: a worker that dies after N chunks (for ``--broker``, dies
-abruptly *holding* its next lease), or one that is deterministically slow.
-``shard-broker`` runs the lease broker itself.  Both install
-SIGTERM/SIGINT handlers that finish the in-flight chunk and exit 0.  The
-protocol is pickle over TCP: set ``REPRO_SHARD_KEY`` on every peer so
-frames are HMAC-authenticated before unpickling, and even then only run
-workers on networks where every keyed peer is trusted.
+``shard-broker --listen HOST:PORT`` runs the lease broker that multi-node
+runs (``REPRO_SHARD_EXECUTOR=broker``) submit chunks to, and
+``shard-worker --broker HOST:PORT`` turns this process into a pull worker:
+it registers with the broker and *pulls* chunks under heartbeat-renewed
+leases (see :mod:`repro.engine.broker`; README "Scale-out & reduction
+trees" has the quickstart).  ``--max-requests`` and ``--delay`` make
+failure scenarios reproducible: a worker that computes N chunks, then dies
+abruptly *holding* its next lease, or one that is deterministically slow.
+Both install SIGTERM/SIGINT handlers that finish the in-flight chunk and
+exit 0.  The protocol is pickle over TCP: set ``REPRO_SHARD_KEY`` on every
+peer so frames are HMAC-authenticated before unpickling, and even then
+only run workers on networks where every keyed peer is trusted.
 
 Kernel plan, shard layout, shard executor and backend follow fixed rules
 unless overridden: ``REPRO_HAMMER_KERNEL``, ``REPRO_SAMPLE_SHARD_SHOTS`` and
@@ -319,20 +316,19 @@ def build_parser() -> argparse.ArgumentParser:
                         help="trace only: where to write the Chrome trace-event JSON "
                              "(default trace.json)")
     parser.add_argument("--listen", type=str, default=None, metavar="HOST:PORT",
-                        help="shard-worker / shard-broker: address to serve on "
+                        help="shard-broker only: address to serve on "
                              "(port 0 binds an ephemeral port, printed on startup)")
     parser.add_argument("--broker", type=str, default=None, metavar="HOST:PORT",
-                        help="shard-worker only: register with this shard-broker and "
-                             "pull chunks under heartbeat-renewed leases instead of "
-                             "listening for a socket executor")
+                        help="shard-worker only (required): register with this "
+                             "shard-broker and pull chunks under heartbeat-renewed leases")
     parser.add_argument("--max-requests", type=_positive_int, default=None, metavar="N",
                         dest="max_requests",
-                        help="shard-worker only: exit after serving N chunk requests "
-                             "(with --broker: die abruptly holding the next lease — "
-                             "deterministic mid-run worker failure, for testing)")
+                        help="shard-worker only: compute N chunks, then die abruptly "
+                             "holding the next lease (deterministic mid-run worker "
+                             "failure, for testing)")
     parser.add_argument("--delay", type=float, default=0.0, metavar="SECONDS",
-                        help="shard-worker only: sleep before answering each chunk "
-                             "request (deterministic slow host, for testing)")
+                        help="shard-worker only: sleep before computing each chunk "
+                             "(deterministic slow worker, for testing)")
     parser.add_argument("--format", choices=("text", "json"), default="text", dest="format",
                         help="output format: human-readable table or JSON artifact")
     parser.add_argument("--out", type=str, default=None, metavar="PATH",
@@ -577,49 +573,24 @@ def _install_signal_handlers(callback) -> bool:
 
 
 def shard_worker_serve(args: argparse.Namespace) -> int:
-    """Serve shard chunk tasks until interrupted (``shard-worker`` subcommand).
+    """Pull shard chunks from a broker until interrupted (``shard-worker``).
 
-    ``--listen`` mode prints ``shard-worker listening on HOST:PORT`` (the
-    *bound* address, so ``--listen 127.0.0.1:0`` reports the ephemeral port
-    a client should put in ``REPRO_SHARD_HOSTS``) and blocks in the accept
-    loop.  ``--broker`` mode registers with a shard-broker and pulls chunks
-    under heartbeat-renewed leases.  Both exit 0 on SIGTERM/SIGINT after
-    finishing the in-flight chunk.
+    Registers with the ``--broker`` shard-broker, prints ``shard-worker
+    pulling from broker HOST:PORT`` and pulls chunks under
+    heartbeat-renewed leases.  Exits 0 on SIGTERM/SIGINT after finishing
+    the in-flight chunk.
     """
-    if getattr(args, "broker", None) is not None:
-        from repro.engine.broker import BrokerWorker
+    from repro.engine.broker import BrokerWorker
 
-        worker = BrokerWorker(
-            args.broker,
-            max_chunks=getattr(args, "max_requests", None),
-            delay=getattr(args, "delay", 0.0) or 0.0,
-        )
-        _install_signal_handlers(worker.request_stop)
-        print(f"shard-worker pulling from broker {args.broker}", flush=True)
-        worker.run_forever()
-        print(f"shard-worker stopped after {worker.chunks_done} chunks", flush=True)
-        return 0
-
-    from repro.engine.transport import ShardWorker, parse_hostport
-
-    host, port = parse_hostport(args.listen)
-    worker = ShardWorker(
-        host=host,
-        port=port,
-        max_requests=getattr(args, "max_requests", None),
+    worker = BrokerWorker(
+        args.broker,
+        max_chunks=getattr(args, "max_requests", None),
         delay=getattr(args, "delay", 0.0) or 0.0,
     )
-    # The handler drains in place: stop accepting, finish the in-flight
-    # chunk, sever.  serve_forever then falls out of its accept loop.
-    _install_signal_handlers(worker.drain)
-    print(f"shard-worker listening on {worker.address}", flush=True)
-    try:
-        worker.serve_forever()
-    except KeyboardInterrupt:
-        worker.drain()
-    finally:
-        worker.stop()
-    print(f"shard-worker stopped after {worker.requests_served} requests", flush=True)
+    _install_signal_handlers(worker.request_stop)
+    print(f"shard-worker pulling from broker {args.broker}", flush=True)
+    worker.run_forever()
+    print(f"shard-worker stopped after {worker.chunks_done} chunks", flush=True)
     return 0
 
 
@@ -688,21 +659,17 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--metrics only applies to the 'profile' subcommand")
     if args.trace_out is not None and args.experiment != "trace":
         parser.error("--trace-out only applies to the 'trace' subcommand")
-    if args.experiment == "shard-worker" and (args.listen is None) == (args.broker is None):
+    if args.experiment == "shard-worker" and (args.broker is None or args.listen is not None):
         parser.error(
-            "shard-worker requires exactly one of --listen HOST:PORT (serve a "
-            "socket executor; port 0 binds an ephemeral port) or "
-            "--broker HOST:PORT (pull chunks from a shard-broker)"
+            "shard-worker requires --broker HOST:PORT (the shard-broker to pull "
+            "chunks from); --listen belongs to shard-broker"
         )
     if args.experiment == "shard-broker" and args.listen is None:
         parser.error(
             "shard-broker requires --listen HOST:PORT (port 0 binds an ephemeral port)"
         )
-    if args.experiment not in ("shard-worker", "shard-broker"):
-        if args.listen is not None:
-            parser.error(
-                "--listen only applies to the 'shard-worker' and 'shard-broker' subcommands"
-            )
+    if args.listen is not None and args.experiment != "shard-broker":
+        parser.error("--listen only applies to the 'shard-broker' subcommand")
     if args.experiment != "shard-worker":
         if args.broker is not None:
             parser.error("--broker only applies to the 'shard-worker' subcommand")
@@ -727,14 +694,14 @@ def main(argv: list[str] | None = None) -> int:
         )
         rows.append(
             {
-                "id": "shard-worker --listen HOST:PORT",
-                "description": "Serve shard chunk tasks to socket-executor engines (multi-node)",
+                "id": "shard-broker --listen HOST:PORT",
+                "description": "Lease broker: shard-worker --broker peers pull chunks from it",
             }
         )
         rows.append(
             {
-                "id": "shard-broker --listen HOST:PORT",
-                "description": "Lease broker: shard-worker --broker peers pull chunks from it",
+                "id": "shard-worker --broker HOST:PORT",
+                "description": "Pull worker: computes chunks leased from a shard-broker",
             }
         )
         print(format_table(rows))

@@ -12,8 +12,6 @@ from repro.engine.broker import BrokerExecutor, BrokerWorker, ShardBroker
 from repro.engine.cache import ExecutionCache
 from repro.engine.engine import EngineRunStats, ExecutionEngine
 from repro.engine.executors import (
-    HostShardExecutor,
-    LoopbackHostExecutor,
     ProcessPoolShardExecutor,
     SerialShardExecutor,
     ShardExecutor,
@@ -30,11 +28,7 @@ from repro.engine.hashing import (
 )
 from repro.engine.jobs import CircuitJob, JobResult
 from repro.engine.reduction import ReductionStats, ReductionTree, tree_merge_segments
-from repro.engine.transport import (
-    FaultInjectingExecutor,
-    ShardWorker,
-    SocketHostExecutor,
-)
+from repro.engine.transport import FaultInjectingExecutor
 
 __all__ = [
     "CircuitJob",
@@ -45,11 +39,7 @@ __all__ = [
     "ShardExecutor",
     "SerialShardExecutor",
     "ProcessPoolShardExecutor",
-    "HostShardExecutor",
-    "LoopbackHostExecutor",
-    "SocketHostExecutor",
     "FaultInjectingExecutor",
-    "ShardWorker",
     "ShardBroker",
     "BrokerWorker",
     "BrokerExecutor",

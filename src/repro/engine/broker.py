@@ -1,9 +1,9 @@
-"""Broker-based shard transport: pull workers, leases, heartbeats.
+"""The multi-node shard transport: a lease broker, pull workers, heartbeats.
 
-The socket executor (:mod:`repro.engine.transport`) dials a static
-``REPRO_SHARD_HOSTS`` list: the driver must know every worker up front, a
-wedged-but-connected host is only caught by its socket timeout, and adding
-capacity mid-run is impossible.  This module inverts the topology:
+No run dials a worker.  One broker owns the chunk queue and workers
+*pull* from it, so a run needs no worker addresses, workers may join late
+or leave early, and a wedged-but-connected worker is caught by its lease,
+not by a socket timeout:
 
 :class:`ShardBroker`
     A TCP service (``repro shard-broker --listen HOST:PORT``) that owns
@@ -45,17 +45,20 @@ All frames ride the authenticated wire protocol of
 each frame's HMAC-SHA256 digests are verified before unpickling; without
 it (localhost testing) frames travel unauthenticated.
 
-Environment wiring::
+Environment wiring (every timing must be a finite number of seconds)::
 
     REPRO_SHARD_BROKER         connect the executor to a running broker
     REPRO_SHARD_BROKER_LISTEN  embed a broker in the driver at this address
     REPRO_SHARD_HEARTBEAT      lease heartbeat interval, seconds (default 2)
     REPRO_SHARD_JOIN_DEADLINE  max wait for the first worker (default 10)
+    REPRO_SHARD_TIMEOUT        executor's recv timeout, seconds (default 60)
+    REPRO_SHARD_FAULTS         wrap the executor in a fault injector (testing)
     REPRO_SHARD_KEY            shared HMAC secret (unset = unauthenticated)
 """
 
 from __future__ import annotations
 
+import math
 import os
 import queue as _queue
 import socket
@@ -72,7 +75,6 @@ from repro.engine.executors import (
 )
 from repro.engine.transport import (
     _KEY_FROM_ENV,
-    _env_float,
     parse_hostport,
     recv_message,
     resolve_shard_key,
@@ -98,15 +100,18 @@ __all__ = [
     "ENV_SHARD_BROKER_LISTEN",
     "ENV_SHARD_HEARTBEAT",
     "ENV_SHARD_JOIN_DEADLINE",
+    "ENV_SHARD_TIMEOUT",
 ]
 
 ENV_SHARD_BROKER = "REPRO_SHARD_BROKER"
 ENV_SHARD_BROKER_LISTEN = "REPRO_SHARD_BROKER_LISTEN"
 ENV_SHARD_HEARTBEAT = "REPRO_SHARD_HEARTBEAT"
 ENV_SHARD_JOIN_DEADLINE = "REPRO_SHARD_JOIN_DEADLINE"
+ENV_SHARD_TIMEOUT = "REPRO_SHARD_TIMEOUT"
 
 DEFAULT_HEARTBEAT_SECONDS = 2.0
 DEFAULT_JOIN_DEADLINE_SECONDS = 10.0
+DEFAULT_TIMEOUT_SECONDS = 60.0
 
 #: A lease survives this many missed heartbeats before its chunk re-issues.
 LEASE_TTL_HEARTBEATS = 3
@@ -114,11 +119,31 @@ LEASE_TTL_HEARTBEATS = 3
 _logger = get_logger("repro.engine.broker")
 
 
-def _heartbeat_from_env() -> float:
-    interval = _env_float(ENV_SHARD_HEARTBEAT, DEFAULT_HEARTBEAT_SECONDS)
-    if interval <= 0:
-        raise EngineError(f"{ENV_SHARD_HEARTBEAT} must be > 0, got {interval}")
-    return interval
+def _seconds(name: str, value: float, allow_zero: bool = False) -> float:
+    """``value`` as seconds: finite and > 0 (>= 0 with ``allow_zero``).
+
+    NaN and infinity are rejected, not just non-positive values: a NaN
+    join deadline never passes (``monotonic() >= nan`` is always false), a
+    NaN lease never holds (so every chunk re-issues at every scan), and an
+    infinite timing never ends.
+    """
+    value = float(value)
+    if not math.isfinite(value) or value < 0 or (value == 0 and not allow_zero):
+        bound = ">= 0" if allow_zero else "> 0"
+        raise EngineError(f"{name} must be a finite number {bound}, got {value}")
+    return value
+
+
+def _env_seconds(name: str, default: float, allow_zero: bool = False) -> float:
+    """Environment variable ``name`` checked by :func:`_seconds` (``default`` when unset)."""
+    raw = os.environ.get(name, "").strip()
+    if not raw:
+        return default
+    try:
+        value = float(raw)
+    except ValueError as error:
+        raise EngineError(f"{name} must be a number, got {raw!r}") from error
+    return _seconds(name, value, allow_zero)
 
 
 class _Batch:
@@ -165,9 +190,11 @@ class ShardBroker:
         heartbeat: float | None = None,
         auth_key: "bytes | None" = _KEY_FROM_ENV,  # type: ignore[assignment]
     ) -> None:
-        self.heartbeat = _heartbeat_from_env() if heartbeat is None else float(heartbeat)
-        if self.heartbeat <= 0:
-            raise EngineError(f"heartbeat must be > 0, got {self.heartbeat}")
+        self.heartbeat = (
+            _env_seconds(ENV_SHARD_HEARTBEAT, DEFAULT_HEARTBEAT_SECONDS)
+            if heartbeat is None
+            else _seconds("heartbeat", heartbeat)
+        )
         self.lease_ttl = LEASE_TTL_HEARTBEATS * self.heartbeat
         # How long an idle worker's ``next`` waits for a chunk: one round
         # trip per hold while idle, floored so a tiny test heartbeat does not
@@ -589,15 +616,13 @@ class BrokerWorker:
         self.broker_host, self.broker_port = parse_hostport(broker)
         if max_chunks is not None and max_chunks < 1:
             raise EngineError(f"max_chunks must be >= 1, got {max_chunks}")
-        if delay < 0:
-            raise EngineError(f"delay must be >= 0, got {delay}")
-        self._heartbeat_override = heartbeat
+        self._heartbeat_override = None if heartbeat is None else _seconds("heartbeat", heartbeat)
         self._max_chunks = max_chunks
-        self._delay = float(delay)
+        self._delay = _seconds("delay", delay, allow_zero=True)
         self._connect_timeout = (
-            _env_float(ENV_SHARD_JOIN_DEADLINE, DEFAULT_JOIN_DEADLINE_SECONDS)
+            _env_seconds(ENV_SHARD_JOIN_DEADLINE, DEFAULT_JOIN_DEADLINE_SECONDS, allow_zero=True)
             if connect_timeout is None
-            else float(connect_timeout)
+            else _seconds("connect_timeout", connect_timeout, allow_zero=True)
         )
         self._auth_key = resolve_shard_key() if auth_key is _KEY_FROM_ENV else auth_key
         self._stop = threading.Event()
@@ -662,7 +687,7 @@ class BrokerWorker:
                 raise TransportError(f"broker rejected registration: {reply!r}")
             interval = (
                 float(reply[2]) if self._heartbeat_override is None
-                else float(self._heartbeat_override)
+                else self._heartbeat_override
             )
             while not self._stop.is_set():
                 self._send(sock, ("next",))
@@ -739,7 +764,7 @@ class BrokerExecutor(ShardExecutor):
         listen: str | None = None,
         fallback: ShardExecutor | None = None,
         join_deadline: float | None = None,
-        timeout: float = 60.0,
+        timeout: float = DEFAULT_TIMEOUT_SECONDS,
         heartbeat: float | None = None,
         auth_key: "bytes | None" = _KEY_FROM_ENV,  # type: ignore[assignment]
     ) -> None:
@@ -748,16 +773,14 @@ class BrokerExecutor(ShardExecutor):
                 "BrokerExecutor needs exactly one of broker=HOST:PORT "
                 "(connect) or listen=HOST:PORT (embed)"
             )
-        if timeout <= 0:
-            raise EngineError(f"timeout must be > 0, got {timeout}")
+        self.timeout = _seconds("timeout", timeout)
         self._auth_key = resolve_shard_key() if auth_key is _KEY_FROM_ENV else auth_key
         self._fallback = fallback if fallback is not None else SerialShardExecutor()
         self._join_deadline = (
-            _env_float(ENV_SHARD_JOIN_DEADLINE, DEFAULT_JOIN_DEADLINE_SECONDS)
+            _env_seconds(ENV_SHARD_JOIN_DEADLINE, DEFAULT_JOIN_DEADLINE_SECONDS, allow_zero=True)
             if join_deadline is None
-            else float(join_deadline)
+            else _seconds("join_deadline", join_deadline, allow_zero=True)
         )
-        self.timeout = float(timeout)
         self._broker: ShardBroker | None = None
         if listen is not None:
             host, port = parse_hostport(listen)
@@ -937,5 +960,5 @@ def broker_executor_from_env(pool=None) -> BrokerExecutor:
         broker=broker or None,
         listen=listen or None,
         fallback=fallback,
-        timeout=_env_float("REPRO_SHARD_TIMEOUT", 60.0),
+        timeout=_env_seconds(ENV_SHARD_TIMEOUT, DEFAULT_TIMEOUT_SECONDS),
     )

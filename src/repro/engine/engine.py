@@ -137,8 +137,8 @@ def _merge_numeric(into: dict, other: dict) -> dict:
     """Deep-merge ``other`` into a copy of ``into``: numbers add, dicts recurse.
 
     Used to fold per-batch transport provenance into lifetime totals —
-    chunk/retry/re-placement counts add across batches while identifying
-    values (executor name, host list, seed) are simply carried forward.
+    chunk/lease/fault counts add across batches while identifying values
+    (executor name, broker address, seed) are simply carried forward.
     Booleans are identity, not addends.
     """
     merged = dict(into)
@@ -192,8 +192,8 @@ class EngineRunStats:
     #: before touching the tree or the obs counters.
     duplicate_chunks_dropped: int = 0
     #: Transport provenance from the shard executor's :meth:`provenance`
-    #: (per-host chunk counts, retries, re-placements, injected faults);
-    #: empty for purely local executors.
+    #: (broker chunk and lease counts, injected faults); empty for purely
+    #: local executors.
     transport: dict = field(default_factory=dict)
     prepare_seconds: float = 0.0
     sample_seconds: float = 0.0
@@ -406,7 +406,7 @@ class ExecutionEngine:
         Which :class:`~repro.engine.executors.ShardExecutor` runs sharded
         chunk tasks: ``"auto"`` (default — serial in-process at
         ``max_workers=1``, the engine's process pool otherwise),
-        ``"serial"``, ``"process-pool"``, ``"loopback"``, or a
+        ``"serial"``, ``"process-pool"``, ``"broker"``, or a
         ready-built executor instance.  ``None`` reads
         ``REPRO_SHARD_EXECUTOR`` and falls back to ``"auto"``.  The choice
         never affects results — the reduction tree merges identically for

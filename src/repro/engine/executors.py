@@ -22,26 +22,16 @@ Implementations today:
 * :class:`ProcessPoolShardExecutor` — fans chunks out over a
   ``ProcessPoolExecutor`` and yields via ``as_completed``, so the first
   finished chunk starts merging while later chunks are still sampling.
-* :class:`HostShardExecutor` — the host-addressable base for multi-node
-  execution: a subclass implements :meth:`run_on_host` (ship one task to
-  one named host, return its result) and inherits the round-robin
-  placement + result streaming.  :class:`LoopbackHostExecutor` is the
-  in-process reference implementation — every "host" is this process —
-  used to pin the protocol down (and, deliberately, to yield results
-  host-major, i.e. *out* of submission order, so tests exercise the
-  order-independence the reduction tree guarantees).
-  :class:`~repro.engine.transport.SocketHostExecutor` is the real one:
-  chunks ship to ``repro shard-worker`` processes over TCP, with retries
-  and lost-chunk re-placement.
+* :class:`~repro.engine.broker.BrokerExecutor` — multi-node: chunks go to
+  a lease broker that ``repro shard-worker --broker`` processes pull from,
+  with heartbeat-renewed leases and re-issue of a lost worker's chunks.
 
 Selection: the engine picks serial/process-pool automatically from its
 worker count; ``REPRO_SHARD_EXECUTOR`` (or the ``shard_executor``
 constructor argument) overrides with ``serial`` / ``process-pool`` /
-``loopback`` / ``socket`` (reads its host list from
-``REPRO_SHARD_HOSTS``) / ``broker`` (pull workers with leases via
-:mod:`repro.engine.broker`).  When ``REPRO_SHARD_FAULTS`` is set, any
-name-resolved executor is wrapped in a deterministic
-:class:`~repro.engine.transport.FaultInjectingExecutor`.
+``broker`` (pull workers with leases via :mod:`repro.engine.broker`).
+When ``REPRO_SHARD_FAULTS`` is set, any name-resolved executor is wrapped
+in a deterministic :class:`~repro.engine.transport.FaultInjectingExecutor`.
 """
 
 from __future__ import annotations
@@ -58,8 +48,6 @@ __all__ = [
     "ShardExecutor",
     "SerialShardExecutor",
     "ProcessPoolShardExecutor",
-    "HostShardExecutor",
-    "LoopbackHostExecutor",
     "resolve_shard_executor",
     "SHARD_EXECUTOR_NAMES",
     "ENV_SHARD_EXECUTOR",
@@ -68,9 +56,8 @@ __all__ = [
 ENV_SHARD_EXECUTOR = "REPRO_SHARD_EXECUTOR"
 
 #: Names accepted by the engine's executor selection (``auto`` = pick from
-#: the worker count; ``socket`` = multi-node over ``REPRO_SHARD_HOSTS``;
-#: ``broker`` = pull workers via a ``REPRO_SHARD_BROKER`` lease broker).
-SHARD_EXECUTOR_NAMES = ("auto", "serial", "process-pool", "loopback", "socket", "broker")
+#: the worker count; ``broker`` = pull workers via a lease broker).
+SHARD_EXECUTOR_NAMES = ("auto", "serial", "process-pool", "broker")
 
 #: Unique end-of-tasks marker: ``next(queue, _NO_MORE_TASKS)`` must never
 #: collide with a legitimate task value, so a ``None`` (or otherwise falsy)
@@ -105,8 +92,8 @@ class ShardExecutor(ABC):
     def provenance(self) -> dict:
         """Transport accounting for the last :meth:`run` (empty by default).
 
-        Executors that move chunks across real boundaries (sockets, fault
-        injection) report per-host chunk counts, retries and re-placements
+        Executors that move chunks across real boundaries (the broker, fault
+        injection) report chunk and lease counts and injected faults
         here; the engine folds the dict into
         ``report.meta["planner"]["transport"]``.
         """
@@ -184,75 +171,6 @@ class ProcessPoolShardExecutor(ShardExecutor):
                 wait(pending)
 
 
-class HostShardExecutor(ShardExecutor):
-    """Interface stub for executors that place chunks on named hosts.
-
-    Tomorrow's multi-node executor implements :meth:`run_on_host` — ship
-    one picklable task to ``host``, block until its result returns — and
-    gets placement for free: tasks are dealt round-robin across
-    ``self.hosts`` (fixed, index-keyed, so placement is deterministic even
-    though result *order* need not be).  The base class makes the protocol
-    constraints concrete enough to test against today:
-
-    * tasks and results cross a serialization boundary,
-    * results stream back per host with no global ordering,
-    * correctness therefore rests entirely on the reduction tree's fixed
-      shape, not on arrival order.
-    """
-
-    name = "host"
-    #: Hosts are a serialization boundary by design; a subclass whose
-    #: "hosts" are really this process (loopback) flips this back.
-    in_process = False
-
-    def __init__(self, hosts: Sequence[str]) -> None:
-        if not hosts:
-            raise EngineError("HostShardExecutor needs at least one host")
-        self.hosts = tuple(str(host) for host in hosts)
-
-    @abstractmethod
-    def run_on_host(self, host: str, fn: Callable, task: Any) -> Any:
-        """Execute one task on one host and return its result."""
-
-    def placement(self, num_tasks: int) -> list[str]:
-        """Deterministic round-robin host for each task index."""
-        return [self.hosts[index % len(self.hosts)] for index in range(num_tasks)]
-
-    def run(self, fn: Callable, tasks: Sequence) -> Iterator[Any]:
-        # Host-major iteration: every host drains its own task list
-        # independently, and this base implementation surfaces them host by
-        # host — deliberately *not* submission order, the worst legal case
-        # a reduction consumer must tolerate.  Tasks are bucketed by
-        # placement in one pass, not rescanned once per host.
-        tasks = list(tasks)
-        placement = self.placement(len(tasks))
-        by_host: dict[str, list] = {host: [] for host in self.hosts}
-        for task, host in zip(tasks, placement):
-            by_host[host].append(task)
-        for host in self.hosts:
-            for task in by_host[host]:
-                yield self.run_on_host(host, fn, task)
-
-
-class LoopbackHostExecutor(HostShardExecutor):
-    """Every "host" is this process: the reference HostShardExecutor.
-
-    Exists to keep the host protocol honest — tests route real sharded
-    engine runs through it and assert bit-identity with the serial and
-    process-pool executors despite its host-major (out-of-submission)
-    result order.
-    """
-
-    name = "loopback"
-    in_process = True
-
-    def __init__(self, hosts: Sequence[str] = ("loop-0", "loop-1")) -> None:
-        super().__init__(hosts)
-
-    def run_on_host(self, host: str, fn: Callable, task: Any) -> Any:
-        return fn(task)
-
-
 def resolve_shard_executor(
     name: str,
     pool: ProcessPoolExecutor | None,
@@ -261,11 +179,11 @@ def resolve_shard_executor(
 
     ``process-pool`` without a pool (``max_workers=1``) is a configuration
     error rather than a silent serial fallback — an explicit selection must
-    not quietly mean something else.  ``socket`` reads its host list (and
-    timeout/retry knobs) from the environment; see
-    :mod:`repro.engine.transport`.  When ``REPRO_SHARD_FAULTS`` is set the
-    resolved executor is wrapped in a deterministic fault injector (explicit
-    executor *instances* passed to the engine are never wrapped).
+    not quietly mean something else.  ``broker`` reads its address and
+    timings from the environment; see :mod:`repro.engine.broker`.  When
+    ``REPRO_SHARD_FAULTS`` is set the resolved executor is wrapped in a
+    deterministic fault injector (explicit executor *instances* passed to
+    the engine are never wrapped).
     """
     if name == "auto":
         executor: ShardExecutor = (
@@ -279,12 +197,6 @@ def resolve_shard_executor(
                 "shard executor 'process-pool' requires max_workers > 1"
             )
         executor = ProcessPoolShardExecutor(pool)
-    elif name == "loopback":
-        executor = LoopbackHostExecutor()
-    elif name == "socket":
-        from repro.engine.transport import socket_executor_from_env
-
-        executor = socket_executor_from_env()
     elif name == "broker":
         from repro.engine.broker import broker_executor_from_env
 

@@ -171,8 +171,8 @@ class ReductionTree:
     def arrived(self, index: int) -> bool:
         """Whether leaf ``index`` has already been added.
 
-        Lets a consumer fed by an at-least-once transport (retries,
-        re-placement, injected duplicates) drop a late second delivery
+        Lets a consumer fed by an at-least-once transport (lease re-issues,
+        injected duplicates) drop a late second delivery
         instead of tripping :meth:`add`'s duplicate guard — the guard stays
         the hard backstop; this is the polite check in front of it.
         """

@@ -1,42 +1,20 @@
-"""Multi-node shard execution over TCP sockets, with testable failure modes.
-
-PR 7 pinned the multi-node protocol down with :class:`LoopbackHostExecutor`
-— named "hosts", host-major streaming, correctness resting entirely on the
-reduction tree's fixed shape.  This module makes the hosts real:
+"""The shard wire protocol and deterministic fault injection.
 
 :func:`send_message` / :func:`recv_message`
-    The wire protocol: an 8-byte big-endian length prefix followed by a
-    pickle of the payload.  Frames above :data:`MAX_MESSAGE_BYTES` (or a
-    connection closing mid-frame) raise
-    :class:`~repro.exceptions.TransportError` instead of feeding garbage to
-    the unpickler.  When a ``key`` is given (``REPRO_SHARD_KEY``, resolved
-    by :func:`resolve_shard_key`), every frame additionally carries two
-    HMAC-SHA256 digests — one over the length header (verified before the
-    length is trusted), one over header + payload (verified before the
-    payload is unpickled) — and any mismatch raises
-    :class:`~repro.exceptions.AuthenticationError` **before** the
+    The wire protocol of the lease broker (:mod:`repro.engine.broker`): an
+    8-byte big-endian length prefix followed by a pickle of the payload.
+    Frames above :data:`MAX_MESSAGE_BYTES` (or a connection closing
+    mid-frame) raise :class:`~repro.exceptions.TransportError` instead of
+    feeding garbage to the unpickler.  When a ``key`` is given
+    (``REPRO_SHARD_KEY``, resolved by :func:`resolve_shard_key`), every
+    frame additionally carries two HMAC-SHA256 digests — one over the
+    length header (verified before the length is trusted), one over header
+    + payload (verified before the payload is unpickled) — and any mismatch
+    raises :class:`~repro.exceptions.AuthenticationError` **before** the
     unpickler ever sees a byte.  **Trust boundary:** pickle executes code
     on load, so HMAC framing authenticates *who sent* a frame but does not
     make hostile payloads safe; leaving ``REPRO_SHARD_KEY`` unset is a
     deliberate opt-out for localhost testing only.
-
-:class:`ShardWorker`
-    The server side of ``repro shard-worker --listen HOST:PORT``: accepts
-    connections, answers ``ping`` / ``run`` / ``shutdown`` requests, and
-    executes each ``run`` request's module-level callable on its task.
-    ``max_requests`` and ``delay`` exist for failure testing: a worker that
-    dies mid-run (budget exhausted) or responds slowly, deterministically.
-
-:class:`SocketHostExecutor`
-    The client side: a :class:`~repro.engine.executors.HostShardExecutor`
-    whose hosts are ``host:port`` worker addresses.  One thread per host
-    drains that host's round-robin task share over a persistent connection;
-    failed sends retry with exponential backoff, and a host that stays
-    unreachable is declared dead — its unfinished chunks re-place onto the
-    next surviving host.  Results stream back in whatever order hosts
-    produce them; the engine's reduction tree (keyed by chunk index, with a
-    duplicate guard) makes any placement, order, or retry bit-identical to
-    a serial run.
 
 :class:`FaultInjectingExecutor`
     Deterministic, seed-driven fault wrapper around any executor: a
@@ -48,17 +26,12 @@ reduction tree's fixed shape.  This module makes the hosts real:
     every chunk — which is exactly what tests and the CI smoke assert,
     without needing real flaky hosts.
 
-Environment wiring (consumed by
-:func:`repro.engine.executors.resolve_shard_executor`):
+Environment wiring:
 
-``REPRO_SHARD_HOSTS``
-    Comma-separated ``host:port`` worker addresses for ``socket``.
-``REPRO_SHARD_TIMEOUT`` / ``REPRO_SHARD_RETRIES``
-    Per-request socket timeout in seconds (default 30) and retry budget
-    per host (default 3).
 ``REPRO_SHARD_FAULTS``
     Fault spec, e.g. ``drop=0.2,duplicate=0.1,seed=7`` — wraps whichever
-    executor was resolved by name.
+    executor :func:`repro.engine.executors.resolve_shard_executor` resolved
+    by name.
 ``REPRO_SHARD_KEY``
     Shared HMAC secret; when set (on *both* ends), every frame is
     authenticated before unpickling.  Unset = localhost-testing opt-out.
@@ -70,24 +43,15 @@ import hashlib
 import hmac
 import os
 import pickle
-import queue as _queue
 import socket
 import struct
-import threading
-import time
 from collections.abc import Callable, Iterator, Sequence
 from typing import Any
 
 import numpy as np
 
-from repro.engine.executors import HostShardExecutor, ShardExecutor
-from repro.exceptions import (
-    AuthenticationError,
-    EngineError,
-    HostUnavailableError,
-    TransportError,
-)
-from repro.obs.logs import get_logger
+from repro.engine.executors import ShardExecutor
+from repro.exceptions import AuthenticationError, EngineError, TransportError
 from repro.obs.metrics import counter_add
 
 __all__ = [
@@ -97,24 +61,15 @@ __all__ = [
     "frame_bytes",
     "resolve_shard_key",
     "parse_hostport",
-    "ShardWorker",
-    "SocketHostExecutor",
     "FaultInjectingExecutor",
     "FAULT_KINDS",
     "parse_fault_spec",
-    "socket_executor_from_env",
     "wrap_faults_from_env",
-    "ENV_SHARD_HOSTS",
     "ENV_SHARD_FAULTS",
-    "ENV_SHARD_TIMEOUT",
-    "ENV_SHARD_RETRIES",
     "ENV_SHARD_KEY",
 ]
 
-ENV_SHARD_HOSTS = "REPRO_SHARD_HOSTS"
 ENV_SHARD_FAULTS = "REPRO_SHARD_FAULTS"
-ENV_SHARD_TIMEOUT = "REPRO_SHARD_TIMEOUT"
-ENV_SHARD_RETRIES = "REPRO_SHARD_RETRIES"
 ENV_SHARD_KEY = "REPRO_SHARD_KEY"
 
 #: Sentinel distinguishing "no key given, read the environment" from an
@@ -126,8 +81,6 @@ _KEY_FROM_ENV = object()
 MAX_MESSAGE_BYTES = 1 << 30
 
 _HEADER = struct.Struct("!Q")
-
-_logger = get_logger("repro.engine.transport")
 
 
 # ---------------------------------------------------------------------------
@@ -251,476 +204,6 @@ def parse_hostport(value: str) -> tuple[str, int]:
     if not 0 <= port <= 65535:
         raise EngineError(f"shard host port out of range in {value!r}")
     return host, port
-
-
-# ---------------------------------------------------------------------------
-# Worker server (``repro shard-worker``)
-# ---------------------------------------------------------------------------
-class ShardWorker:
-    """Serves chunk tasks to :class:`SocketHostExecutor` clients.
-
-    Parameters
-    ----------
-    host, port:
-        Listen address; ``port=0`` binds an ephemeral port (read it back
-        from :attr:`address` — the CLI prints it on startup).
-    max_requests:
-        Stop the whole worker after serving this many ``run`` requests —
-        a deterministic mid-run host failure for tests and the CI smoke.
-    delay:
-        Sleep this many seconds before executing each ``run`` request — a
-        deterministic slow host.
-    auth_key:
-        HMAC secret for frame authentication; defaults to
-        ``REPRO_SHARD_KEY`` from the environment (``None`` when unset —
-        the localhost opt-out).  A client frame that fails verification is
-        logged, counted, and its connection dropped — the worker never
-        unpickles it.
-    """
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        max_requests: int | None = None,
-        delay: float = 0.0,
-        auth_key: "bytes | None" = _KEY_FROM_ENV,  # type: ignore[assignment]
-    ) -> None:
-        if max_requests is not None and max_requests < 1:
-            raise EngineError(f"max_requests must be >= 1, got {max_requests}")
-        if delay < 0:
-            raise EngineError(f"delay must be >= 0, got {delay}")
-        self._server = socket.create_server((host, port))
-        self.host, self.port = self._server.getsockname()[:2]
-        self._max_requests = max_requests
-        self._delay = float(delay)
-        self._auth_key = resolve_shard_key() if auth_key is _KEY_FROM_ENV else auth_key
-        self._served = 0
-        self._active_runs = 0
-        self._lock = threading.Lock()
-        self._closed = threading.Event()
-        self._connections: set[socket.socket] = set()
-        self._accept_thread: threading.Thread | None = None
-
-    @property
-    def address(self) -> str:
-        """The bound ``host:port`` (resolves ``port=0`` to the real port)."""
-        return f"{self.host}:{self.port}"
-
-    @property
-    def requests_served(self) -> int:
-        """``run`` requests executed so far."""
-        return self._served
-
-    # ------------------------------------------------------------------
-    def start(self) -> "ShardWorker":
-        """Serve in a background thread (tests); returns ``self``."""
-        self._accept_thread = threading.Thread(target=self.serve_forever, daemon=True)
-        self._accept_thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Accept and serve connections until :meth:`stop` (CLI foreground)."""
-        while not self._closed.is_set():
-            try:
-                conn, _ = self._server.accept()
-            except OSError:
-                break
-            thread = threading.Thread(target=self._serve_connection, args=(conn,), daemon=True)
-            thread.start()
-
-    def drain(self, timeout: float = 30.0) -> None:
-        """Graceful shutdown: stop accepting, finish in-flight work, stop.
-
-        This is the SIGTERM/SIGINT path of ``repro shard-worker``: the
-        listening socket closes immediately (so no new chunk arrives), any
-        ``run`` request already executing completes and its reply is sent,
-        then every connection is severed.  :meth:`stop` by contrast is the
-        simulated-crash path — it severs mid-flight.
-        """
-        try:
-            self._server.close()
-        except OSError:
-            pass
-        deadline = time.monotonic() + max(0.0, timeout)
-        while time.monotonic() < deadline:
-            with self._lock:
-                if self._active_runs == 0:
-                    break
-            time.sleep(0.01)
-        self.stop()
-
-    def stop(self) -> None:
-        """Stop accepting and sever every open connection (idempotent).
-
-        In-flight clients observe a closed connection — exactly what a
-        crashed host looks like — which is what drives their retry and
-        re-placement paths in tests.
-        """
-        if self._closed.is_set():
-            return
-        self._closed.set()
-        try:
-            self._server.close()
-        except OSError:
-            pass
-        with self._lock:
-            connections = list(self._connections)
-            self._connections.clear()
-        for conn in connections:
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    # ------------------------------------------------------------------
-    def _budget_exhausted(self) -> bool:
-        """Consume one request from the budget; True when already spent."""
-        with self._lock:
-            if self._max_requests is not None and self._served >= self._max_requests:
-                return True
-            self._served += 1
-            return False
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        with self._lock:
-            self._connections.add(conn)
-        try:
-            while not self._closed.is_set():
-                try:
-                    message = recv_message(conn, self._auth_key)
-                except AuthenticationError as error:
-                    # Verified-before-unpickle: the hostile/tampered frame
-                    # never reached the unpickler.  Drop the peer.
-                    _logger.warning(
-                        "auth-failure",
-                        f"rejected unauthenticated frame: {error}",
-                        address=self.address,
-                    )
-                    return
-                except (TransportError, OSError):
-                    return
-                op = message[0]
-                if op == "ping":
-                    send_message(conn, ("pong", os.getpid()), self._auth_key)
-                elif op == "shutdown":
-                    send_message(conn, ("ok", None), self._auth_key)
-                    self.stop()
-                    return
-                elif op == "run":
-                    if self._budget_exhausted():
-                        # Simulated crash: die without replying, taking every
-                        # connection (and the listener) down with us.
-                        self.stop()
-                        return
-                    _, fn, task = message
-                    if self._delay:
-                        time.sleep(self._delay)
-                    with self._lock:
-                        self._active_runs += 1
-                    try:
-                        result = fn(task)
-                    except Exception as error:  # noqa: BLE001 — shipped to the client
-                        send_message(
-                            conn,
-                            ("error", f"{type(error).__name__}: {error}"),
-                            self._auth_key,
-                        )
-                    else:
-                        send_message(conn, ("result", result), self._auth_key)
-                    finally:
-                        with self._lock:
-                            self._active_runs -= 1
-                else:
-                    send_message(conn, ("error", f"unknown op {op!r}"), self._auth_key)
-        except (TransportError, OSError):
-            return
-        finally:
-            with self._lock:
-                self._connections.discard(conn)
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-
-# ---------------------------------------------------------------------------
-# Client executor
-# ---------------------------------------------------------------------------
-#: Host-queue sentinel telling a host thread to exit.
-_STOP = object()
-
-
-class SocketHostExecutor(HostShardExecutor):
-    """Ship chunk tasks to ``repro shard-worker`` processes over TCP.
-
-    Placement is the inherited deterministic round-robin; execution is one
-    thread per host draining that host's queue over a persistent
-    connection, so hosts proceed independently and results stream back in
-    true completion order.  Failure handling:
-
-    * each request retries up to ``max_retries`` times on its host with
-      exponential backoff (reconnecting each attempt);
-    * a host whose retries are exhausted is declared **dead**: its
-      unfinished chunks re-place onto the next surviving host (the
-      engine's reduction tree drops the duplicate if the "lost" delivery
-      actually arrived);
-    * a *task* exception on a worker is deterministic and therefore fatal
-      — it raises :class:`~repro.exceptions.TransportError` without
-      retry or re-placement.
-
-    ``timeout`` bounds every connect/send/recv, so it must exceed the
-    worst-case chunk compute time on a worker.
-    """
-
-    name = "socket"
-    in_process = False
-
-    def __init__(
-        self,
-        hosts: Sequence[str],
-        timeout: float = 30.0,
-        max_retries: int = 3,
-        backoff: float = 0.05,
-        backoff_cap: float = 2.0,
-        auth_key: "bytes | None" = _KEY_FROM_ENV,  # type: ignore[assignment]
-    ) -> None:
-        super().__init__(hosts)
-        for host in self.hosts:
-            parse_hostport(host)  # fail fast on malformed addresses
-        self._auth_key = resolve_shard_key() if auth_key is _KEY_FROM_ENV else auth_key
-        if timeout <= 0:
-            raise EngineError(f"timeout must be > 0, got {timeout}")
-        if max_retries < 0:
-            raise EngineError(f"max_retries must be >= 0, got {max_retries}")
-        if backoff < 0 or backoff_cap < backoff:
-            raise EngineError(
-                f"backoff must satisfy 0 <= backoff <= backoff_cap, "
-                f"got {backoff} / {backoff_cap}"
-            )
-        self.timeout = float(timeout)
-        self.max_retries = int(max_retries)
-        self.backoff = float(backoff)
-        self.backoff_cap = float(backoff_cap)
-        self._connections: dict[str, socket.socket] = {}
-        self._dead: set[str] = set()
-        self._lock = threading.Lock()
-        self._host_stats: dict[str, dict[str, int]] = {
-            host: {"chunks": 0, "retries": 0, "replacements": 0} for host in self.hosts
-        }
-
-    # ------------------------------------------------------------------
-    # Connection management
-    # ------------------------------------------------------------------
-    def _connect(self, host: str) -> socket.socket:
-        name, port = parse_hostport(host)
-        sock = socket.create_connection((name, port), timeout=self.timeout)
-        sock.settimeout(self.timeout)
-        return sock
-
-    def _connection(self, host: str) -> socket.socket:
-        sock = self._connections.get(host)
-        if sock is None:
-            sock = self._connections[host] = self._connect(host)
-        return sock
-
-    def _drop_connection(self, host: str) -> None:
-        sock = self._connections.pop(host, None)
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
-
-    def close(self) -> None:
-        """Close every cached connection (hosts reconnect on next use)."""
-        for host in list(self._connections):
-            self._drop_connection(host)
-
-    # ------------------------------------------------------------------
-    # Protocol
-    # ------------------------------------------------------------------
-    def run_on_host(self, host: str, fn: Callable, task: Any) -> Any:
-        """One task on one host: bounded retries, exponential backoff.
-
-        Raises :class:`~repro.exceptions.HostUnavailableError` once the
-        retry budget is spent without a reply, and plain
-        :class:`~repro.exceptions.TransportError` when the worker reports
-        the task itself raised (deterministic — retrying cannot help).
-        :class:`~repro.exceptions.AuthenticationError` is equally
-        deterministic (a key mismatch never heals) and propagates without
-        retry or re-placement.
-        """
-        last_error: Exception | None = None
-        for attempt in range(self.max_retries + 1):
-            if attempt:
-                with self._lock:
-                    self._host_stats[host]["retries"] += 1
-                counter_add("transport.retries")
-                time.sleep(min(self.backoff * (2 ** (attempt - 1)), self.backoff_cap))
-            try:
-                sock = self._connection(host)
-                send_message(sock, ("run", fn, task), self._auth_key)
-                reply = recv_message(sock, self._auth_key)
-            except AuthenticationError:
-                self._drop_connection(host)
-                raise
-            except (TransportError, OSError) as error:
-                self._drop_connection(host)
-                last_error = error
-                continue
-            if reply[0] == "result":
-                with self._lock:
-                    self._host_stats[host]["chunks"] += 1
-                counter_add("transport.chunks")
-                return reply[1]
-            raise TransportError(f"task failed on shard host {host}: {reply[1]}")
-        raise HostUnavailableError(
-            f"shard host {host} unreachable after {self.max_retries + 1} "
-            f"attempts: {last_error}"
-        )
-
-    def ping(self, host: str) -> int:
-        """Health-check one host; returns the worker's pid.
-
-        The connect itself lives inside the try: a refused/timed-out dial
-        is exactly "did not answer ping" and must surface as
-        :class:`~repro.exceptions.HostUnavailableError`, not a raw
-        ``OSError``.
-        """
-        try:
-            sock = self._connection(host)
-            send_message(sock, ("ping",), self._auth_key)
-            reply = recv_message(sock, self._auth_key)
-        except AuthenticationError:
-            self._drop_connection(host)
-            raise
-        except (TransportError, OSError) as error:
-            self._drop_connection(host)
-            raise HostUnavailableError(f"shard host {host} did not answer ping: {error}")
-        return int(reply[1])
-
-    # ------------------------------------------------------------------
-    # Streaming execution with re-placement
-    # ------------------------------------------------------------------
-    def _replacement_host(self, failed: str) -> str | None:
-        """Next surviving host after ``failed`` in the fixed host order."""
-        start = self.hosts.index(failed) if failed in self.hosts else 0
-        for offset in range(1, len(self.hosts) + 1):
-            candidate = self.hosts[(start + offset) % len(self.hosts)]
-            if candidate not in self._dead:
-                return candidate
-        return None
-
-    def _host_loop(
-        self, host: str, tasks: "_queue.Queue", results: "_queue.Queue", fn: Callable
-    ) -> None:
-        while True:
-            item = tasks.get()
-            if item is _STOP:
-                return
-            index, task = item
-            try:
-                result = self.run_on_host(host, fn, task)
-            except HostUnavailableError as error:
-                with self._lock:
-                    self._dead.add(host)
-                _logger.warning(
-                    "host-lost",
-                    f"shard host {host} unreachable; re-placing its chunks",
-                    host=host,
-                    error=str(error),
-                )
-                results.put(("lost", index, task))
-                # Everything still queued for this host is equally lost.
-                while True:
-                    try:
-                        extra = tasks.get_nowait()
-                    except _queue.Empty:
-                        return
-                    if extra is _STOP:
-                        return
-                    results.put(("lost", extra[0], extra[1]))
-            except Exception as error:  # noqa: BLE001 — surfaced to the consumer
-                results.put(("fatal", error, None))
-                return
-            else:
-                results.put(("ok", index, result))
-
-    def run(self, fn: Callable, tasks: Sequence) -> Iterator[Any]:
-        tasks = list(tasks)
-        if not tasks:
-            return
-        placement = self.placement(len(tasks))
-        alive = [host for host in self.hosts if host not in self._dead]
-        if not alive:
-            raise TransportError("no surviving shard hosts to place chunks on")
-        host_queues: dict[str, _queue.Queue] = {host: _queue.Queue() for host in alive}
-        for index, host in enumerate(placement):
-            if host in self._dead:
-                # Initial placement onto a host already known dead (from a
-                # previous batch) is an immediate re-placement.
-                host = self._replacement_host(host)
-                self._count_replacement(host)
-            host_queues[host].put((index, tasks[index]))
-        results: _queue.Queue = _queue.Queue()
-        threads = {
-            host: threading.Thread(
-                target=self._host_loop, args=(host, host_queues[host], results, fn), daemon=True
-            )
-            for host in alive
-        }
-        for thread in threads.values():
-            thread.start()
-        # A single request blocks for at most (retries+1) x (timeout+backoff);
-        # anything beyond that with no traffic at all is a wedged transport.
-        idle_timeout = (self.max_retries + 1) * (self.timeout + self.backoff_cap) + 5.0
-        delivered = 0
-        try:
-            while delivered < len(tasks):
-                try:
-                    outcome = results.get(timeout=idle_timeout)
-                except _queue.Empty:
-                    raise TransportError(
-                        f"shard transport idle for {idle_timeout:.0f}s with "
-                        f"{len(tasks) - delivered} chunks outstanding"
-                    )
-                kind, first, second = outcome
-                if kind == "ok":
-                    delivered += 1
-                    yield second
-                elif kind == "lost":
-                    target = self._replacement_host(placement[first])
-                    if target is None:
-                        raise TransportError(
-                            f"chunk {first} lost and no shard host survives to re-place it"
-                        )
-                    self._count_replacement(target)
-                    host_queues[target].put((first, second))
-                else:  # ("fatal", error, None): a deterministic task failure
-                    raise first
-        finally:
-            for host_queue in host_queues.values():
-                host_queue.put(_STOP)
-            for thread in threads.values():
-                thread.join(timeout=self.timeout)
-
-    def _count_replacement(self, target: str) -> None:
-        with self._lock:
-            self._host_stats[target]["replacements"] += 1
-        counter_add("transport.replacements")
-
-    # ------------------------------------------------------------------
-    def provenance(self) -> dict:
-        hosts = {host: dict(stats) for host, stats in self._host_stats.items()}
-        return {
-            "executor": self.name,
-            "hosts": hosts,
-            "chunks": sum(stats["chunks"] for stats in hosts.values()),
-            "retries": sum(stats["retries"] for stats in hosts.values()),
-            "replacements": sum(stats["replacements"] for stats in hosts.values()),
-            "dead_hosts": sorted(self._dead),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -894,51 +377,6 @@ def parse_fault_spec(spec: str) -> dict:
         except ValueError as error:
             raise EngineError(f"bad fault spec value in {part!r}") from error
     return kwargs
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError as error:
-        raise EngineError(f"{name} must be a number, got {raw!r}") from error
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError as error:
-        raise EngineError(f"{name} must be an integer, got {raw!r}") from error
-
-
-def socket_executor_from_env() -> SocketHostExecutor:
-    """Build a :class:`SocketHostExecutor` from ``REPRO_SHARD_HOSTS`` et al.
-
-    Every entry is validated with :func:`parse_hostport` eagerly, so a
-    typo'd host list fails at startup naming the bad entry instead of
-    mid-run on first dial.
-    """
-    raw = os.environ.get(ENV_SHARD_HOSTS, "")
-    hosts = [host.strip() for host in raw.split(",") if host.strip()]
-    if not hosts:
-        raise EngineError(
-            f"shard executor 'socket' requires {ENV_SHARD_HOSTS}=host:port[,host:port...]"
-        )
-    for entry in hosts:
-        try:
-            parse_hostport(entry)
-        except EngineError as error:
-            raise EngineError(f"{ENV_SHARD_HOSTS} entry {entry!r} is invalid: {error}") from error
-    return SocketHostExecutor(
-        hosts,
-        timeout=_env_float(ENV_SHARD_TIMEOUT, 30.0),
-        max_retries=_env_int(ENV_SHARD_RETRIES, 3),
-    )
 
 
 def wrap_faults_from_env(executor: ShardExecutor) -> ShardExecutor:

@@ -60,19 +60,20 @@ class MergeError(EngineError):
 
 
 class TransportError(EngineError):
-    """Raised when the socket shard transport fails terminally.
+    """Raised when the broker shard transport fails terminally.
 
     Covers protocol violations (truncated/oversized frames), a remote task
     raising on its worker (re-raised here — deterministic failures are not
-    retried), and exhausting every surviving host.
+    retried), and a broker connection lost or idle past its timeout.
     """
 
 
 class HostUnavailableError(TransportError):
-    """Raised when one shard host stays unreachable after bounded retries.
+    """Raised when a pull worker cannot reach its broker.
 
-    The socket executor catches this internally to re-place the lost chunk
-    on a surviving host; it only escapes when no host survives.
+    :class:`~repro.engine.broker.BrokerWorker` retries the connect with
+    backoff until its connect timeout (``REPRO_SHARD_JOIN_DEADLINE`` by
+    default) runs out, then raises this.
     """
 
 

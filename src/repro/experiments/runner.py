@@ -238,9 +238,8 @@ def attach_engine_meta(report: ExperimentReport, engine, trace=None) -> Experime
             },
         }
         if stats.transport:
-            # Networked and fault-injecting executors only (socket, broker,
-            # fault injector): chunk counts, retries, re-placements, leases
-            # and injected-fault tallies.
+            # The broker and the fault injector only: chunk and lease
+            # counts, worker joins and leaves, and injected-fault tallies.
             report.meta["planner"]["transport"] = stats.transport
     observation = current_observation()
     if observation is not None:

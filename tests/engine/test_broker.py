@@ -21,7 +21,9 @@ from repro.engine import CircuitJob, ExecutionEngine
 from repro.engine.broker import (
     ENV_SHARD_BROKER,
     ENV_SHARD_BROKER_LISTEN,
+    ENV_SHARD_HEARTBEAT,
     ENV_SHARD_JOIN_DEADLINE,
+    ENV_SHARD_TIMEOUT,
     BrokerExecutor,
     BrokerWorker,
     ShardBroker,
@@ -325,6 +327,82 @@ class TestBrokerExecutor:
         monkeypatch.setenv(ENV_SHARD_BROKER, "bogus")
         with pytest.raises(EngineError, match="REPRO_SHARD_BROKER entry 'bogus'"):
             broker_executor_from_env()
+
+
+# ---------------------------------------------------------------------------
+# Timings must be finite
+# ---------------------------------------------------------------------------
+_NON_FINITE = ("nan", "inf", "-inf")
+
+#: Each constructor timing argument, built so that an accepted value leaves
+#: nothing running (the broker is stopped, the executors only parse).
+_TIMING_ARGUMENTS = {
+    "ShardBroker-heartbeat": ("heartbeat", lambda value: ShardBroker(heartbeat=value).stop()),
+    "BrokerExecutor-timeout": (
+        "timeout", lambda value: BrokerExecutor(broker="127.0.0.1:1", timeout=value)
+    ),
+    "BrokerExecutor-join_deadline": (
+        "join_deadline", lambda value: BrokerExecutor(broker="127.0.0.1:1", join_deadline=value)
+    ),
+    "BrokerWorker-heartbeat": (
+        "heartbeat", lambda value: BrokerWorker("127.0.0.1:1", heartbeat=value)
+    ),
+    "BrokerWorker-connect_timeout": (
+        "connect_timeout", lambda value: BrokerWorker("127.0.0.1:1", connect_timeout=value)
+    ),
+}
+
+
+class TestTimingValidation:
+    """NaN and infinite timings are rejected up front.
+
+    A NaN join deadline never passes, so a run with no worker would wait
+    forever instead of falling back; a NaN heartbeat makes every lease
+    expire at every scan; an infinite one never expires.
+    """
+
+    @pytest.mark.parametrize("raw", _NON_FINITE + ("soon",))
+    @pytest.mark.parametrize(
+        "name", (ENV_SHARD_HEARTBEAT, ENV_SHARD_JOIN_DEADLINE, ENV_SHARD_TIMEOUT)
+    )
+    def test_env_timing_rejected_naming_the_variable(self, monkeypatch, name, raw):
+        # Embed mode reads all three variables; close() stops the embedded
+        # broker should one be accepted.
+        monkeypatch.delenv(ENV_SHARD_BROKER, raising=False)
+        monkeypatch.setenv(ENV_SHARD_BROKER_LISTEN, "127.0.0.1:0")
+        monkeypatch.setenv(name, raw)
+        reason = "a number" if raw == "soon" else "a finite number"
+        with pytest.raises(EngineError, match=f"{name} must be {reason}"):
+            broker_executor_from_env().close()
+
+    @pytest.mark.parametrize("raw", _NON_FINITE)
+    @pytest.mark.parametrize("argument", sorted(_TIMING_ARGUMENTS))
+    def test_constructor_timing_rejected(self, argument, raw):
+        name, build = _TIMING_ARGUMENTS[argument]
+        with pytest.raises(EngineError, match=f"{name} must be a finite number"):
+            build(float(raw))
+
+    def test_join_deadline_must_not_be_negative(self, monkeypatch):
+        with pytest.raises(EngineError, match="join_deadline must be a finite number >= 0"):
+            BrokerExecutor(broker="127.0.0.1:1", join_deadline=-1.0)
+        monkeypatch.setenv(ENV_SHARD_JOIN_DEADLINE, "-1")
+        with pytest.raises(EngineError, match=f"{ENV_SHARD_JOIN_DEADLINE} must be a finite"):
+            BrokerExecutor(broker="127.0.0.1:1")
+
+    def test_env_timings_are_read(self, monkeypatch):
+        monkeypatch.delenv(ENV_SHARD_BROKER, raising=False)
+        monkeypatch.setenv(ENV_SHARD_BROKER_LISTEN, "127.0.0.1:0")
+        monkeypatch.setenv(ENV_SHARD_HEARTBEAT, "0.5")
+        # Zero stays valid: check for a worker once, then fall back.
+        monkeypatch.setenv(ENV_SHARD_JOIN_DEADLINE, "0")
+        monkeypatch.setenv(ENV_SHARD_TIMEOUT, "7.5")
+        executor = broker_executor_from_env()
+        try:
+            assert executor.embedded_broker.heartbeat == 0.5
+            assert executor._join_deadline == 0.0
+            assert executor.timeout == 7.5
+        finally:
+            executor.close()
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 The load-bearing property: *which executor runs the chunks of a sharded
 sampling job must be invisible in the results*.  Rows are bit-identical for
-``--jobs 1/2/4`` and for every executor — including the loopback host
-executor, which deliberately yields results out of submission order.
+``--jobs 1/2/4`` and for every executor — including a delay-faulted serial
+executor, which delivers chunks out of submission order.
 """
 
 from __future__ import annotations
@@ -17,11 +17,12 @@ import pytest
 from repro.circuits.bv import bernstein_vazirani
 from repro.engine import CircuitJob, ExecutionEngine
 from repro.engine.executors import (
-    LoopbackHostExecutor,
+    SHARD_EXECUTOR_NAMES,
     ProcessPoolShardExecutor,
     SerialShardExecutor,
     resolve_shard_executor,
 )
+from repro.engine.transport import FaultInjectingExecutor
 from repro.exceptions import EngineError
 from repro.quantum.device import get_device
 
@@ -40,6 +41,11 @@ def _raise_on_marker(task):
 def _sleepy_echo(task):
     time.sleep(0.05)
     return task
+
+
+def _out_of_order():
+    """Serial chunks delivered out of order: ``[1, 2, 4, 0, 3]`` on 5 chunks."""
+    return FaultInjectingExecutor(SerialShardExecutor(), seed=1, delay=0.5)
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +73,7 @@ class TestExecutorBitIdentity:
     def test_rows_bit_identical_across_jobs_and_executors(self, device):
         reference, _ = _sharded_run(device, max_workers=1)
         for workers in (1, 2, 4):
-            for executor in ("serial", "loopback"):
+            for executor in ("serial", _out_of_order()):
                 noisy, stats = _sharded_run(
                     device, max_workers=workers, shard_executor=executor
                 )
@@ -79,13 +85,13 @@ class TestExecutorBitIdentity:
 
     def test_executor_instance_accepted(self, device):
         reference, _ = _sharded_run(device, max_workers=1)
-        executor = LoopbackHostExecutor()
+        executor = _out_of_order()
         try:
             noisy, stats = _sharded_run(device, max_workers=1, shard_executor=executor)
         finally:
             executor.close()
         assert noisy.probabilities() == reference.probabilities()
-        assert stats.planner_decisions["shard-executor"] == {"loopback/override": 1}
+        assert stats.planner_decisions["shard-executor"] == {"fault(serial)/override": 1}
 
 
 class _RecordingExecutor(SerialShardExecutor):
@@ -145,6 +151,13 @@ class TestExecutorSelection:
         with pytest.raises(EngineError, match="unknown shard executor"):
             resolve_shard_executor("quantum-teleport", None)
 
+    def test_socket_and_loopback_are_gone(self):
+        assert SHARD_EXECUTOR_NAMES == ("auto", "serial", "process-pool", "broker")
+        for name in ("socket", "loopback"):
+            with pytest.raises(EngineError, match="unknown shard executor") as excinfo:
+                resolve_shard_executor(name, None)
+            assert str(SHARD_EXECUTOR_NAMES) in str(excinfo.value)
+
     def test_process_pool_needs_workers(self):
         with pytest.raises(EngineError, match="max_workers > 1"):
             ExecutionEngine(max_workers=1, shard_executor="process-pool")
@@ -201,22 +214,15 @@ class TestProcessPoolBookkeeping:
         assert sorted(executor.run(_echo, list(range(5)))) == list(range(5))
 
 
-class TestHostExecutorProtocol:
-    def test_loopback_yields_host_major_out_of_order(self):
-        executor = LoopbackHostExecutor(hosts=("a", "b"))
-        tasks = list(range(6))
-        assert executor.placement(6) == ["a", "b", "a", "b", "a", "b"]
-        results = list(executor.run(lambda task: task, tasks))
-        # Host-major: host a's tasks first, then host b's — NOT 0..5.
-        assert results == [0, 2, 4, 1, 3, 5]
-
+class TestDeliveryOrder:
     def test_serial_preserves_order(self):
         executor = SerialShardExecutor()
         assert list(executor.run(lambda task: task * 2, [1, 2, 3])) == [2, 4, 6]
 
-    def test_empty_hosts_rejected(self):
-        with pytest.raises(EngineError):
-            LoopbackHostExecutor(hosts=())
+    def test_delay_faults_deliver_out_of_order(self):
+        # The bit-identity runs above shard into 5 chunks; this pins that
+        # the out-of-order executor really reorders them.
+        assert list(_out_of_order().run(lambda task: task, range(5))) == [1, 2, 4, 0, 3]
 
 
 class TestReductionStatsSurface:

@@ -5,7 +5,7 @@ Two families:
 * Parser round-trips — any valid ``host:port`` / fault spec survives a
   format→parse cycle unchanged, and any malformed input is rejected with
   the offending token named in the error message (a typo'd
-  ``REPRO_SHARD_HOSTS`` entry must be *identifiable*, not just fatal).
+  ``REPRO_SHARD_BROKER`` address must be *identifiable*, not just fatal).
 * Authenticated framing — flipping **any** single byte of an authenticated
   frame (header, either digest, or payload) raises
   :class:`~repro.exceptions.AuthenticationError`, and the unpickler never

@@ -307,62 +307,34 @@ class TestSubprocessJsonArtifact:
 
 
 class TestShardWorkerSubcommand:
-    def test_requires_listen(self, capsys):
-        with pytest.raises(SystemExit):
+    def test_requires_broker(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["shard-worker"])
-        assert "--listen" in capsys.readouterr().err
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--broker" in err and "--listen belongs to shard-broker" in err
 
     def test_flags_scoped_to_shard_worker(self, capsys):
         for flags in (
-            ["--listen", "127.0.0.1:0"],
             ["--max-requests", "3"],
             ["--delay", "0.1"],
         ):
             with pytest.raises(SystemExit):
                 main(["fig1a"] + flags)
             assert "shard-worker" in capsys.readouterr().err
-
-    def test_rejects_bad_listen_address(self):
-        with pytest.raises(Exception, match="HOST:PORT"):
-            main(["shard-worker", "--listen", "no-port"])
+        with pytest.raises(SystemExit):
+            main(["fig1a", "--listen", "127.0.0.1:0"])
+        assert "shard-broker" in capsys.readouterr().err
 
     def test_list_mentions_shard_worker(self, capsys):
         assert main(["list"]) == 0
-        assert "shard-worker" in capsys.readouterr().out
+        assert "shard-worker --broker" in capsys.readouterr().out
 
-    def test_subprocess_worker_serves_an_engine(self):
-        """The real multi-node path: a `repro.cli shard-worker` subprocess
-        serving chunks to a socket executor in this process."""
-        from repro.engine.transport import SocketHostExecutor
-
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "shard-worker", "--listen", "127.0.0.1:0"],
-            stdout=subprocess.PIPE,
-            text=True,
-            env=env,
-        )
-        try:
-            banner = process.stdout.readline()
-            assert "shard-worker listening on " in banner
-            address = banner.strip().rsplit(" ", 1)[-1]
-            executor = SocketHostExecutor([address], timeout=30.0)
-            try:
-                assert executor.ping(address) == process.pid
-                assert sorted(executor.run(abs, [-3, -1, -2])) == [1, 2, 3]
-            finally:
-                executor.close()
-        finally:
-            process.terminate()
-            process.wait(timeout=30)
-
-    def test_rejects_both_listen_and_broker(self, capsys):
-        with pytest.raises(SystemExit):
+    def test_rejects_listen(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["shard-worker", "--listen", "127.0.0.1:0", "--broker", "127.0.0.1:1"])
-        err = capsys.readouterr().err
-        assert "--listen" in err and "--broker" in err
+        assert excinfo.value.code == 2
+        assert "--listen belongs to shard-broker" in capsys.readouterr().err
 
     def test_rejects_bad_broker_address(self):
         with pytest.raises(Exception, match="HOST:PORT"):
@@ -374,6 +346,10 @@ class TestShardBrokerSubcommand:
         with pytest.raises(SystemExit):
             main(["shard-broker"])
         assert "--listen" in capsys.readouterr().err
+
+    def test_rejects_bad_listen_address(self):
+        with pytest.raises(Exception, match="HOST:PORT"):
+            main(["shard-broker", "--listen", "no-port"])
 
     def test_broker_flag_scoped_to_shard_worker(self, capsys):
         with pytest.raises(SystemExit):
