@@ -4,7 +4,7 @@ This harness times the two hot paths the kernel/batching pass rewrote and
 writes the measurements to ``BENCH_PR5.json`` at the repo root (the seed of
 the repo's bench trajectory; CI uploads it as an artifact on main):
 
-* **Fused HAMMER kernels** — the shape-dispatched tiled/streaming kernels
+* **Fused HAMMER kernels** — the shape-dispatched kernel plans
   against the PR 4 two-pass arithmetic (a forced ``dense`` plan) on a
   >= 20k-outcome support, guarded at >= 2x, plus a wide-register (63-bit)
   case exercising the multi-word popcount path.
@@ -38,15 +38,11 @@ BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_PR5.json"
 @pytest.fixture(scope="session")
 def bench_record():
     """Accumulates section results; written to BENCH_PR5.json at session end."""
-    from repro.core.tuning import detected_cache_bytes, tuning_report
+    from repro.core.tuning import tuning_report
 
     record: dict[str, object] = {
         "tuning": tuning_report(),
-        "machine": {
-            "cpu_count": os.cpu_count(),
-            "numpy": np.__version__,
-            "cache_bytes": detected_cache_bytes(),
-        },
+        "machine": {"cpu_count": os.cpu_count(), "numpy": np.__version__},
     }
     yield record
     BENCH_PATH.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")

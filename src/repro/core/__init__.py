@@ -11,9 +11,8 @@ Public surface:
   (Hamming spectrum, CHS, EHD).
 * Post-processing pipelines in :mod:`repro.core.pipeline` and named ablation
   variants in :mod:`repro.core.variants`.
-* The shape-adaptive pairwise kernels in :mod:`repro.core.kernels` and their
-  machine tuning (tile/block sizes, kernel overrides) in
-  :mod:`repro.core.tuning`.
+* The shape-adaptive pairwise kernels in :mod:`repro.core.kernels` and the
+  forced kernel plan in :mod:`repro.core.tuning`.
 """
 
 from repro.core import tuning, variants

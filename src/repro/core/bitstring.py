@@ -21,7 +21,6 @@ from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.core import tuning
 from repro.core.kernels import chs_histogram, popcount_u64 as _popcount
 from repro.exceptions import BitstringError
 
@@ -492,16 +491,6 @@ class PackedOutcomes:
         for row in range(other.words.shape[0]):
             np.minimum(best, self.distances_to_reference(other.words[row]), out=best)
         return best
-
-
-def pairwise_block_size(num_outcomes: int) -> int:
-    """Rows per block for an ``O(N^2)`` pairwise sweep under the entry budget.
-
-    The budget — how many pairwise entries one block may hold — lives in
-    :mod:`repro.core.tuning` and can be overridden with
-    ``REPRO_PAIRWISE_BLOCK_ENTRIES`` (default: the historical 4,000,000).
-    """
-    return tuning.pairwise_block_size(num_outcomes)
 
 
 def xor_distance_histogram(

@@ -125,7 +125,7 @@ class HammerResult:
     config: HammerConfig
     #: Kernel plan the pairwise pass ran: "dense" for the exact legacy
     #: arithmetic at small supports, "spectral" above that on registers of
-    #: up to 20 bits, "tiled"/"streaming" on wider ones.
+    #: up to 20 bits, "tiled" on wider ones.
     kernel: str = "dense"
 
     @property
@@ -212,8 +212,7 @@ def neighborhood_scores(
 
     # Steps 1-3 run through the shape-dispatched kernel layer: the CHS
     # spectrum, the per-distance weights and the neighbourhood scores come
-    # back from one call (fused into a single pairwise traversal wherever the
-    # plan allows it).
+    # back from one call.
     scheme = resolve_weight_scheme(cfg.weight_scheme)
 
     def weight_fn(chs: np.ndarray) -> np.ndarray:

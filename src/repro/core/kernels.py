@@ -16,24 +16,15 @@ each ``(support size, register width)``:
     any support size, the differential reference of the property tests.
 
 ``tiled``
-    Large supports on registers wider than ``DENSE_CHS_MAX_BITS``, up to ~10
-    uint64 words (``spectral`` reuses its score sweep for its high levels).
-    The CHS spectrum comes first — the dense Walsh–Hadamard transform in
+    Large supports on registers wider than ``DENSE_CHS_MAX_BITS``
+    (``spectral`` reuses its score sweep for its high levels).  The CHS
+    spectrum comes first — the dense Walsh–Hadamard transform in
     ``O(n * 2^n)`` where the hypercube is cheap, otherwise one symmetric
     triangular sweep — and with the per-distance weights then known, the
-    score pass walks only the upper triangle of the pair matrix in
-    cache-blocked tiles: each unordered pair's distance is popcounted
+    score pass walks only the upper triangle of the pair matrix in tiles of
+    :data:`TILE_ENTRIES`: each unordered pair's distance is popcounted
     **once** and its gathered weight serves both score directions, halving
     both the popcount and the gather work of the historical ordered pass.
-
-``streaming``
-    Large supports on very wide registers (>= ~640 bits), where per-pair
-    popcount work dominates every accumulation.  One fused triangular
-    traversal accumulates the CHS histogram *and* a per-row filtered
-    distance-mass matrix ``M[x, d] = sum(P(y) : d(x,y)=d, P(y)<P(x))`` in
-    bounded-memory tile chunks; the scores then follow as a single ``M @ W``
-    product.  The packed matrix is traversed exactly once (PR 4 walked it
-    once for the CHS spectrum and again for the scores).
 
 ``spectral``
     Large supports on narrow registers (``n <= DENSE_CHS_MAX_BITS``).  The
@@ -59,12 +50,15 @@ each ``(support size, register width)``:
 
 Dispatch has two steps: a forced plan (``REPRO_HAMMER_KERNEL`` or
 :func:`repro.core.tuning.set_kernel_override`) wins outright, and otherwise
-the fixed shape rules of :func:`choose_plan` decide.
+the fixed shape rules of :func:`choose_plan` decide.  :func:`chs_histogram`
+is the one CHS dispatch of every plan.
 
 The popcount primitive is runtime-dispatched at import: ``np.bitwise_count``
 where the running NumPy provides it (>= 2.0), a byte-table lookup fallback
-otherwise.  All tile/block sizes come from :mod:`repro.core.tuning`
-(cache-derived at import, env-overridable, deterministic per machine).
+otherwise.  The two sizes that fix accumulation order — the ``dense`` row
+block (:data:`PAIRWISE_BLOCK_ENTRIES`) and the symmetric tile
+(:data:`TILE_ENTRIES`) — are constants, so a plan accumulates in the same
+order on every machine.
 """
 
 from __future__ import annotations
@@ -90,7 +84,9 @@ __all__ = [
     "walsh_hadamard_inplace",
     "DENSE_CHS_MAX_BITS",
     "DENSE_SUPPORT_MAX",
+    "PAIRWISE_BLOCK_ENTRIES",
     "SPECTRAL_TRANSFORM_COST",
+    "TILE_ENTRIES",
 ]
 
 # ---------------------------------------------------------------------------
@@ -247,11 +243,16 @@ def _dense_chs(packed, weights: np.ndarray, limit: int) -> np.ndarray:
     return histogram
 
 
-def _dense_chs_cost(num_bits: int) -> int | None:
-    """Work estimate of the dense WHT path (``None`` when the width is too wide)."""
-    if num_bits > DENSE_CHS_MAX_BITS:
-        return None
-    return (3 * num_bits + 1) * (1 << num_bits)
+#: Pairwise entries one ``dense``-plan row block may hold, the historical
+#: budget.  The blocks fix the order the blocked CHS adds its per-block
+#: histograms in, so changing this moves ``dense`` output bits and needs a
+#: new ``hammer_key`` tag.
+PAIRWISE_BLOCK_ENTRIES = 4_000_000
+
+
+def _block_rows(num_outcomes: int) -> int:
+    """Rows per ``dense``-plan block of an ``N x N`` ordered-pair sweep."""
+    return max(1, min(num_outcomes, PAIRWISE_BLOCK_ENTRIES // max(1, num_outcomes)))
 
 
 def _blocked_chs(packed, weights: np.ndarray, limit: int) -> np.ndarray:
@@ -264,7 +265,7 @@ def _blocked_chs(packed, weights: np.ndarray, limit: int) -> np.ndarray:
     num_bits = packed.num_bits
     num_outcomes = packed.num_outcomes
     chs = np.zeros(num_bits + 1, dtype=float)
-    block_size = tuning.pairwise_block_size(num_outcomes)
+    block_size = _block_rows(num_outcomes)
     for start in range(0, num_outcomes, block_size):
         distances = packed.block_distances(start, min(start + block_size, num_outcomes))
         within = distances <= limit
@@ -278,8 +279,30 @@ def _blocked_chs(packed, weights: np.ndarray, limit: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Symmetric triangular sweeps (the tiled / streaming fast paths)
+# Symmetric triangular sweeps (the tiled plan, and spectral's high levels)
 # ---------------------------------------------------------------------------
+#: Entries of one symmetric tile.  The tiles fix the order the sweeps
+#: accumulate in, so changing this moves ``tiled`` (and ``spectral``
+#: high-level) output bits and needs a new ``hammer_key`` tag.  2**21 is the
+#: L2 size in bytes of the 2-vCPU x86-64 machine every pinned row was
+#: measured on; a forced ``tiled`` on fig8-cold's 9 HAMMER inputs took
+#: 2.18, 2.23, 2.81 and 4.28 s there (best of 3) at 2**20 .. 2**23.
+TILE_ENTRIES = 1 << 21
+
+
+def _tile_shape(num_outcomes: int) -> tuple[int, int]:
+    """``(rows, cols)`` of one symmetric tile for an ``N x N`` triangular sweep.
+
+    Tiles are wide rather than square — the inner accumulations are row-major
+    reductions (matvec / bincount over contiguous rows), which favour long
+    contiguous columns — but rows are kept >= 64 so the triangular sweep does
+    not degenerate into row-at-a-time passes.
+    """
+    cols = max(1, min(num_outcomes, TILE_ENTRIES // 64))
+    rows = max(1, min(num_outcomes, max(64, TILE_ENTRIES // cols)))
+    return rows, cols
+
+
 def _symmetric_scores(
     packed,
     probabilities: np.ndarray,
@@ -301,7 +324,7 @@ def _symmetric_scores(
     if cutoff < weights.size:
         weights[cutoff:] = 0.0
     scores = np.zeros(num_outcomes, dtype=float)
-    tile_rows, tile_cols = tuning.tile_shape(num_outcomes)
+    tile_rows, tile_cols = _tile_shape(num_outcomes)
     for i0 in range(0, num_outcomes, tile_rows):
         i1 = min(i0 + tile_rows, num_outcomes)
         p_i = probabilities[i0:i1]
@@ -327,43 +350,22 @@ def _symmetric_scores(
     return scores
 
 
-def _bincount_rows(
-    flat_bins: np.ndarray, flat_weights: np.ndarray, num_rows: int, num_bins: int
-) -> np.ndarray:
-    """Weighted per-row histogram via one flat ``bincount``."""
-    return np.bincount(
-        flat_bins.ravel(), weights=flat_weights.ravel(), minlength=num_rows * num_bins
-    ).reshape(num_rows, num_bins)
+def _symmetric_chs(packed, pair_weights: np.ndarray, limit: int) -> np.ndarray:
+    """CHS histogram ``chs[d] = Σ_{x,y: d(x,y)=d, d<=limit} pair_weights[y]``.
 
-
-def _symmetric_chs_mass(
-    packed,
-    pair_weights: np.ndarray,
-    limit: int,
-    probabilities: np.ndarray | None = None,
-    use_filter: bool = True,
-):
-    """Fused triangular traversal: CHS histogram + optional per-row mass matrix.
-
-    Returns ``(chs, mass)`` where ``chs[d] = Σ_{x,y: d(x,y)=d, d<=limit}
-    pair_weights[y]`` (ordered pairs, self pairs included — Algorithm-1
-    semantics) and, when ``probabilities`` is given, ``mass[x, d]`` is the
-    filtered neighbourhood mass ``Σ { P(y) : d(x,y)=d, P(y) < P(x) }``
-    (``use_filter=True``) or the unfiltered off-diagonal mass otherwise.
-    Each unordered pair is popcounted exactly once.
+    Ordered pairs, self pairs included (Algorithm-1 semantics), from one
+    triangular traversal: each unordered pair is popcounted exactly once
+    and its distance bin serves both ordered directions.
     """
     words = packed.words
     num_outcomes = packed.num_outcomes
     num_bits = packed.num_bits
     num_bins = limit + 2  # [0, limit] real bins + one overflow sentinel
     chs = np.zeros(num_bins, dtype=float)
-    want_mass = probabilities is not None
-    mass = np.zeros((num_outcomes, num_bins), dtype=float) if want_mass else None
-    tile_rows, tile_cols = tuning.tile_shape(num_outcomes)
+    tile_rows, tile_cols = _tile_shape(num_outcomes)
     sentinel = np.int64(limit + 1)
     for i0 in range(0, num_outcomes, tile_rows):
         i1 = min(i0 + tile_rows, num_outcomes)
-        rows = i1 - i0
         w_i = pair_weights[i0:i1]
         # Diagonal square (covers both ordered directions within the block).
         bins = np.minimum(_tile_distances(words[i0:i1], words[i0:i1]), sentinel)
@@ -372,18 +374,8 @@ def _symmetric_chs_mass(
             weights=np.broadcast_to(w_i[None, :], bins.shape).ravel(),
             minlength=num_bins,
         )[:num_bins]
-        if want_mass:
-            p_i = probabilities[i0:i1]
-            if use_filter:
-                tile_mass = np.where(p_i[:, None] > p_i[None, :], p_i[None, :], 0.0)
-            else:
-                tile_mass = np.broadcast_to(p_i[None, :], bins.shape).copy()
-                np.fill_diagonal(tile_mass, 0.0)
-            flat = bins + (num_bins * np.arange(rows, dtype=np.int64))[:, None]
-            mass[i0:i1] += _bincount_rows(flat, tile_mass, rows, num_bins)
         for j0 in range(i1, num_outcomes, tile_cols):
             j1 = min(j0 + tile_cols, num_outcomes)
-            cols = j1 - j0
             w_j = pair_weights[j0:j1]
             bins = np.minimum(_tile_distances(words[i0:i1], words[j0:j1]), sentinel)
             flat_bins = bins.ravel()
@@ -398,23 +390,10 @@ def _symmetric_chs_mass(
                 weights=np.broadcast_to(w_i[:, None], bins.shape).ravel(),
                 minlength=num_bins,
             )[:num_bins]
-            if want_mass:
-                p_i = probabilities[i0:i1]
-                p_j = probabilities[j0:j1]
-                if use_filter:
-                    mass_ij = np.where(p_i[:, None] > p_j[None, :], p_j[None, :], 0.0)
-                    mass_ji = np.where(p_i[:, None] < p_j[None, :], p_i[:, None], 0.0)
-                else:
-                    mass_ij = np.broadcast_to(p_j[None, :], bins.shape)
-                    mass_ji = np.broadcast_to(p_i[:, None], bins.shape)
-                flat = bins + (num_bins * np.arange(rows, dtype=np.int64))[:, None]
-                mass[i0:i1] += _bincount_rows(flat, mass_ij, rows, num_bins)
-                flat = bins + (num_bins * np.arange(cols, dtype=np.int64))[None, :]
-                mass[j0:j1] += _bincount_rows(flat, mass_ji, cols, num_bins)
     chs_full = np.zeros(num_bits + 1, dtype=float)
     stop = min(limit, num_bits) + 1
     chs_full[:stop] = chs[:stop]
-    return chs_full, mass
+    return chs_full
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +414,8 @@ def _symmetric_chs_mass(
 SPECTRAL_TRANSFORM_COST = 0.5
 
 #: Largest stack of level transforms held at once (one row at ``n = 20``),
-#: plus one work array of the same size while a transform runs.
+#: plus one work array of the same size while a transform runs, so a block
+#: peaks at 16 MiB.
 SPECTRAL_BLOCK_BYTES = 8 << 20
 
 
@@ -542,13 +522,6 @@ def _spectral_scores(
 # ---------------------------------------------------------------------------
 # Plan dispatch
 # ---------------------------------------------------------------------------
-#: Word count beyond which the fused single-traversal (streaming) plan beats
-#: the two-sweep tiled plan: one traversal halves the per-pair XOR/popcount
-#: work, which only dominates the tile accumulations once a register spans
-#: this many uint64 words (measured crossover ~10 words / ~640 bits).
-STREAMING_MIN_WORDS = 10
-
-
 def choose_plan(num_outcomes: int, num_bits: int) -> str:
     """Pick the cheapest kernel plan for a ``(support size, width)`` shape.
 
@@ -560,12 +533,9 @@ def choose_plan(num_outcomes: int, num_bits: int) -> str:
       :data:`DENSE_CHS_MAX_BITS` bits: the lowest probability levels scored
       by hypercube transforms, the rest by the tiled sweep, split by a
       closed-form cost rule (:func:`spectral_split`).
-    * ``tiled`` — large supports at wider registers up to
-      :data:`STREAMING_MIN_WORDS` words: CHS first (dense Walsh–Hadamard
-      where the hypercube is cheap, one symmetric sweep otherwise), then a
-      weight-gather score sweep over the upper triangle.
-    * ``streaming`` — large supports on very wide registers, where popcounts
-      dominate: one fused triangular traversal for CHS + filtered mass.
+    * ``tiled`` — larger supports on every wider register: CHS first (one
+      symmetric sweep), then a weight-gather score sweep over the upper
+      triangle.
 
     ``REPRO_HAMMER_KERNEL`` (or the programmatic override) wins outright;
     otherwise the fixed rules above decide.  A pure function: the plan that
@@ -578,78 +548,58 @@ def choose_plan(num_outcomes: int, num_bits: int) -> str:
         return "dense"
     if num_bits <= DENSE_CHS_MAX_BITS:
         return "spectral"
-    return "streaming" if (num_bits + 63) // 64 >= STREAMING_MIN_WORDS else "tiled"
+    return "tiled"
 
 
 def chs_histogram(packed, weights: np.ndarray, limit: int, plan: str | None = None) -> np.ndarray:
     """Per-distance pair mass ``chs[d] = Σ_{x,y: d(x,y)=d, d<=limit} w(y)``.
 
-    The step-1 kernel of HAMMER and the body of ``average_chs``.  Always
-    returns a vector of length ``num_bits + 1`` with zeros beyond ``limit``.
-    Plans: the dense Walsh–Hadamard transform wherever it beats the pairwise
-    sweep (unchanged, bit-identical arithmetic), the historical blocked
-    ordered sweep up to :data:`DENSE_SUPPORT_MAX` outcomes, and the
-    symmetric triangular sweep — half the popcounts — above.
+    The step-1 kernel of HAMMER and the body of ``average_chs``, and the one
+    place a plan picks its CHS path.  ``plan`` defaults to
+    :func:`choose_plan`'s.  Always returns a vector of length
+    ``num_bits + 1`` with zeros beyond ``limit``.  Every plan takes the dense
+    Walsh–Hadamard transform wherever it beats the pairwise sweep; otherwise
+    ``dense`` runs the historical blocked ordered sweep and the other plans
+    the symmetric triangular sweep, half the popcounts.
     """
     num_bits = packed.num_bits
     num_outcomes = packed.num_outcomes
-    limit = min(limit, num_bits)
-    if plan is not None and plan not in tuning.KERNEL_PLANS:
+    if plan is None:
+        plan = choose_plan(num_outcomes, num_bits)
+    elif plan not in tuning.KERNEL_PLANS:
         raise DistributionError(
             f"unknown kernel plan {plan!r}; expected one of {tuning.KERNEL_PLANS}"
         )
+    limit = min(limit, num_bits)
     if limit < 0:
         return np.zeros(num_bits + 1, dtype=float)
-    if plan is None:
-        plan = tuning.kernel_override()
     # The dense-WHT eligibility rule predates the symmetric kernels and is
     # kept verbatim: whenever it fires the result is bit-identical to PR 1-4.
-    dense_cost = _dense_chs_cost(num_bits)
-    dense_eligible = dense_cost is not None and dense_cost < num_outcomes * num_outcomes
-    if plan is None:
-        if dense_eligible:
-            return _dense_chs(packed, weights, limit)
-        if num_outcomes <= DENSE_SUPPORT_MAX:
-            return _blocked_chs(packed, weights, limit)
-    elif plan == "dense":
-        if dense_eligible:
-            return _dense_chs(packed, weights, limit)
-        return _blocked_chs(packed, weights, limit)
-    elif plan in ("tiled", "spectral") and dense_eligible:
+    if num_bits <= DENSE_CHS_MAX_BITS and (
+        (3 * num_bits + 1) * (1 << num_bits) < num_outcomes * num_outcomes
+    ):
         return _dense_chs(packed, weights, limit)
-    chs, _ = _symmetric_chs_mass(packed, weights, limit)
-    return chs
+    if plan == "dense":
+        return _blocked_chs(packed, weights, limit)
+    return _symmetric_chs(packed, weights, limit)
 
 
-def _legacy_pass(
+def _ordered_scores(
     packed,
     probabilities: np.ndarray,
+    weights: np.ndarray,
     cutoff: int,
-    weight_fn: Callable[[np.ndarray], np.ndarray],
     use_filter: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The PR 4 two-pass HAMMER arithmetic, preserved bit-for-bit.
+) -> np.ndarray:
+    """The historical ordered score pass of the ``dense`` plan, bit-for-bit.
 
-    Pass 1 computes the CHS spectrum (dense WHT or blocked ordered pairs);
-    pass 2 re-popcounts every ordered pair to accumulate the scores.  The
-    ``dense`` plan routes here so small supports — every golden fixture —
-    reproduce exactly; ``REPRO_HAMMER_KERNEL=dense`` forces it at any size.
+    Re-popcounts every ordered pair in row blocks of
+    :data:`PAIRWISE_BLOCK_ENTRIES` to accumulate the scores, so small
+    supports — every golden fixture — reproduce exactly;
+    ``REPRO_HAMMER_KERNEL=dense`` forces it at any size.
     """
-    num_bits = packed.num_bits
     num_outcomes = packed.num_outcomes
-    block_size = tuning.pairwise_block_size(num_outcomes)
-
-    limit = min(cutoff, num_bits + 1) - 1
-    dense_cost = _dense_chs_cost(num_bits)
-    if limit < 0:
-        chs = np.zeros(num_bits + 1, dtype=float)
-    elif dense_cost is not None and dense_cost < num_outcomes * num_outcomes:
-        chs = _dense_chs(packed, probabilities, min(limit, num_bits))
-    else:
-        chs = _blocked_chs(packed, probabilities, min(limit, num_bits))
-
-    weights = weight_fn(chs)
-
+    block_size = _block_rows(num_outcomes)
     scores = np.zeros(num_outcomes, dtype=float)
     for start in range(0, num_outcomes, block_size):
         stop = min(start + block_size, num_outcomes)
@@ -666,7 +616,7 @@ def _legacy_pass(
             within_cutoff & allowed, weight_of_pair * probabilities[None, :], 0.0
         )
         scores[start:stop] = contribution.sum(axis=1)
-    return chs, weights, scores
+    return scores
 
 
 def hammer_pass(
@@ -706,57 +656,24 @@ def _run_pass(
     plan: str | None,
     span,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
-    """The body of :func:`hammer_pass`: resolve the plan, then run it."""
+    """The body of :func:`hammer_pass`: resolve the plan, then run it.
+
+    Every plan takes the CHS from :func:`chs_histogram` (where an unknown
+    plan fails), then scores with the weights in hand: ``dense`` in the
+    ordered pass, ``tiled`` in one symmetric sweep, ``spectral`` by level
+    transforms with only its high levels swept pairwise.
+    """
     if plan is None:
         plan = choose_plan(packed.num_outcomes, packed.num_bits)
-    elif plan not in tuning.KERNEL_PLANS:
-        raise DistributionError(
-            f"unknown kernel plan {plan!r}; expected one of {tuning.KERNEL_PLANS}"
-        )
-    num_bits = packed.num_bits
-    limit = min(cutoff, num_bits + 1) - 1
-
-    if plan == "dense":
-        chs, weights, scores = _legacy_pass(
-            packed, probabilities, cutoff, weight_fn, use_filter
-        )
-        return chs, weights, scores, plan
-
-    if plan == "spectral" and num_bits > DENSE_CHS_MAX_BITS:
+    if plan == "spectral" and packed.num_bits > DENSE_CHS_MAX_BITS:
         plan = "tiled"
-
-    if plan in ("tiled", "spectral"):
-        # CHS first (dense WHT where eligible, else one symmetric sweep);
-        # scores in a second symmetric sweep with the weights in hand.  The
-        # spectral plan shares the CHS and sweeps only its high levels.
-        dense_cost = _dense_chs_cost(num_bits)
-        if limit < 0:
-            chs = np.zeros(num_bits + 1, dtype=float)
-        elif dense_cost is not None and dense_cost < packed.num_outcomes**2:
-            chs = _dense_chs(packed, probabilities, min(limit, num_bits))
-        else:
-            chs, _ = _symmetric_chs_mass(packed, probabilities, min(limit, num_bits))
-        weights = weight_fn(chs)
-        if plan == "spectral":
-            scores = _spectral_scores(packed, probabilities, weights, cutoff, use_filter, span)
-        else:
-            scores = _symmetric_scores(packed, probabilities, weights, cutoff, use_filter)
-        return chs, weights, scores, plan
-
-    # streaming: one fused traversal for CHS + filtered mass, then M @ W.
-    if limit < 0:
-        chs = np.zeros(num_bits + 1, dtype=float)
-        weights = weight_fn(chs)
-        scores = np.zeros(packed.num_outcomes, dtype=float)
-        return chs, weights, scores, plan
-    chs, mass = _symmetric_chs_mass(
-        packed,
-        probabilities,
-        min(limit, num_bits),
-        probabilities=probabilities,
-        use_filter=use_filter,
-    )
+    limit = min(cutoff, packed.num_bits + 1) - 1
+    chs = chs_histogram(packed, probabilities, limit, plan)
     weights = weight_fn(chs)
-    stop = min(limit, num_bits) + 1
-    scores = mass[:, :stop] @ weights[:stop]
+    if plan == "dense":
+        scores = _ordered_scores(packed, probabilities, weights, cutoff, use_filter)
+    elif plan == "spectral":
+        scores = _spectral_scores(packed, probabilities, weights, cutoff, use_filter, span)
+    else:
+        scores = _symmetric_scores(packed, probabilities, weights, cutoff, use_filter)
     return chs, weights, scores, plan

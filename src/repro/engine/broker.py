@@ -743,6 +743,20 @@ class BrokerWorker:
 # ---------------------------------------------------------------------------
 # Engine-facing executor
 # ---------------------------------------------------------------------------
+#: The broker's lifetime counters a :class:`BrokerExecutor` reports; none
+#: ever decreases.
+_LIFETIME_COUNTERS = (
+    "workers_joined",
+    "workers_left",
+    "leases_issued",
+    "leases_reissued",
+    "chunks_completed",
+    "duplicate_results",
+    "heartbeats",
+    "batches",
+)
+
+
 class BrokerExecutor(ShardExecutor):
     """Run shard chunks through a :class:`ShardBroker`'s pull workers.
 
@@ -888,7 +902,13 @@ class BrokerExecutor(ShardExecutor):
                         f"task failed on a broker worker: {reply[1]}"
                     )
                 elif kind == "done":
-                    self._stats_snapshot = reply[1]
+                    # A nested run (a fault re-execution) can read its done
+                    # frame before an older one; the counters only grow, so
+                    # each keeps its largest value.
+                    for key in _LIFETIME_COUNTERS:
+                        self._stats_snapshot[key] = max(
+                            self._stats_snapshot.get(key, 0), int(reply[1].get(key, 0))
+                        )
                     return
                 else:
                     raise TransportError(f"unexpected broker frame {kind!r}")
@@ -905,22 +925,9 @@ class BrokerExecutor(ShardExecutor):
         self._fallback.close()
 
     def provenance(self) -> dict:
-        stats = (
-            self._broker.stats()
-            if self._broker is not None
-            else dict(self._stats_snapshot)
-        )
+        stats = self._broker.stats() if self._broker is not None else self._stats_snapshot
         provenance: dict = {"executor": self.name, "broker": self._address}
-        for key in (
-            "workers_joined",
-            "workers_left",
-            "leases_issued",
-            "leases_reissued",
-            "chunks_completed",
-            "duplicate_results",
-            "heartbeats",
-            "batches",
-        ):
+        for key in _LIFETIME_COUNTERS:
             provenance[key] = int(stats.get(key, 0))
         if self._fell_back:
             provenance["fallbacks"] = 1

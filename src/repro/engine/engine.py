@@ -994,9 +994,9 @@ class ExecutionEngine:
         the ``cache_dir``) is exactly what :func:`repro.core.hammer.hammer`
         would return.  Equal requests compute once.  Misses run in the
         calling process at any ``max_workers``: the key reads this process's
-        kernel plan and budgets, so the plan it names is the plan that runs,
-        and the ``hammer`` phase and ``kernel.*`` counters stay with the
-        caller's observation.
+        kernel plan, so the plan it names is the plan that runs, and the
+        ``hammer`` phase and ``kernel.*`` counters stay with the caller's
+        observation.
         """
         tasks = [(hammer_key(noisy, config), noisy, config) for noisy, config in requests]
         reconstructed, _ = self._cached_map("hammer", None, _hammer_task, tasks)

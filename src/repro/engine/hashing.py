@@ -241,16 +241,17 @@ def hammer_key(distribution: Distribution, config: HammerConfig | None = None) -
       resolved to an instance (``None``, ``HammerConfig()`` and
       ``"inverse_chs"`` share one key) and keyed by its class and fields;
     * the kernel context that can move output bits: the forced plan, if
-      any, and the tile and block budgets that fix accumulation order.
+      any.  The tile and block sizes that fix accumulation order are
+      constants of :mod:`repro.core.kernels`, so the tag covers them.
 
-    v1: any change that moves a HAMMER output bit (kernel arithmetic, a
-    split constant, a weight formula) must bump the tag, or a warm
-    ``--cache-dir`` keeps replaying the old bits.
+    v2: any change that moves a HAMMER output bit (kernel arithmetic, a
+    kernel size, a split constant, a plan rule, a weight formula) must bump
+    the tag, or a warm ``--cache-dir`` keeps replaying the old bits.
     """
     if config is None:
         config = HammerConfig()
     packed = distribution.packed()
-    digest = hashlib.sha256(b"repro-hammer-v1")
+    digest = hashlib.sha256(b"repro-hammer-v2")
     digest.update(
         struct.pack("<qqd", packed.num_bits, packed.num_outcomes, distribution.total_weight)
     )
@@ -264,5 +265,4 @@ def hammer_key(distribution: Distribution, config: HammerConfig | None = None) -
         _update_value(digest, field.name)
         _update_value(digest, value)
     _update_value(digest, tuning.kernel_override())
-    digest.update(struct.pack("<qq", tuning.tile_entries(), tuning.pairwise_block_entries()))
     return digest.hexdigest()

@@ -294,12 +294,18 @@ class FaultInjectingExecutor(ShardExecutor):
         return faults
 
     def _reexecute(self, fn: Callable, index: int, task: Any) -> Any:
-        """Run one chunk again through the inner executor (the retry path)."""
+        """Run one chunk again through the inner executor (the retry path).
+
+        The inner run is drained, not abandoned at its first result, so it
+        finishes like any batch: a broker run reads its ``done`` frame and
+        the counters it carries.
+        """
         self._retries += 1
         counter_add("transport.fault_retries")
-        for _, result in self._inner.run(_indexed_call, [(index, fn, task)]):
-            return result
-        raise TransportError(f"inner executor returned no result re-executing chunk {index}")
+        results = [result for _, result in self._inner.run(_indexed_call, [(index, fn, task)])]
+        if not results:
+            raise TransportError(f"inner executor returned no result re-executing chunk {index}")
+        return results[0]
 
     def run(self, fn: Callable, tasks: Sequence) -> Iterator[Any]:
         tasks = list(tasks)

@@ -1,12 +1,11 @@
 """Property suite for the shape-adaptive pairwise Hamming kernels (PR 5).
 
 Every kernel plan — the bit-stable ``dense`` arithmetic, the
-symmetric ``tiled`` sweep, the fused ``streaming`` traversal and the
-``spectral`` level transforms — must agree with ``hammer_reference`` (the
-paper's Algorithm 1, pure-Python loops) on arbitrary supports, including
-word-boundary widths (63/64/65) and degenerate single-outcome distributions.
-The popcount dispatch, the shape dispatcher and the environment overrides of
-the tuning layer are covered here too.
+symmetric ``tiled`` sweep and the ``spectral`` level transforms — must agree
+with ``hammer_reference`` (the paper's Algorithm 1, pure-Python loops) on
+arbitrary supports, including word-boundary widths (63/64/65) and degenerate
+single-outcome distributions.  The popcount dispatch, the shape dispatcher
+and the forced-plan override are covered here too.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from repro.core import kernels, tuning
 from repro.core.kernels import (
     DENSE_CHS_MAX_BITS,
     DENSE_SUPPORT_MAX,
-    STREAMING_MIN_WORDS,
     _popcount_lut_u64,
     choose_plan,
     chs_histogram,
@@ -33,11 +31,10 @@ from repro.core.kernels import (
     spectral_split,
 )
 from repro.core.spectrum import average_chs
-from repro.core.bitstring import pairwise_block_size
 from repro.core.weights import NoiseAwareWeights
 from repro.exceptions import DistributionError
 
-ALL_PLANS = ("dense", "tiled", "streaming", "spectral")
+ALL_PLANS = ("dense", "tiled", "spectral")
 
 
 @pytest.fixture(autouse=True)
@@ -93,7 +90,7 @@ class TestKernelEquivalence:
     def test_chs_plans_agree(self, dist):
         packed = dist.packed()
         expected = chs_histogram(packed, packed.probabilities, dist.num_bits, plan="dense")
-        for plan in ("tiled", "streaming", "spectral"):
+        for plan in ("tiled", "spectral"):
             got = chs_histogram(packed, packed.probabilities, dist.num_bits, plan=plan)
             assert np.allclose(got, expected, atol=1e-9), plan
 
@@ -105,7 +102,7 @@ class TestKernelEquivalence:
 
     @pytest.mark.parametrize("width", [63, 64, 65])
     def test_word_boundary_widths_large_support(self, width):
-        """The symmetric kernels agree with a forced dense across the uint64 seam."""
+        """The symmetric sweeps agree with a forced dense across the uint64 seam."""
         rng = np.random.default_rng(width)
         center = rng.integers(0, 2, size=width, dtype=np.uint8)
         bits = np.unique(
@@ -116,13 +113,12 @@ class TestKernelEquivalence:
         dist = Distribution(dict(zip(strings, weights)), num_bits=width)
         _force("dense")
         expected = hammer(dist)
-        for plan in ("tiled", "streaming"):
-            _force(plan)
-            got = hammer(dist)
-            for outcome in expected.probabilities():
-                assert got.probability(outcome) == pytest.approx(
-                    expected.probability(outcome), abs=1e-9
-                ), plan
+        _force("tiled")
+        got = hammer(dist)
+        for outcome in expected.probabilities():
+            assert got.probability(outcome) == pytest.approx(
+                expected.probability(outcome), abs=1e-9
+            )
 
     def test_unknown_plan_rejected(self):
         dist = Distribution({"01": 1.0, "10": 1.0})
@@ -411,14 +407,28 @@ class TestDispatcher:
         assert choose_plan(1022, 10) == "spectral"
         assert choose_plan(257, 53) == "tiled"
 
-    def test_very_wide_registers_stream(self):
-        wide = 64 * STREAMING_MIN_WORDS
-        assert choose_plan(5_000, wide) == "streaming"
-        assert choose_plan(5_000, wide - 64) == "tiled"
+    @pytest.mark.parametrize("num_bits", [577, 700])
+    @pytest.mark.parametrize("use_filter", [True, False])
+    def test_very_wide_registers_tile_and_match_dense(self, num_bits, use_filter):
+        # Ten and eleven uint64 words per outcome: the multi-word sweeps
+        # far past the 64-bit seam.
+        from repro.core.hammer import neighborhood_scores
+
+        dist = _shot_histogram(num_bits, 400, seed=num_bits)
+        config = HammerConfig(use_filter=use_filter)
+        result = neighborhood_scores(dist, config)
+        assert result.kernel == "tiled"
+        _force("dense")
+        np.testing.assert_allclose(
+            result.distribution.probability_vector(),
+            hammer(dist, config).probability_vector(),
+            rtol=1e-9,
+            atol=0.0,
+        )
 
     def test_override_wins(self):
-        _force("streaming")
-        assert choose_plan(2, 2) == "streaming"
+        _force("tiled")
+        assert choose_plan(2, 2) == "tiled"
 
     def test_hammer_result_reports_plan(self):
         from repro.core.hammer import neighborhood_scores
@@ -430,62 +440,25 @@ class TestDispatcher:
 
 
 class TestTuningOverrides:
-    def test_block_entries_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PAIRWISE_BLOCK_ENTRIES", str(1 << 20))
-        assert tuning.pairwise_block_entries() == 1 << 20
-        assert pairwise_block_size(2048) == (1 << 20) // 2048
-
-    def test_block_entries_default_is_historical(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PAIRWISE_BLOCK_ENTRIES", raising=False)
-        assert tuning.pairwise_block_entries() == 4_000_000
-        assert pairwise_block_size(100) == 100
-
-    def test_block_entries_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PAIRWISE_BLOCK_ENTRIES", "many")
-        with pytest.raises(DistributionError):
-            tuning.pairwise_block_entries()
-        monkeypatch.setenv("REPRO_PAIRWISE_BLOCK_ENTRIES", "-3")
-        with pytest.raises(DistributionError):
-            tuning.pairwise_block_entries()
-
-    def test_tile_entries_env_override_and_clamp(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TILE_ENTRIES", str(1 << 22))
-        assert tuning.tile_entries() == 1 << 22
-        monkeypatch.setenv("REPRO_TILE_ENTRIES", "1")
-        assert tuning.tile_entries() == 1 << 20  # clamped to the minimum
-
-    def test_tile_shape_is_deterministic_and_bounded(self):
-        rows, cols = tuning.tile_shape(100_000)
-        assert (rows, cols) == tuning.tile_shape(100_000)
-        assert rows * cols <= 2 * tuning.tile_entries()
-        small_rows, small_cols = tuning.tile_shape(10)
-        assert small_rows == 10 and small_cols == 10
-
     def test_kernel_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_HAMMER_KERNEL", "dense")
         assert tuning.kernel_override() == "dense"
         monkeypatch.setenv("REPRO_HAMMER_KERNEL", "auto")
         assert tuning.kernel_override() is None
-        # "legacy" and "gpu" were plan names once; a stale setting must fail
-        # loudly and name the valid plans.
-        for stale in ("warp", "legacy", "gpu"):
+        # "legacy", "gpu" and "streaming" were plan names once; a stale
+        # setting must fail loudly and name the valid plans.
+        for stale in ("warp", "legacy", "gpu", "streaming"):
             monkeypatch.setenv("REPRO_HAMMER_KERNEL", stale)
             with pytest.raises(DistributionError, match="spectral"):
                 tuning.kernel_override()
 
     def test_set_kernel_override_validates(self):
-        with pytest.raises(DistributionError):
-            tuning.set_kernel_override("warp")
+        for stale in ("warp", "streaming"):
+            with pytest.raises(DistributionError, match="spectral"):
+                tuning.set_kernel_override(stale)
 
     def test_tuning_report_shape(self):
-        report = tuning.tuning_report()
-        assert set(report) == {
-            "cache_bytes",
-            "pairwise_block_entries",
-            "tile_entries",
-            "kernel_override",
-        }
-        assert report["kernel_override"] == "auto"
+        assert tuning.tuning_report() == {"kernel_override": "auto"}
 
 
 class TestAverageChsRoutesThroughKernels:

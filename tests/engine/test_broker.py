@@ -30,7 +30,7 @@ from repro.engine.broker import (
     broker_executor_from_env,
 )
 from repro.engine.executors import SHARD_EXECUTOR_NAMES
-from repro.engine.transport import recv_message, send_message
+from repro.engine.transport import FaultInjectingExecutor, recv_message, send_message
 from repro.exceptions import EngineError, TransportError
 from repro.quantum.device import get_device
 
@@ -309,6 +309,27 @@ class TestBrokerExecutor:
             executor.close()
             broker.stop()
 
+    def test_provenance_counts_a_fault_re_execution(self, broker):
+        # A dropped chunk runs again as a batch of its own, nested in the
+        # outer one.  Its done frame carries later counters than the outer
+        # batch's, which the executor reads after it.
+        _start_worker(broker)
+        executor = FaultInjectingExecutor(
+            BrokerExecutor(broker=broker.address, join_deadline=5.0, timeout=10.0),
+            seed=5,
+            drop=0.3,
+            duplicate=0.2,
+        )
+        try:
+            list(executor.run(_double, list(range(12))))
+            provenance = executor.provenance()
+        finally:
+            executor.close()
+        stats = broker.stats()
+        assert provenance["fault_retries"] >= 1
+        assert provenance["inner"]["chunks_completed"] == stats["chunks_completed"]
+        assert provenance["inner"]["batches"] == stats["batches"]
+
     def test_broker_name_registered(self):
         assert "broker" in SHARD_EXECUTOR_NAMES
 
@@ -454,7 +475,6 @@ class TestEngineBrokerBitIdentity:
         — rows bit-identical to serial, lease re-issues and worker
         join/leave counts visible in ``report.meta["planner"]["transport"]``.
         """
-        from repro.engine.transport import FaultInjectingExecutor
         from repro.experiments.runner import ExperimentReport, attach_engine_meta
 
         reference, _ = _sharded_run(device, max_workers=1, shard_executor="serial")

@@ -126,17 +126,6 @@ class TestHammerKey:
         assert len(keys) == 1 + len(tuning.KERNEL_PLANS)
         assert hammer_key(dist) in keys
 
-    def test_the_kernel_budgets_move_the_key(self, monkeypatch):
-        dist = _histogram()
-        monkeypatch.setenv("REPRO_TILE_ENTRIES", str(1 << 20))
-        monkeypatch.setenv("REPRO_PAIRWISE_BLOCK_ENTRIES", str(1 << 20))
-        base = hammer_key(dist)
-        monkeypatch.setenv("REPRO_TILE_ENTRIES", str(1 << 21))
-        wider_tiles = hammer_key(dist)
-        monkeypatch.setenv("REPRO_PAIRWISE_BLOCK_ENTRIES", str(1 << 21))
-        larger_blocks = hammer_key(dist)
-        assert len({base, wider_tiles, larger_blocks}) == 3
-
     def test_the_key_follows_the_histogram_content(self):
         dist = _histogram()
         assert hammer_key(dist) != hammer_key(_histogram(seed=6))
@@ -188,12 +177,10 @@ class TestHammerKey:
     def test_the_key_of_a_fixed_input_is_pinned(self, monkeypatch):
         monkeypatch.setattr(tuning, "_override", None)
         monkeypatch.delenv("REPRO_HAMMER_KERNEL", raising=False)
-        monkeypatch.delenv("REPRO_PAIRWISE_BLOCK_ENTRIES", raising=False)
-        monkeypatch.setenv("REPRO_TILE_ENTRIES", str(1 << 20))
         dist = Distribution({"0110": 7.0, "0111": 2.0, "1110": 1.0})
         # Moves only with a deliberate change to the encoding (and its tag).
         assert hammer_key(dist) == (
-            "3683d47e857242431a3bba099eae87347d4a93a4ed1f0f1290bd5e2236cc6719"
+            "d49f4aa34b8992501b7cf298869e97775225f4f8d3570c3c019dc72711664811"
         )
 
 
@@ -220,11 +207,11 @@ class TestPinnedOutputs:
 
     A warm ``cache_dir`` replays whatever an earlier run stored under
     :func:`hammer_key`, and the key names the kernel context, not the
-    kernel's code.  So a change that moves any digest or rule pinned here
-    (kernel arithmetic, a weight formula, a plan threshold, the spectral
-    split's constant) must also bump the key's ``repro-hammer-v1`` tag in
-    ``repro/engine/hashing.py``, then re-pin.  Without the bump a warm
-    ``--cache-dir`` returns the old bits.
+    kernel's code.  So a change that moves any digest, rule or size pinned
+    here (kernel arithmetic, a weight formula, a plan threshold, the
+    spectral split's constant, a tile or block size) must also bump the
+    key's ``repro-hammer-v2`` tag in ``repro/engine/hashing.py``, then
+    re-pin.  Without the bump a warm ``--cache-dir`` returns the old bits.
     """
 
     @pytest.mark.parametrize("plan", tuning.KERNEL_PLANS)
@@ -255,12 +242,18 @@ class TestPinnedOutputs:
         monkeypatch.setattr(tuning, "_override", None)
         monkeypatch.delenv("REPRO_HAMMER_KERNEL", raising=False)
         shapes = {(256, 8): "dense", (257, 8): "spectral", (257, 20): "spectral",
-                  (257, 21): "tiled", (257, 576): "tiled", (257, 577): "streaming"}
+                  (257, 21): "tiled", (257, 576): "tiled", (257, 577): "tiled"}
         assert {shape: kernels.choose_plan(*shape) for shape in shapes} == shapes
         # The filtered split of the histogram above, and of eight levels of 50
         # on 10 bits: both move if the transform's cost constant is re-fitted.
         assert kernels.spectral_split(np.array([20] * 10 + [1]), 8) == 5
         assert kernels.spectral_split(np.array([50] * 8), 10) == 4
+
+    def test_the_kernel_sizes_are_pinned(self):
+        # The symmetric tile fixes the order ``tiled`` (and spectral's high
+        # levels) accumulates in, the row block that of the ``dense`` CHS.
+        assert kernels.TILE_ENTRIES == 1 << 21
+        assert kernels.PAIRWISE_BLOCK_ENTRIES == 4_000_000
 
 
 class TestEngineHammer:
@@ -295,18 +288,6 @@ class TestEngineHammer:
             outputs = engine.hammer([(dist, config), (normalized, config)])
         for output, source in zip(outputs, (dist, normalized)):
             _assert_same_bits(output, hammer(source, config))
-        assert not np.array_equal(outputs[0].weight_vector(), outputs[1].weight_vector())
-
-    def test_each_tile_budget_keeps_its_own_tiled_bits(self, monkeypatch):
-        # The row tiles fix the order scores accumulate in, hence their bits.
-        dist = _histogram(num_bits=12, size=1500, seed=1)
-        outputs = []
-        with ExecutionEngine() as engine, tuning.forced_kernel("tiled"):
-            for entries in (1 << 20, 1 << 23):
-                monkeypatch.setenv("REPRO_TILE_ENTRIES", str(entries))
-                (output,) = engine.hammer([(dist, None)])
-                _assert_same_bits(output, hammer(dist))
-                outputs.append(output)
         assert not np.array_equal(outputs[0].weight_vector(), outputs[1].weight_vector())
 
     def test_equal_requests_compute_once(self, kernel_calls):
