@@ -125,8 +125,9 @@ class TestKernelEquivalence:
         packed = dist.packed()
         with pytest.raises(DistributionError):
             hammer_pass(packed, packed.probabilities, 1, lambda chs: chs, True, plan="nope")
-        with pytest.raises(DistributionError):
-            chs_histogram(packed, packed.probabilities, 1, plan="legcay")
+        for stale in ("legcay", "streaming"):
+            with pytest.raises(DistributionError, match="spectral"):
+                chs_histogram(packed, packed.probabilities, 1, plan=stale)
 
 
 WEIGHT_SCHEMES = ("inverse_chs", "uniform", "exponential", "nearest_neighbor", "noise_aware")
@@ -426,6 +427,30 @@ class TestDispatcher:
             atol=0.0,
         )
 
+    @pytest.mark.parametrize(
+        "num_bits, num_outcomes, plan",
+        [(8, 100, "dense"), (10, 400, "spectral"), (30, 400, "tiled")],
+    )
+    def test_chs_histogram_is_the_one_dispatch(self, num_bits, num_outcomes, plan):
+        # The CHS defaults to the dispatcher's plan, and a pass takes its
+        # CHS from the same call with the plan it resolved.
+        dist = _shot_histogram(num_bits, num_outcomes, seed=num_bits)
+        packed = dist.packed()
+        probabilities = packed.probabilities
+        cutoff = 3
+        assert choose_plan(num_outcomes, num_bits) == plan
+        expected = chs_histogram(packed, probabilities, cutoff - 1, plan=plan)
+        assert np.array_equal(chs_histogram(packed, probabilities, cutoff - 1), expected)
+        chs, _, _, used = hammer_pass(
+            packed,
+            probabilities,
+            cutoff,
+            lambda raw: (np.arange(raw.size) < cutoff).astype(float),
+            True,
+        )
+        assert used == plan
+        assert np.array_equal(chs, expected)
+
     def test_override_wins(self):
         _force("tiled")
         assert choose_plan(2, 2) == "tiled"
@@ -459,6 +484,46 @@ class TestTuningOverrides:
 
     def test_tuning_report_shape(self):
         assert tuning.tuning_report() == {"kernel_override": "auto"}
+
+
+class TestFixedKernelSizes:
+    """The ``dense`` row block and the symmetric tile are constants.
+
+    They fix the order each plan accumulates in, so neither the machine nor
+    the environment may move them.
+    """
+
+    def test_block_rows_fill_the_historical_budget(self):
+        assert kernels._block_rows(100) == 100
+        assert kernels._block_rows(2048) == 4_000_000 // 2048
+        assert kernels._block_rows(10_000_000) == 1
+        assert kernels._block_rows(0) == 1
+
+    def test_tile_shape_is_deterministic_and_bounded(self):
+        rows, cols = kernels._tile_shape(100_000)
+        assert (rows, cols) == kernels._tile_shape(100_000)
+        assert rows >= 64
+        assert rows * cols <= 2 * kernels.TILE_ENTRIES
+        assert kernels._tile_shape(10) == (10, 10)
+
+    @pytest.mark.parametrize("variable", ["REPRO_TILE_ENTRIES", "REPRO_PAIRWISE_BLOCK_ENTRIES"])
+    def test_the_retired_size_variables_are_ignored(self, monkeypatch, variable):
+        # Each once sized a plan's blocks: at 2**20 entries this support ran
+        # three row tiles instead of two, and garbage raised.
+        dist = _shot_histogram(12, 1500, seed=1)
+        expected = {}
+        for plan in ("dense", "tiled"):
+            _force(plan)
+            expected[plan] = hammer(dist).weight_vector()
+        shapes = (kernels._block_rows(1500), kernels._tile_shape(1500))
+        for value in (str(1 << 20), str(1 << 23), "many", "-3"):
+            monkeypatch.setenv(variable, value)
+            _force(None)
+            assert tuning.tuning_report() == {"kernel_override": "auto"}
+            assert (kernels._block_rows(1500), kernels._tile_shape(1500)) == shapes
+            for plan, weights in expected.items():
+                _force(plan)
+                assert np.array_equal(hammer(dist).weight_vector(), weights), (value, plan)
 
 
 class TestAverageChsRoutesThroughKernels:

@@ -126,6 +126,16 @@ class TestHammerKey:
         assert len(keys) == 1 + len(tuning.KERNEL_PLANS)
         assert hammer_key(dist) in keys
 
+    @pytest.mark.parametrize("variable", ["REPRO_TILE_ENTRIES", "REPRO_PAIRWISE_BLOCK_ENTRIES"])
+    def test_the_retired_size_variables_leave_the_key_alone(self, monkeypatch, variable):
+        # The kernel sizes are constants, so a cache filled on one machine
+        # or under one environment hits on any other.
+        dist = _histogram()
+        base = hammer_key(dist)
+        for value in (str(1 << 20), str(1 << 23), "many"):
+            monkeypatch.setenv(variable, value)
+            assert hammer_key(dist) == base
+
     def test_the_key_follows_the_histogram_content(self):
         dist = _histogram()
         assert hammer_key(dist) != hammer_key(_histogram(seed=6))
@@ -289,6 +299,20 @@ class TestEngineHammer:
         for output, source in zip(outputs, (dist, normalized)):
             _assert_same_bits(output, hammer(source, config))
         assert not np.array_equal(outputs[0].weight_vector(), outputs[1].weight_vector())
+
+    def test_the_tiled_bits_ignore_the_retired_tile_variable(self, monkeypatch):
+        # The row tiles fix the order scores accumulate in.  Their size once
+        # came from REPRO_TILE_ENTRIES (three row tiles here at 2**20
+        # entries, two at 2**21) and moved these bits; it is a constant.
+        dist = _histogram(num_bits=12, size=1500, seed=1)
+        with tuning.forced_kernel("tiled"):
+            expected = hammer(dist)
+            for entries in (1 << 20, 1 << 23):
+                monkeypatch.setenv("REPRO_TILE_ENTRIES", str(entries))
+                with ExecutionEngine() as engine:
+                    (output,) = engine.hammer([(dist, None)])
+                _assert_same_bits(output, expected)
+                _assert_same_bits(hammer(dist), expected)
 
     def test_equal_requests_compute_once(self, kernel_calls):
         dist = _histogram()

@@ -129,6 +129,23 @@ class TestFaultInjection:
         assert provenance["faults"]["drop"] == 8
         assert provenance["fault_retries"] == 8
 
+    def test_reexecution_drains_the_inner_run(self):
+        # A broker run reads its done frame, and the counters it carries,
+        # only when its consumer reads past the last result.
+        class FinishCountingExecutor(SerialShardExecutor):
+            finished = 0
+
+            def run(self, fn, tasks):
+                yield from super().run(fn, tasks)
+                self.finished += 1
+
+        inner = FinishCountingExecutor()
+        executor = FaultInjectingExecutor(inner, seed=1, drop=1.0)
+        results = list(executor.run(_double, list(range(8))))
+        assert sorted(results) == [2 * value for value in range(8)]
+        # The outer run and each of the 8 re-executions ran to the end.
+        assert inner.finished == 1 + 8
+
     def test_delay_reorders_but_loses_nothing(self):
         # A *mix* of delayed and prompt chunks reorders (all-delayed would
         # just shift the FIFO buffer); every seed in range(8) reorders here.
