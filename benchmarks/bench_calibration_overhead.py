@@ -71,10 +71,10 @@ def _sampling_seconds(engine: ExecutionEngine, calibrated: bool, repeats: int = 
         results = engine.run(jobs, seed=_SEED + 1 + repeat)
         best = min(best, time.perf_counter() - start)
         assert len(results) == len(jobs)
-        stats = engine.last_run_stats
-        assert stats.unique_transpiles_computed == 0, "prepare work must be pre-warmed"
-        assert stats.unique_ideals_computed == 0, "prepare work must be pre-warmed"
-        assert stats.sample_cache_hits == 0, "sampling must actually run"
+        counters = engine.last_run["counters"]
+        assert counters.get("engine.transpiles_computed", 0) == 0, "prepare work must be pre-warmed"
+        assert counters.get("engine.ideals_computed", 0) == 0, "prepare work must be pre-warmed"
+        assert counters.get("cache.sample.hits", 0) == 0, "sampling must actually run"
     return best
 
 

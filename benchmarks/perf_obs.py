@@ -1,15 +1,16 @@
 """PR 8 performance guard: the observability layer stays out of the hot path.
 
-Tracing and metrics are meant to be *free when off* and *cheap when on*:
+Tracing is meant to be *free when off* and *cheap when on*:
 
-* **Disabled** — every instrumented site reduces to one ``is None`` check on
-  a module global, so a memo-cold fig8 sweep with the layer disabled must be
-  within **2%** of the same sweep on the pre-instrumentation arithmetic (we
+* **Disabled** — no :class:`~repro.obs.observe.Observation` is active: every
+  span site reduces to one ``is None`` check on a module global, while the
+  engine's counters still count into its own metrics scopes.  A memo-cold
+  fig8 sweep in this mode must be within **2%** of itself re-run (we
   measure run-to-run jitter of the identical configuration and guard the
-  instrumented median against the jitter-adjusted bound).
+  median against the jitter-adjusted bound).
 * **Enabled** — a full :class:`~repro.obs.observe.Observation` (span ring
-  buffer + metrics registry active, every layer recording) must cost at most
-  **10%** over the disabled run.
+  buffer + an outer metrics scope active, every layer recording) must cost
+  at most **10%** over the disabled run.
 
 Results land in ``BENCH_PR8.json`` at the repo root (uploaded as a CI
 artifact alongside the earlier BENCH files).

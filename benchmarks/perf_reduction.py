@@ -155,14 +155,16 @@ def test_streaming_sweep_bounded_memory(bench_record):
         start = time.perf_counter()
         engine.run([job], seed=7)
         engine_seconds = time.perf_counter() - start
-        stats = engine.last_run_stats
+        run = engine.last_run
     finally:
         engine.close()
-    assert stats.sample_shards == 8
-    assert stats.reduction_tree_depth == 3
+    tree_depth = run["gauges"]["reduction.tree_depth"]
+    peak_live_segments = run["gauges"]["reduction.peak_live_segments"]
+    assert run["counters"]["sampler.chunks"] == 8
+    assert tree_depth == 3
     # In-order streaming: at most one live segment per level plus the
     # arriving leaf — never all 8 chunks at once.
-    assert stats.reduction_peak_live_segments <= stats.reduction_tree_depth + 1
+    assert peak_live_segments <= tree_depth + 1
 
     # Wide-register stream: 256 chunks x 100 bits fed in order; the tree
     # must hold O(log chunks) live segments while RSS stays flat.
@@ -185,7 +187,7 @@ def test_streaming_sweep_bounded_memory(bench_record):
         "engine_shots": 1_048_576,
         "engine_chunks": 8,
         "engine_seconds": engine_seconds,
-        "engine_peak_live_segments": stats.reduction_peak_live_segments,
+        "engine_peak_live_segments": peak_live_segments,
         "wide_chunks": 256,
         "wide_bits": 100,
         "wide_peak_live_segments": wide_stats.peak_live_segments,

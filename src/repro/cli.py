@@ -15,7 +15,6 @@ Usage::
     python -m repro.cli scenario-sweep --scenario heavy-hex-127-bv --backend stabilizer
     python -m repro.cli profile fig8 --format json --out profile.json
     python -m repro.cli profile fig8 --repeat 5   # median-of-5 phase timings
-    python -m repro.cli profile fig8 --metrics    # + obs counters/gauges/histograms
     python -m repro.cli trace fig8 --trace-out trace.json   # Chrome trace export
     python -m repro.cli shard-broker --listen 127.0.0.1:7640   # lease-broker service
     python -m repro.cli shard-worker --broker 127.0.0.1:7640   # pull worker
@@ -36,9 +35,8 @@ Clifford fast path, device-scale widths) or ``auto``.
 chunks, reduction merges, kernel invocations, cache lookups — as Chrome
 trace-event JSON (``--trace-out``, default ``trace.json``), loadable in
 ``chrome://tracing`` or https://ui.perfetto.dev; the report rides along
-with ``meta["obs"]`` metrics.  ``profile --metrics`` runs the phase
-profiler with the metrics registry active and appends the counter / gauge
-/ histogram table.
+with ``meta["obs"]`` metrics.  ``profile`` reads each phase's seconds from
+the run's metrics and appends the counter / gauge / histogram table.
 
 ``shard-broker --listen HOST:PORT`` runs the lease broker that multi-node
 runs (``REPRO_SHARD_EXECUTOR=broker``) submit chunks to, and
@@ -308,9 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--repeat", type=_positive_int, default=1, metavar="N",
                         help="profile only: run the experiment N times (fresh engine "
                              "each) and report median per-phase seconds")
-    parser.add_argument("--metrics", action="store_true",
-                        help="profile only: run with the repro.obs metrics registry "
-                             "active and report counters/gauges/histograms")
     parser.add_argument("--trace-out", type=str, default=None, metavar="PATH",
                         dest="trace_out",
                         help="trace only: where to write the Chrome trace-event JSON "
@@ -358,11 +353,11 @@ def _render(report: ExperimentReport, args: argparse.Namespace) -> str:
     if args.format == "json":
         return report.to_json()
     rendered = report.to_text()
-    if getattr(args, "metrics", False) and "obs" in report.meta:
+    if "metrics" in report.meta:
         from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
-        registry.merge_snapshot(report.meta["obs"]["metrics"])
+        registry.merge_snapshot(report.meta["metrics"])
         rendered += "\n\n== metrics ==\n" + format_table(registry.as_rows())
     if "trace" in report.meta:
         trace = report.meta["trace"]
@@ -434,29 +429,27 @@ def profile_report(
 ) -> ExperimentReport:
     """Run one experiment under the phase profiler (``profile`` subcommand).
 
-    The report's rows are per-phase wall seconds (transpile / ideal / sample
-    from the engine, hammer from the reconstruction kernel) with call counts
-    and shares; engine cache statistics and the kernel-tuning decisions ride
-    along in ``meta`` so a JSON artifact fully describes the run.
+    Each repeat runs in its own metrics scope.  The report's rows are that
+    scope's per-phase wall seconds (transpile / ideal / sample from the
+    engine, hammer from the reconstruction kernel), read from its
+    ``phase.<name>`` histograms, with call counts and shares.
+    ``meta["metrics"]`` carries the scopes' snapshot (counters accumulate
+    over all repeats), the text rendering appends it as a table, and the
+    engine's metrics and the kernel-tuning decisions ride along in
+    ``meta`` so a JSON artifact fully describes the run.
 
     ``--repeat N`` (``args.repeat``) runs the experiment ``N`` times, each
     through a *fresh* engine (cold in-memory caches, so every repeat does
     the same work), and reports the **median** per-phase seconds — a robust
     location estimate for noisy CI boxes.  With ``N = 1`` (default) a
     caller-supplied engine is honoured unchanged.
-
-    ``--metrics`` (``args.metrics``) activates an
-    :class:`~repro.obs.observe.Observation` around the repeats, so the
-    report carries a ``meta["obs"]`` metrics snapshot (counters accumulate
-    over all repeats) and the text rendering appends the metrics table.
     """
     import statistics
     import time as _time
-    from contextlib import nullcontext
 
     from repro.core.tuning import tuning_report
-    from repro.obs import Observation
-    from repro.obs.phases import collect_phases
+    from repro.obs.metrics import MetricsRegistry, MetricsScope
+    from repro.obs.phases import phase_totals
 
     if target not in EXPERIMENTS:
         raise SystemExit(f"unknown experiment {target!r}; run 'list' to see the registry")
@@ -466,47 +459,48 @@ def profile_report(
             f"supported experiments: {sorted(set(EXPERIMENTS) - PROFILE_UNSUPPORTED_EXPERIMENTS)}"
         )
     repeat = max(1, int(getattr(args, "repeat", 1) or 1))
-    observing = bool(getattr(args, "metrics", False))
     walls: list[float] = []
     phase_seconds: dict[str, list[float]] = {}
-    phase_calls: dict[str, object] = {}
+    phase_calls: dict[str, int] = {}
     rows_produced = 0.0
     run_engine = engine
-    with Observation() if observing else nullcontext():
-        for _ in range(repeat):
-            run_engine = engine if (engine is not None and repeat == 1) else build_engine(args)
-            wall_start = _time.perf_counter()
-            with collect_phases() as phases:
-                inner = run_experiment(target, args, run_engine)
-            walls.append(_time.perf_counter() - wall_start)
-            for row in phases.as_rows():
-                phase_seconds.setdefault(row["phase"], []).append(float(row["seconds"]))
-                phase_calls[row["phase"]] = row["calls"]
-            rows_produced = float(len(inner.rows))
-            if run_engine is not engine:
-                run_engine.close()
-        medians = {phase: statistics.median(values) for phase, values in phase_seconds.items()}
-        total = sum(medians.values())
-        report = ExperimentReport(
-            name=f"profile_{target}",
-            rows=[
-                {
-                    "phase": phase,
-                    "seconds": medians[phase],
-                    "calls": phase_calls[phase],
-                    "share": medians[phase] / total if total > 0 else 0.0,
-                }
-                for phase in phase_seconds
-            ],
-        )
-        report.summary["wall_seconds"] = statistics.median(walls)
-        report.summary["phase_seconds"] = total
-        report.summary["unattributed_seconds"] = statistics.median(walls) - total
-        report.summary["rows_produced"] = rows_produced
-        report.meta["experiment"] = target
-        report.meta["repeat"] = repeat
-        report.meta["tuning"] = tuning_report()
-        return attach_engine_meta(report, run_engine)
+    metrics = MetricsRegistry()
+    for _ in range(repeat):
+        run_engine = engine if (engine is not None and repeat == 1) else build_engine(args)
+        wall_start = _time.perf_counter()
+        with MetricsScope(metrics) as scope:
+            inner = run_experiment(target, args, run_engine)
+        walls.append(_time.perf_counter() - wall_start)
+        for phase, (seconds, calls) in phase_totals(scope.registry).items():
+            phase_seconds.setdefault(phase, []).append(seconds)
+            phase_calls[phase] = calls
+        rows_produced = float(len(inner.rows))
+        if run_engine is not engine:
+            run_engine.close()
+    medians = {phase: statistics.median(values) for phase, values in phase_seconds.items()}
+    total = sum(medians.values())
+    report = ExperimentReport(
+        name=f"profile_{target}",
+        rows=[
+            {
+                "phase": phase,
+                "seconds": medians[phase],
+                "calls": phase_calls[phase],
+                "share": medians[phase] / total if total > 0 else 0.0,
+            }
+            for phase in phase_seconds
+        ],
+    )
+    report.summary["wall_seconds"] = statistics.median(walls)
+    report.summary["phase_seconds"] = total
+    report.summary["unattributed_seconds"] = statistics.median(walls) - total
+    report.summary["rows_produced"] = rows_produced
+    report.meta["experiment"] = target
+    report.meta["repeat"] = repeat
+    report.meta["tuning"] = tuning_report()
+    report.meta["metrics"] = metrics.snapshot()
+    return attach_engine_meta(report, run_engine)
+
 
 def trace_report(
     target: str, args: argparse.Namespace, engine: ExecutionEngine | None = None
@@ -655,8 +649,6 @@ def main(argv: list[str] | None = None) -> int:
         )
     if args.repeat != 1 and args.experiment != "profile":
         parser.error("--repeat only applies to the 'profile' subcommand")
-    if args.metrics and args.experiment != "profile":
-        parser.error("--metrics only applies to the 'profile' subcommand")
     if args.trace_out is not None and args.experiment != "trace":
         parser.error("--trace-out only applies to the 'trace' subcommand")
     if args.experiment == "shard-worker" and (args.broker is None or args.listen is not None):

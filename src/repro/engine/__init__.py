@@ -10,7 +10,7 @@ worker count.
 
 from repro.engine.broker import BrokerExecutor, BrokerWorker, ShardBroker
 from repro.engine.cache import ExecutionCache
-from repro.engine.engine import EngineRunStats, ExecutionEngine
+from repro.engine.engine import ExecutionEngine
 from repro.engine.executors import (
     ProcessPoolShardExecutor,
     SerialShardExecutor,
@@ -33,7 +33,6 @@ from repro.engine.transport import FaultInjectingExecutor
 __all__ = [
     "CircuitJob",
     "JobResult",
-    "EngineRunStats",
     "ExecutionEngine",
     "ExecutionCache",
     "ShardExecutor",

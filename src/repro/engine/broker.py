@@ -770,7 +770,6 @@ class BrokerExecutor(ShardExecutor):
     """
 
     name = "broker"
-    in_process = False
 
     def __init__(
         self,

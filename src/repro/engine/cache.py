@@ -72,8 +72,6 @@ class ExecutionCache:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-        self.hits: dict[str, int] = {namespace: 0 for namespace in _NAMESPACES}
-        self.misses: dict[str, int] = {namespace: 0 for namespace in _NAMESPACES}
 
     def _check_namespace(self, namespace: str) -> None:
         if namespace not in _NAMESPACES:
@@ -92,13 +90,16 @@ class ExecutionCache:
             self._memory.popitem(last=False)
 
     def get(self, namespace: str, key: str) -> Any | None:
-        """Fetch an artifact, checking memory first and then the disk tier."""
+        """Fetch an artifact, checking memory first and then the disk tier.
+
+        Each lookup counts ``cache.<namespace>.hits`` or ``.misses`` in the
+        active metrics registry (the engine's run or HAMMER scope).
+        """
         self._check_namespace(namespace)
         with trace_span("cache.get", namespace=namespace) as span:
             entry = self._memory.get((namespace, key))
             if entry is not None:
                 self._memory.move_to_end((namespace, key))
-                self.hits[namespace] += 1
                 counter_add(f"cache.{namespace}.hits")
                 span.set(hit=True, tier="memory")
                 return entry
@@ -118,11 +119,9 @@ class ExecutionCache:
                             pass
                     else:
                         self._remember(namespace, key, entry)
-                        self.hits[namespace] += 1
                         counter_add(f"cache.{namespace}.hits")
                         span.set(hit=True, tier="disk")
                         return entry
-            self.misses[namespace] += 1
             counter_add(f"cache.{namespace}.misses")
             span.set(hit=False)
             return None
@@ -173,28 +172,7 @@ class ExecutionCache:
                     stacklevel=2,
                 )
 
-    def __contains__(self, namespace_key: tuple[str, str]) -> bool:
-        namespace, key = namespace_key
-        self._check_namespace(namespace)
-        if (namespace, key) in self._memory:
-            return True
-        return self.cache_dir is not None and self._path(namespace, key).exists()
-
     @property
     def num_memory_entries(self) -> int:
         """Number of artifacts currently held in the in-process tier."""
         return len(self._memory)
-
-    def stats(self) -> dict[str, int]:
-        """Flat hit/miss counters (cumulative over the cache's lifetime)."""
-        flat: dict[str, int] = {}
-        for namespace in _NAMESPACES:
-            flat[f"{namespace}_hits"] = self.hits[namespace]
-            flat[f"{namespace}_misses"] = self.misses[namespace]
-        return flat
-
-    def reset_counters(self) -> None:
-        """Zero the hit/miss counters (entries are kept)."""
-        for namespace in _NAMESPACES:
-            self.hits[namespace] = 0
-            self.misses[namespace] = 0

@@ -23,8 +23,8 @@ three phases, deduplicating shared work through the content-addressed
    Jobs above the shard threshold (``REPRO_SAMPLE_SHARD_SHOTS``, default
    262,144) are split into fixed-size shot chunks with per-chunk seed
    streams; chunks execute on a pluggable
-   :class:`~repro.engine.executors.ShardExecutor` (serial / process-pool
-   today, host-addressable tomorrow) and their partial histograms stream
+   :class:`~repro.engine.executors.ShardExecutor` (serial, process-pool or
+   the lease broker's pull workers) and their partial histograms stream
    into a fixed-shape :class:`~repro.engine.reduction.ReductionTree` as
    they complete — peak live segments stay ``O(log chunks)``, merges
    overlap with sampling, and the merged histogram is bit-identical for
@@ -63,8 +63,21 @@ Every execution choice follows two steps, override > fixed rule.  The shard
 threshold comes from the constructor or ``REPRO_SAMPLE_SHARD_SHOTS``, else
 :data:`DEFAULT_SAMPLE_SHARD_SHOTS`; the shard executor from the constructor
 or ``REPRO_SHARD_EXECUTOR``, else ``auto``; the worker count is
-``max_workers``.  :attr:`EngineRunStats.planner_decisions` counts each shard
-layout and executor choice with its source.
+``max_workers``.  Each shard layout is counted with its source as the
+counter ``planner.shard.<choice>/<source>``; the shard executor that ran a
+batch's chunks is the gauge ``planner.shard-executor.<name>/<source>`` (it
+follows the worker count, and counters do not).
+
+Accounting
+----------
+Each :meth:`ExecutionEngine.run` and :meth:`ExecutionEngine.hammer` call
+counts into one :class:`~repro.obs.metrics.MetricsScope`, with or without an
+:class:`~repro.obs.observe.Observation`.  A run's snapshot becomes
+:attr:`ExecutionEngine.last_run`; every scope folds into the lifetime
+registry :attr:`ExecutionEngine.metrics` and into any enclosing scope.
+Tasks that run in another process count into a task-scoped registry whose
+snapshot travels back with the result and folds into the run's registry
+once, so ``last_run``'s counters are equal at any worker count.
 """
 
 from __future__ import annotations
@@ -74,7 +87,7 @@ import time
 import weakref
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Any
 
@@ -83,10 +96,17 @@ import numpy as np
 from repro.backends import get_backend, resolve_backend
 from repro.core.distribution import Distribution
 from repro.core.hammer import HammerConfig, hammer
-from repro.obs.metrics import counter_add, gauge_max
-from repro.obs.observe import absorb_payload, observation_active, observed_call
+from repro.obs.metrics import (
+    MetricsRegistry,
+    MetricsScope,
+    counter_add,
+    gauge_max,
+    gauge_set,
+    observe_hist,
+)
+from repro.obs.observe import absorb_payload, observed_call
 from repro.obs.phases import record_phase_seconds
-from repro.obs.trace import record_span, trace_span
+from repro.obs.trace import record_span, trace_span, tracing_active
 from repro.engine.cache import ExecutionCache
 from repro.engine.executors import (
     ENV_SHARD_EXECUTOR,
@@ -121,7 +141,7 @@ DEFAULT_SAMPLE_SHARD_SHOTS = 262_144
 
 _ENV_SHARD_SHOTS = "REPRO_SAMPLE_SHARD_SHOTS"
 
-__all__ = ["ExecutionEngine", "EngineRunStats"]
+__all__ = ["ExecutionEngine"]
 
 
 @dataclass(frozen=True)
@@ -136,7 +156,7 @@ class _TranspileArtifact:
 def _merge_numeric(into: dict, other: dict) -> dict:
     """Deep-merge ``other`` into a copy of ``into``: numbers add, dicts recurse.
 
-    Used to fold per-batch transport provenance into lifetime totals —
+    Folds each batch's transport provenance into the engine's totals —
     chunk/lease/fault counts add across batches while identifying values
     (executor name, broker address, seed) are simply carried forward.
     Booleans are identity, not addends.
@@ -156,122 +176,6 @@ def _merge_numeric(into: dict, other: dict) -> dict:
         else:
             merged[key] = value
     return merged
-
-
-@dataclass
-class EngineRunStats:
-    """Aggregate accounting of one :meth:`ExecutionEngine.run` call."""
-
-    num_jobs: int = 0
-    max_workers: int = 1
-    transpiled_jobs: int = 0
-    transpile_cache_hits: int = 0
-    ideal_cache_hits: int = 0
-    sample_cache_hits: int = 0
-    stabilizer_jobs: int = 0
-    unique_transpiles_computed: int = 0
-    unique_ideals_computed: int = 0
-    sample_groups: int = 0
-    grouped_sample_jobs: int = 0
-    sharded_jobs: int = 0
-    sample_shards: int = 0
-    #: Pairwise reduction-tree merges performed over shard segments.
-    reduction_merges: int = 0
-    #: Deepest reduction tree of the run (``ceil(log2(chunks))`` of the
-    #: most-sharded job); 0 when nothing sharded.
-    reduction_tree_depth: int = 0
-    #: Most live segments any job's tree ever held at once — the measured
-    #: bounded-memory guarantee (``depth + 1`` for in-order completion,
-    #: plus the executor's out-of-order window otherwise).
-    reduction_peak_live_segments: int = 0
-    #: Wall seconds inside pairwise shard merges (overlapped with sampling
-    #: on streaming executors, so this can exceed its wall-clock share).
-    merge_seconds: float = 0.0
-    #: Chunk results delivered after their index already merged (an
-    #: at-least-once transport retried or duplicated them) and dropped
-    #: before touching the tree or the obs counters.
-    duplicate_chunks_dropped: int = 0
-    #: Transport provenance from the shard executor's :meth:`provenance`
-    #: (broker chunk and lease counts, injected faults); empty for purely
-    #: local executors.
-    transport: dict = field(default_factory=dict)
-    prepare_seconds: float = 0.0
-    sample_seconds: float = 0.0
-    wall_seconds: float = 0.0
-    #: Nested counters of the shard decisions made while running:
-    #: ``{"shard": {"chunk:262144/heuristic": 3, ...}, "shard-executor": ...}``.
-    #: Each key is ``f"{choice}/{source}"`` where source is ``override`` (a
-    #: constructor argument or environment value) or ``heuristic`` (the
-    #: built-in rule).
-    planner_decisions: dict = field(default_factory=dict)
-
-    def record_planner(self, kind: str, choice: str, source: str) -> None:
-        """Count one planner decision (shard layout or shard executor)."""
-        bucket = self.planner_decisions.setdefault(kind, {})
-        key = f"{choice}/{source}"
-        bucket[key] = bucket.get(key, 0) + 1
-
-    def accumulate(self, other: "EngineRunStats") -> None:
-        """Fold another run's counters into this one (for lifetime totals)."""
-        self.num_jobs += other.num_jobs
-        self.transpiled_jobs += other.transpiled_jobs
-        self.transpile_cache_hits += other.transpile_cache_hits
-        self.ideal_cache_hits += other.ideal_cache_hits
-        self.sample_cache_hits += other.sample_cache_hits
-        self.stabilizer_jobs += other.stabilizer_jobs
-        self.unique_transpiles_computed += other.unique_transpiles_computed
-        self.unique_ideals_computed += other.unique_ideals_computed
-        self.sample_groups += other.sample_groups
-        self.grouped_sample_jobs += other.grouped_sample_jobs
-        self.sharded_jobs += other.sharded_jobs
-        self.sample_shards += other.sample_shards
-        self.reduction_merges += other.reduction_merges
-        self.reduction_tree_depth = max(
-            self.reduction_tree_depth, other.reduction_tree_depth
-        )
-        self.reduction_peak_live_segments = max(
-            self.reduction_peak_live_segments, other.reduction_peak_live_segments
-        )
-        self.merge_seconds += other.merge_seconds
-        self.duplicate_chunks_dropped += other.duplicate_chunks_dropped
-        self.transport = _merge_numeric(self.transport, other.transport)
-        self.prepare_seconds += other.prepare_seconds
-        self.sample_seconds += other.sample_seconds
-        self.wall_seconds += other.wall_seconds
-        for kind, counts in other.planner_decisions.items():
-            bucket = self.planner_decisions.setdefault(kind, {})
-            for key, count in counts.items():
-                bucket[key] = bucket.get(key, 0) + count
-
-    def as_dict(self) -> dict[str, object]:
-        """Flat dict for ``ExperimentReport.meta`` / JSON artifacts."""
-        return {
-            "num_jobs": self.num_jobs,
-            "max_workers": self.max_workers,
-            "transpiled_jobs": self.transpiled_jobs,
-            "transpile_cache_hits": self.transpile_cache_hits,
-            "ideal_cache_hits": self.ideal_cache_hits,
-            "sample_cache_hits": self.sample_cache_hits,
-            "stabilizer_jobs": self.stabilizer_jobs,
-            "unique_transpiles_computed": self.unique_transpiles_computed,
-            "unique_ideals_computed": self.unique_ideals_computed,
-            "sample_groups": self.sample_groups,
-            "grouped_sample_jobs": self.grouped_sample_jobs,
-            "sharded_jobs": self.sharded_jobs,
-            "sample_shards": self.sample_shards,
-            "reduction_merges": self.reduction_merges,
-            "reduction_tree_depth": self.reduction_tree_depth,
-            "reduction_peak_live_segments": self.reduction_peak_live_segments,
-            "merge_seconds": self.merge_seconds,
-            "duplicate_chunks_dropped": self.duplicate_chunks_dropped,
-            "transport": _merge_numeric({}, self.transport),
-            "prepare_seconds": self.prepare_seconds,
-            "sample_seconds": self.sample_seconds,
-            "wall_seconds": self.wall_seconds,
-            "planner_decisions": {
-                kind: dict(counts) for kind, counts in sorted(self.planner_decisions.items())
-            },
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -473,12 +377,18 @@ class ExecutionEngine:
             self._shard_executor_name = shard_executor
         self._shard_executor_override = executor_override
         self.cache = cache if cache is not None else ExecutionCache(cache_dir)
-        self.last_run_stats: EngineRunStats | None = None
-        #: Totals over every :meth:`run` since construction.  Studies that
-        #: issue several batches through one shared engine (fig12, headline,
-        #: the dataset emulators) report these, so the provenance covers the
-        #: whole sweep and reconciles with the cache's lifetime counters.
-        self.lifetime_stats = EngineRunStats(max_workers=self.max_workers)
+        #: Every :meth:`run` and :meth:`hammer` call's metrics since
+        #: construction.  Studies that issue several batches through one
+        #: shared engine (fig12, headline, the dataset emulators) report
+        #: these, so the provenance covers the whole sweep.
+        self.metrics = MetricsRegistry()
+        #: The metrics snapshot of the latest :meth:`run`.
+        self.last_run: dict | None = None
+        #: Transport provenance of every sharded batch since construction:
+        #: the shard executor's :meth:`~ShardExecutor.provenance`, folded by
+        #: :func:`_merge_numeric` (broker chunk and lease counts, injected
+        #: faults); empty while only local executors ran.
+        self.transport: dict = {}
         self._pool: ProcessPoolExecutor | None = None
         self._pool_finalizer: weakref.finalize | None = None
 
@@ -521,18 +431,16 @@ class ExecutionEngine:
     def _map(self, pool: ProcessPoolExecutor | None, fn: Callable, tasks: Sequence) -> list:
         if pool is None or len(tasks) <= 1:
             return [fn(task) for task in tasks]
-        chunksize = self._pool_chunksize(len(tasks))
-        if observation_active():
-            # Workers start unobserved; wrap each task in a task-scoped
-            # observation and fold its payload (metrics/spans/logs) back in.
-            results = []
-            for result, payload in pool.map(
-                partial(observed_call, fn), tasks, chunksize=chunksize
-            ):
-                absorb_payload(payload)
-                results.append(result)
-            return results
-        return list(pool.map(fn, tasks, chunksize=chunksize))
+        # Workers count into a task-scoped registry; fold each payload back.
+        results = []
+        for result, payload in pool.map(
+            partial(observed_call, fn, traced=tracing_active()),
+            tasks,
+            chunksize=self._pool_chunksize(len(tasks)),
+        ):
+            absorb_payload(payload)
+            results.append(result)
+        return results
 
     def _cached_map(
         self, namespace: str, pool: ProcessPoolExecutor | None, fn: Callable, tasks: Iterable
@@ -571,10 +479,7 @@ class ExecutionEngine:
         return max(1, num_tasks // (self.max_workers * 4))
 
     def _resolve_shard_executor(
-        self,
-        pool: ProcessPoolExecutor | None,
-        num_tasks: int,
-        stats: EngineRunStats,
+        self, pool: ProcessPoolExecutor | None, num_tasks: int
     ) -> ShardExecutor:
         """Pick the executor for this batch's shard tasks, recording provenance.
 
@@ -598,11 +503,11 @@ class ExecutionEngine:
             ):
                 pool = self._get_pool()
             executor = resolve_shard_executor(name, pool)
-        stats.record_planner(
-            "shard-executor",
-            executor.name,
-            "override" if self._shard_executor_override else "heuristic",
-        )
+        source = "override" if self._shard_executor_override else "heuristic"
+        # An info gauge (1 = chunks ran here), not a counter: ``auto`` picks
+        # the executor from the worker count, and counters count only work
+        # units, equal at any worker count.
+        gauge_set(f"planner.shard-executor.{executor.name}/{source}", 1)
         return executor
 
     def map_timed(self, fn: Callable, items: Iterable) -> list[tuple[Any, float]]:
@@ -621,15 +526,19 @@ class ExecutionEngine:
     # Batch execution
     # ------------------------------------------------------------------
     def run(self, jobs: Sequence[CircuitJob], seed: int = 0) -> list[JobResult]:
-        """Execute a batch of jobs and return results in batch order."""
-        wall_start = time.perf_counter()
+        """Execute a batch of jobs and return results in batch order.
+
+        The batch counts into one metrics scope; its snapshot becomes
+        :attr:`last_run` and folds into :attr:`metrics`.
+        """
         jobs = list(jobs)
-        stats = EngineRunStats(num_jobs=len(jobs), max_workers=self.max_workers)
-        if not jobs:
-            stats.wall_seconds = time.perf_counter() - wall_start
-            self.last_run_stats = stats
-            self.lifetime_stats.accumulate(stats)
-            return []
+        with MetricsScope(self.metrics) as scope:
+            results = self._run_batch(jobs, seed) if jobs else []
+        self.last_run = scope.snapshot
+        return results
+
+    def _run_batch(self, jobs: list[CircuitJob], seed: int) -> list[JobResult]:
+        wall_start = time.perf_counter()
         seed = int(seed)
         if seed < 0:
             raise EngineError(f"seed must be non-negative, got {seed}")
@@ -645,16 +554,15 @@ class ExecutionEngine:
         pool = self._get_pool() if len(jobs) > 1 else None
         counter_add("engine.runs")
         counter_add("engine.jobs", len(jobs))
-        results = self._run_phases(jobs, seed, stats, pool, wall_start)
+        results = self._run_phases(jobs, seed, pool)
+        wall_seconds = time.perf_counter() - wall_start
+        observe_hist("engine.wall_seconds", wall_seconds)
         record_span(
-            "engine.run",
-            stats.wall_seconds,
-            num_jobs=stats.num_jobs,
-            max_workers=self.max_workers,
+            "engine.run", wall_seconds, num_jobs=len(jobs), max_workers=self.max_workers
         )
         return results
 
-    def _plan_shard(self, job: CircuitJob, stats: EngineRunStats) -> int | None:
+    def _plan_shard(self, job: CircuitJob) -> int | None:
         """Chunk size of one job's shard layout (``None``: one stream).
 
         ``None`` means the historical single-stream draw: trajectory jobs
@@ -663,20 +571,16 @@ class ExecutionEngine:
         if job.method != "bitflip":
             return None
         chunk = self.sample_shard_shots if job.shots > self.sample_shard_shots else None
-        stats.record_planner(
-            "shard",
-            "none" if chunk is None else f"chunk:{chunk}",
-            "override" if self._shard_override else "heuristic",
-        )
+        choice = "none" if chunk is None else f"chunk:{chunk}"
+        source = "override" if self._shard_override else "heuristic"
+        counter_add(f"planner.shard.{choice}/{source}")
         return chunk
 
     def _run_phases(
         self,
         jobs: list[CircuitJob],
         seed: int,
-        stats: EngineRunStats,
         pool: ProcessPoolExecutor | None,
-        wall_start: float,
     ) -> list[JobResult]:
         # ---- Phase 1: transpilation (once per unique circuit/target) ----
         phase_start = time.perf_counter()
@@ -692,7 +596,6 @@ class ExecutionEngine:
         transpile_artifacts, transpile_seconds = self._cached_map(
             "transpile", pool, _transpile_task, transpile_tasks
         )
-        stats.unique_transpiles_computed = len(transpile_seconds)
         record_phase_seconds("transpile", time.perf_counter() - phase_start)
 
         # ---- Phase 2: ideal distributions (once per unique executed circuit
@@ -745,7 +648,6 @@ class ExecutionEngine:
         ideal_distributions, ideal_seconds = self._cached_map(
             "ideal", pool, _ideal_task, ideal_tasks
         )
-        stats.unique_ideals_computed = len(ideal_seconds)
         record_phase_seconds("ideal", time.perf_counter() - phase_start)
 
         # ---- Phase 3: noisy sampling (one independent RNG stream per job) ----
@@ -768,7 +670,7 @@ class ExecutionEngine:
         # sweeps reusing one NoiseModel across many jobs hash it once here.
         noise_fingerprints: dict[int, str] = {}
         for index, job in enumerate(jobs):
-            job_chunk_shots = self._plan_shard(job, stats)
+            job_chunk_shots = self._plan_shard(job)
             sharded = job_chunk_shots is not None
             skey = sample_key(
                 executed_circuits[index],
@@ -784,7 +686,7 @@ class ExecutionEngine:
             if cached is not None:
                 # Every sampling counter (groups, grouped jobs, sharded jobs,
                 # shards) tracks *computed* work only; cache hits contribute
-                # nothing, the same convention as unique_ideals_computed.
+                # nothing, the same convention as engine.ideals_computed.
                 sampled_by_index[index] = (cached, 0.0, True)
                 continue
             if job.method == "trajectory":
@@ -797,8 +699,7 @@ class ExecutionEngine:
                 if job.shots % job_chunk_shots:
                     chunk_sizes.append(job.shots % job_chunk_shots)
                 shard_chunk_counts[index] = len(chunk_sizes)
-                stats.sharded_jobs += 1
-                stats.sample_shards += len(chunk_sizes)
+                counter_add("engine.sharded_jobs")
                 for chunk, chunk_shots in enumerate(chunk_sizes):
                     shard_tasks.append(
                         (
@@ -820,12 +721,12 @@ class ExecutionEngine:
 
         # One logical group per (ideal key, noise fingerprint) with at least
         # one cache-miss job; worker slicing below is an execution detail and
-        # must not change the reported stats.
-        stats.sample_groups = len(group_members)
+        # must not change the counters.
+        counter_add("engine.sample_groups", len(group_members))
         group_tasks: list[tuple] = []
         for indices in group_members.values():
             if len(indices) > 1:
-                stats.grouped_sample_jobs += len(indices)
+                counter_add("engine.grouped_sample_jobs", len(indices))
             # Grouping must not serialize a parallel run: split each group
             # into at most ``max_workers`` consecutive slices.  Per-job seed
             # streams are independent, so the split never changes results.
@@ -859,25 +760,17 @@ class ExecutionEngine:
             # tree *as they complete* — no barrier-collect, peak live
             # segments O(log chunks) per job, and the merged histogram is
             # bit-identical for any executor and completion order.
-            executor = self._resolve_shard_executor(pool, len(shard_tasks), stats)
+            executor = self._resolve_shard_executor(pool, len(shard_tasks))
             trees: dict[int, ReductionTree] = {
                 index: ReductionTree(count, executed_circuits[index].num_qubits)
                 for index, count in shard_chunk_counts.items()
             }
             chunk_seconds: dict[int, float] = {}
-            # In-process executors record straight into the live observation;
-            # cross-process ones need the task wrapped so each chunk ships a
-            # payload back alongside its (words, counts) result.
-            observed = observation_active() and not executor.in_process
-            shard_fn = (
-                partial(observed_call, _sample_shard_task) if observed else _sample_shard_task
-            )
+            # Each chunk counts into a task-scoped registry, wherever it
+            # runs, and ships the snapshot back with its (words, counts).
+            shard_fn = partial(observed_call, _sample_shard_task, traced=tracing_active())
             try:
-                for item in executor.run(shard_fn, shard_tasks):
-                    if observed:
-                        item, payload = item
-                    else:
-                        payload = None
+                for item, payload in executor.run(shard_fn, shard_tasks):
                     index, chunk, words, counts, elapsed = item
                     tree = trees.get(index)
                     if tree is None or tree.arrived(chunk):
@@ -885,11 +778,9 @@ class ExecutionEngine:
                         # transport retried or duplicated: drop it — payload
                         # included, so the work-unit counters stay exactly
                         # equal to a fault-free run's.
-                        stats.duplicate_chunks_dropped += 1
                         counter_add("engine.duplicate_chunks_dropped")
                         continue
-                    if observed:
-                        absorb_payload(payload)
+                    absorb_payload(payload)
                     chunk_seconds[index] = chunk_seconds.get(index, 0.0) + elapsed
                     tree.add(chunk, words, counts)
                     if tree.complete:
@@ -897,25 +788,14 @@ class ExecutionEngine:
                         self.cache.put("sample", job_skeys[index], noisy)
                         sampled_by_index[index] = (noisy, chunk_seconds[index], False)
                         tree_stats = tree.stats()
-                        stats.reduction_merges += tree_stats.merges
-                        stats.reduction_tree_depth = max(
-                            stats.reduction_tree_depth, tree_stats.depth
-                        )
-                        stats.reduction_peak_live_segments = max(
-                            stats.reduction_peak_live_segments,
-                            tree_stats.peak_live_segments,
-                        )
-                        stats.merge_seconds += tree_stats.merge_seconds
                         gauge_max("reduction.tree_depth", tree_stats.depth)
-                        gauge_max(
-                            "reduction.peak_live_segments",
-                            tree_stats.peak_live_segments,
-                        )
+                        gauge_max("reduction.peak_live_segments", tree_stats.peak_live_segments)
+                        observe_hist("reduction.merge_seconds", tree_stats.merge_seconds)
                         del trees[index]
             finally:
                 provenance = executor.provenance()
                 if provenance:
-                    stats.transport = _merge_numeric(stats.transport, provenance)
+                    self.transport = _merge_numeric(self.transport, provenance)
                 # An executor passed in serves every batch; its owner closes it.
                 if executor is not self._shard_executor_instance:
                     executor.close()
@@ -947,13 +827,6 @@ class ExecutionEngine:
                 prepare_seconds += transpile_seconds[tkey]
             if ideal_owner.get(ikey) == index:
                 prepare_seconds += ideal_seconds[ikey]
-            stats.transpiled_jobs += 1 if transpiled else 0
-            stats.transpile_cache_hits += 1 if transpile_hit else 0
-            stats.ideal_cache_hits += 1 if ideal_hit else 0
-            stats.sample_cache_hits += 1 if sample_hit else 0
-            stats.stabilizer_jobs += 1 if job_backends[index] == "stabilizer" else 0
-            stats.prepare_seconds += prepare_seconds
-            stats.sample_seconds += sample_seconds
             results.append(
                 JobResult(
                     job_id=job.job_id,
@@ -975,9 +848,6 @@ class ExecutionEngine:
                     backend=job_backends[index],
                 )
             )
-        stats.wall_seconds = time.perf_counter() - wall_start
-        self.last_run_stats = stats
-        self.lifetime_stats.accumulate(stats)
         return results
 
     def run_single(self, job: CircuitJob, seed: int = 0) -> JobResult:
@@ -994,10 +864,12 @@ class ExecutionEngine:
         the ``cache_dir``) is exactly what :func:`repro.core.hammer.hammer`
         would return.  Equal requests compute once.  Misses run in the
         calling process at any ``max_workers``: the key reads this process's
-        kernel plan, so the plan it names is the plan that runs, and the
-        ``hammer`` phase and ``kernel.*`` counters stay with the caller's
-        observation.
+        kernel plan, so the plan it names is the plan that runs.  The call
+        counts into one metrics scope (the ``hammer`` phase, ``kernel.*``
+        and ``cache.hammer.*``), folded into :attr:`metrics` and into the
+        caller's scope.
         """
-        tasks = [(hammer_key(noisy, config), noisy, config) for noisy, config in requests]
-        reconstructed, _ = self._cached_map("hammer", None, _hammer_task, tasks)
+        with MetricsScope(self.metrics):
+            tasks = [(hammer_key(noisy, config), noisy, config) for noisy, config in requests]
+            reconstructed, _ = self._cached_map("hammer", None, _hammer_task, tasks)
         return [reconstructed[key] for key, _, _ in tasks]

@@ -71,12 +71,6 @@ class ShardExecutor(ABC):
     #: Short name recorded in planner provenance.
     name: str = "abstract"
 
-    #: Whether ``fn`` runs in the caller's process.  In-process executors
-    #: record spans/metrics straight into the live observation; the engine
-    #: wraps tasks for out-of-process ones so each chunk ships its
-    #: observability payload back with its result.
-    in_process: bool = True
-
     @abstractmethod
     def run(self, fn: Callable, tasks: Sequence) -> Iterator[Any]:
         """Yield ``fn(task)`` for every task, in completion order.
@@ -126,7 +120,6 @@ class ProcessPoolShardExecutor(ShardExecutor):
     """
 
     name = "process-pool"
-    in_process = False
 
     def __init__(self, pool: ProcessPoolExecutor, max_in_flight: int | None = None) -> None:
         if pool is None:

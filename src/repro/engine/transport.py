@@ -267,11 +267,9 @@ class FaultInjectingExecutor(ShardExecutor):
         if delay_window < 1:
             raise EngineError(f"delay_window must be >= 1, got {delay_window}")
         self._inner = inner
-        # Instance attributes shadow the class defaults so provenance and
-        # planner entries name both layers, and the engine's in-process /
-        # cross-process wrapping decision follows the inner executor.
+        # An instance attribute shadows the class default so provenance and
+        # planner entries name both layers.
         self.name = f"fault({inner.name})"
-        self.in_process = inner.in_process
         self.seed = int(seed)
         self.fractions = fractions
         self.delay_window = int(delay_window)

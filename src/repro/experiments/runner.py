@@ -22,6 +22,7 @@ from repro.metrics.fidelity import geometric_mean
 __all__ = [
     "ExperimentReport",
     "attach_engine_meta",
+    "planner_decisions",
     "format_table",
     "gmean_of_ratios",
     "trace_pipeline",
@@ -135,7 +136,7 @@ class ExperimentReport:
         Headline scalars (e.g. ``{"gmean_pst_improvement": 1.41}``).
     meta:
         Run provenance that is not part of the reproduced figure — engine
-        statistics (cache hits, timings, worker count), per-job trace rows,
+        metrics (cache hits, timings, worker count), per-job trace rows,
         configuration echoes.  Serialised by :meth:`to_json`, omitted from
         :meth:`to_text`.
     """
@@ -192,25 +193,42 @@ class ExperimentReport:
         return self.summary[key]
 
 
-def attach_engine_meta(report: ExperimentReport, engine, trace=None) -> ExperimentReport:
-    """Record an engine's lifetime statistics (and optional per-job trace) on a report.
+def planner_decisions(snapshot: dict) -> dict[str, dict[str, float]]:
+    """A metrics snapshot's ``planner.<kind>.<decision>`` entries, nested by kind.
 
-    The lifetime totals are used rather than the last batch's: studies like
-    fig12 or headline push several batches through one shared engine, and the
-    report should account for the whole sweep (consistent with the cache's
-    cumulative hit/miss counters, which ride along).
+    Shard layouts are counters (jobs per layout), shard executors info
+    gauges (1 when a batch's chunks ran there).
+    """
+    decisions: dict[str, dict[str, float]] = {}
+    for name, value in [*snapshot["counters"].items(), *snapshot["gauges"].items()]:
+        if name.startswith("planner."):
+            kind, _, decision = name[len("planner."):].partition(".")
+            decisions.setdefault(kind, {})[decision] = value
+    return decisions
+
+
+def attach_engine_meta(report: ExperimentReport, engine, trace=None) -> ExperimentReport:
+    """Record an engine's lifetime metrics (and optional per-job trace) on a report.
+
+    ``report.meta["engine"]`` is the engine's lifetime metrics snapshot
+    (``counters``, ``gauges``, ``histograms``) plus ``max_workers``.  The
+    lifetime registry is used rather than the last batch's: studies like
+    fig12 or headline push several batches through one shared engine, and
+    the report should account for the whole sweep.
+
+    ``report.meta["planner"]`` reads the same snapshot.  ``engine`` holds
+    each shard-layout decision (a job count) and each shard executor that
+    ran chunks (1) with its source (``override`` or ``heuristic``),
+    ``reduction`` the reduction-tree totals, and ``transport`` the shard
+    executor's provenance when it reports any (broker chunk and lease
+    counts, worker joins and leaves, injected-fault tallies) — so every
+    JSON artifact shows which path produced it.  Kernel plans and backends
+    are counted by the ``kernel.plan.*`` and ``ideal.backend.*`` counters.
 
     ``trace`` accepts the :class:`~repro.engine.jobs.JobResult` list of a
     run; each result contributes one ``as_trace_row`` dict, giving the JSON
     artifact the same per-stage visibility :func:`trace_pipeline` rows give
     the post-processing pipeline.
-
-    A ``planner`` block records how the sweep was scheduled: the engine's
-    shard-layout and shard-executor decisions with their sources
-    (``override`` or ``heuristic``), the reduction-tree totals and, when the
-    shard executor reports any, its transport provenance — so every JSON
-    artifact shows which path produced it.  Kernel plans and backends are
-    counted by the ``kernel.plan.*`` metrics and ``stabilizer_jobs``.
 
     When an :class:`~repro.obs.observe.Observation` is active, an ``obs``
     block (metrics snapshot, span summary, structured log records) rides
@@ -219,28 +237,24 @@ def attach_engine_meta(report: ExperimentReport, engine, trace=None) -> Experime
     """
     from repro.obs.observe import current_observation
 
-    stats = getattr(engine, "lifetime_stats", None)
-    if stats is not None and stats.num_jobs > 0:
-        engine_meta = stats.as_dict()
-        engine_meta.update(engine.cache.stats())
-        report.meta["engine"] = engine_meta
+    registry = getattr(engine, "metrics", None)
+    snapshot = registry.snapshot() if registry is not None else None
+    if snapshot is not None and snapshot["counters"].get("engine.jobs"):
+        counters, gauges = snapshot["counters"], snapshot["gauges"]
+        report.meta["engine"] = {"max_workers": engine.max_workers, **snapshot}
+        merge_seconds = snapshot["histograms"].get("reduction.merge_seconds")
         report.meta["planner"] = {
-            "engine": {
-                kind: dict(counts)
-                for kind, counts in sorted(stats.planner_decisions.items())
-            },
+            "engine": planner_decisions(snapshot),
             "reduction": {
-                "merges": stats.reduction_merges,
-                "tree_depth": stats.reduction_tree_depth,
-                "peak_live_segments": stats.reduction_peak_live_segments,
-                "merge_seconds": stats.merge_seconds,
-                "duplicate_chunks_dropped": stats.duplicate_chunks_dropped,
+                "merges": counters.get("reduction.merges", 0),
+                "tree_depth": gauges.get("reduction.tree_depth", 0),
+                "peak_live_segments": gauges.get("reduction.peak_live_segments", 0),
+                "merge_seconds": merge_seconds["sum"] if merge_seconds else 0.0,
+                "duplicate_chunks_dropped": counters.get("engine.duplicate_chunks_dropped", 0),
             },
         }
-        if stats.transport:
-            # The broker and the fault injector only: chunk and lease
-            # counts, worker joins and leaves, and injected-fault tallies.
-            report.meta["planner"]["transport"] = stats.transport
+        if engine.transport:
+            report.meta["planner"]["transport"] = engine.transport
     observation = current_observation()
     if observation is not None:
         report.meta["obs"] = observation.meta()

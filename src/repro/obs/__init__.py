@@ -8,17 +8,23 @@ together under one :class:`~repro.obs.observe.Observation`:
     ring buffer, exportable as Chrome trace-event JSON.
 :mod:`repro.obs.metrics`
     Named counters / gauges / histograms with snapshot + deterministic
-    merge semantics across worker processes.
+    merge semantics across worker processes, activated by nestable
+    scopes (:class:`~repro.obs.metrics.MetricsScope`).  It is the one store of a
+    run's account: the engine counts into a scope per ``run`` and
+    ``hammer`` call, and ``report.meta``, ``repro profile`` and the trace
+    read its snapshots.
 :mod:`repro.obs.logs`
     A structured logger (``REPRO_LOG=text|json|off``) whose records land
     in run artifacts, replacing stderr-only warn-once paths.
 :mod:`repro.obs.phases`
-    The per-phase timing collector (the engine's transpile / ideal /
-    sample phases and the HAMMER kernel report into it).
+    Per-phase timing: the engine's transpile / ideal / sample phases and
+    the HAMMER kernel each record a ``phase.<name>`` histogram sample and
+    span.
 
-Everything is disabled by default; every instrumentation helper is a
-single ``is None`` check until an observation activates the globals, so
-experiment rows are bit-identical with tracing on or off.
+Spans and logs are opt-in: every span helper is a single ``is None`` check
+until an observation activates the recorder.  Metrics count inside any
+scope.  Neither changes what is computed, so experiment rows are
+bit-identical with tracing on or off.
 """
 
 from repro.obs.logs import ENV_LOG, LOG_MODES, get_logger, log_mode, log_records, reset_logs
@@ -26,6 +32,7 @@ from repro.obs.metrics import (
     HISTOGRAM_BOUNDS,
     Histogram,
     MetricsRegistry,
+    MetricsScope,
     active_registry,
     counter_add,
     gauge_max,
@@ -40,7 +47,7 @@ from repro.obs.observe import (
     observation_active,
     observed_call,
 )
-from repro.obs.phases import PHASE_ORDER, PhaseTimings, collect_phases, record_phase_seconds
+from repro.obs.phases import PHASE_ORDER, phase_totals, record_phase_seconds
 from repro.obs.trace import (
     DEFAULT_MAX_EVENTS,
     TraceRecorder,
@@ -60,6 +67,7 @@ __all__ = [
     "HISTOGRAM_BOUNDS",
     "Histogram",
     "MetricsRegistry",
+    "MetricsScope",
     "active_registry",
     "counter_add",
     "gauge_max",
@@ -72,8 +80,7 @@ __all__ = [
     "observation_active",
     "observed_call",
     "PHASE_ORDER",
-    "PhaseTimings",
-    "collect_phases",
+    "phase_totals",
     "record_phase_seconds",
     "DEFAULT_MAX_EVENTS",
     "TraceRecorder",

@@ -1,8 +1,9 @@
 """Named counters, gauges and latency histograms with snapshot/merge semantics.
 
 The registry is the metrics twin of the span recorder in
-:mod:`repro.obs.trace`: a process-global that instrumented layers report
-into through module-level helpers —
+:mod:`repro.obs.trace`, and the one store of a run's account: instrumented
+layers report into the *active* registry (one per thread) through
+module-level helpers —
 
 :func:`counter_add`
     Monotonic totals of *work units* (cache hits per namespace, shots
@@ -21,23 +22,32 @@ into through module-level helpers —
     counts; the values are wall times and therefore never expected to be
     identical across runs.
 
-Every helper is a no-op behind a single ``is None`` check while no
-registry is active, so instrumentation costs (almost) nothing by default.
+A :class:`MetricsScope` activates a fresh registry for the enclosed block
+and, on exit, restores the previous one and folds itself into it.  Scopes
+nest: every ``ExecutionEngine.run`` and ``ExecutionEngine.hammer`` call is
+one (so the engine always counts), and an
+:class:`~repro.obs.observe.Observation` or a ``repro profile`` repeat is an
+outer one that the engine's scopes fold into, each count once.  Outside
+any scope every helper is a no-op behind a single ``is None`` check.
 
-Worker processes run with their own registry (installed around each task
-by :func:`repro.obs.observe.observed_call`), export it with
-:meth:`MetricsRegistry.snapshot`, and the parent folds the payload in with
-:meth:`MetricsRegistry.merge_snapshot` — counter addition is associative
-and commutative, so the fold is deterministic for any completion order.
+Worker processes count into a task-scoped registry (installed around each
+task by :func:`repro.obs.observe.observed_call`), export it with
+:meth:`MetricsRegistry.snapshot`, and the parent folds the payload into its
+active registry with :meth:`MetricsRegistry.merge_snapshot` — counter
+addition is associative and commutative, so the fold is deterministic for
+any completion order.
 """
 
 from __future__ import annotations
+
+import threading
 
 from repro.exceptions import ObservabilityError
 
 __all__ = [
     "Histogram",
     "MetricsRegistry",
+    "MetricsScope",
     "metrics_active",
     "active_registry",
     "counter_add",
@@ -197,52 +207,89 @@ class MetricsRegistry:
         return rows
 
 
-#: The process-global active registry.  ``None`` (the default) disables
-#: metrics: every helper below is then a single ``is None`` check.
-_active: MetricsRegistry | None = None
+class _ActiveRegistry(threading.local):
+    """The active registry, one per thread.
+
+    A scope counts the work of the thread that opened it (and the worker
+    payloads that thread folds in), so a task-scoped registry installed on
+    another thread — an in-process broker worker's — cannot swap out a
+    run's.  ``None`` (the default, outside any scope) disables metrics:
+    every helper below is then a single ``is None`` check.
+    """
+
+    registry: MetricsRegistry | None = None
+
+
+_active = _ActiveRegistry()
 
 
 def metrics_active() -> bool:
-    """True when a registry is active in this process."""
-    return _active is not None
+    """True when a registry is active on this thread."""
+    return _active.registry is not None
 
 
 def active_registry() -> MetricsRegistry | None:
-    """The active registry, or ``None`` when metrics are disabled."""
-    return _active
+    """This thread's active registry, or ``None`` when metrics are disabled."""
+    return _active.registry
 
 
 def _set_active(registry: MetricsRegistry | None) -> MetricsRegistry | None:
-    """Install ``registry`` as the process-global, returning the previous one."""
-    global _active
-    previous = _active
-    _active = registry
+    """Install ``registry`` as this thread's active one, returning the previous."""
+    previous = _active.registry
+    _active.registry = registry
     return previous
+
+
+class MetricsScope:
+    """A nestable metrics scope: a fresh registry for the enclosed block.
+
+    Entering installs :attr:`registry` as the active registry.  Exiting
+    restores the previous one, takes :attr:`snapshot` and folds it into the
+    previous registry and into every registry in ``into`` — so work counted
+    in a nested scope reaches each enclosing scope exactly once.
+    """
+
+    def __init__(self, *into: MetricsRegistry) -> None:
+        self.registry = MetricsRegistry()
+        self.snapshot: dict | None = None
+        self._into = into
+        self._previous: MetricsRegistry | None = None
+
+    def __enter__(self) -> "MetricsScope":
+        self._previous = _set_active(self.registry)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        _set_active(self._previous)
+        self.snapshot = self.registry.snapshot()
+        for target in (self._previous, *self._into):
+            if target is not None:
+                target.merge_snapshot(self.snapshot)
 
 
 def counter_add(name: str, value: float = 1) -> None:
     """Add to a named counter (no-op while metrics are disabled)."""
-    registry = _active
+    registry = _active.registry
     if registry is not None:
         registry.counter_add(name, value)
 
 
 def gauge_set(name: str, value: float) -> None:
     """Set a named gauge (no-op while metrics are disabled)."""
-    registry = _active
+    registry = _active.registry
     if registry is not None:
         registry.gauge_set(name, value)
 
 
 def gauge_max(name: str, value: float) -> None:
     """Raise a named gauge to at least ``value`` (no-op while disabled)."""
-    registry = _active
+    registry = _active.registry
     if registry is not None:
         registry.gauge_max(name, value)
 
 
 def observe_hist(name: str, value: float) -> None:
     """Record one sample into a named histogram (no-op while disabled)."""
-    registry = _active
+    registry = _active.registry
     if registry is not None:
         registry.observe(name, value)

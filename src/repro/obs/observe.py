@@ -1,39 +1,44 @@
 """Activating observation, and carrying it across process boundaries.
 
 :class:`Observation` is the front door of the layer: a context manager
-that installs a fresh :class:`~repro.obs.trace.TraceRecorder` and
-:class:`~repro.obs.metrics.MetricsRegistry` as the process globals for the
-enclosed run, then restores the previous state (normally ``None``, i.e.
-disabled) on exit::
+that installs a fresh :class:`~repro.obs.trace.TraceRecorder` as the
+process global and opens an outer :class:`~repro.obs.metrics.MetricsScope`
+for the enclosed run, then restores the previous state on exit::
 
     with Observation() as obs:
         report = run_bv_study(config, engine=engine)
     obs.chrome_trace()   # Chrome trace-event JSON object
     obs.meta()           # the ``report.meta["obs"]`` block
 
-Observations do not nest — a second activation raises
-:class:`~repro.exceptions.ObservabilityError` — which keeps attribution
-unambiguous, mirroring the phase collector.
+The engine counts with or without an observation (each ``run`` and
+``hammer`` call is a metrics scope of its own); an observation adds spans
+and logs, and its registry receives the engine's counts through the same
+scope fold, once.  Observations do not nest — a second activation raises
+:class:`~repro.exceptions.ObservabilityError` — which keeps span
+attribution unambiguous.
 
-**Worker processes.**  A ``ProcessPoolExecutor`` worker starts with
-observation disabled (the globals do not pickle across ``fork``/``spawn``
-usefully, and a long-lived worker serves many tasks).  The engine instead
-wraps each task function with :func:`observed_call` via
-``functools.partial`` — picklable because both the wrapper and the task
-function are module-level.  The wrapper activates a *task-scoped*
-recorder+registry around the call, then ships ``(result, payload)`` back;
-the parent folds the payload in with :func:`absorb_payload`.  Because
-counters count work units and merge by addition, the folded metrics are
-deterministic for any task→worker placement and completion order.
+**Worker tasks.**  A ``ProcessPoolExecutor`` or broker worker starts with
+no registry (the globals do not pickle across ``fork``/``spawn`` usefully,
+and a long-lived worker serves many tasks).  The engine instead wraps each
+task function with :func:`observed_call` via ``functools.partial`` —
+picklable because both the wrapper and the task function are module-level.
+The wrapper counts the call into a *task-scoped* registry (and, when the
+parent is tracing, records its spans and logs), then ships ``(result,
+payload)`` back; the parent folds the payload into its active registry with
+:func:`absorb_payload`.  Because counters count work units and merge by
+addition, the folded metrics are deterministic for any task→worker
+placement and completion order.
 """
 
 from __future__ import annotations
+
+import os
 
 from repro.exceptions import ObservabilityError
 from repro.obs import logs as _logs
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, MetricsScope
 from repro.obs.trace import DEFAULT_MAX_EVENTS, TraceRecorder
 
 __all__ = [
@@ -59,11 +64,12 @@ def current_observation() -> "Observation | None":
 
 
 class Observation:
-    """One observed run: an active trace recorder plus metrics registry."""
+    """One observed run: an active trace recorder plus an outer metrics scope."""
 
     def __init__(self, max_events: int = DEFAULT_MAX_EVENTS) -> None:
         self.recorder = TraceRecorder(max_events=max_events)
-        self.registry = MetricsRegistry()
+        self._scope = MetricsScope()
+        self.registry = self._scope.registry
         self._log_start = 0
 
     # ------------------------------------------------------------------
@@ -74,34 +80,16 @@ class Observation:
         _active = self
         self._log_start = _logs.current_sequence()
         _trace._set_active(self.recorder)
-        _metrics._set_active(self.registry)
+        self._scope.__enter__()
         return self
 
     def __exit__(self, *exc_info) -> None:
         global _active
         _trace._set_active(None)
-        _metrics._set_active(None)
+        self._scope.__exit__(*exc_info)
         _active = None
 
     # ------------------------------------------------------------------
-    def absorb_payload(self, payload: dict | None) -> None:
-        """Fold one worker task's exported payload into this observation."""
-        if payload is None:
-            return
-        if not isinstance(payload, dict):
-            raise ObservabilityError(
-                f"worker observability payload must be a dict, got {type(payload).__name__}"
-            )
-        metrics = payload.get("metrics")
-        if metrics is not None:
-            self.registry.merge_snapshot(metrics)
-        events = payload.get("events")
-        if events:
-            self.recorder.absorb(events)
-        records = payload.get("logs")
-        if records:
-            _logs.absorb_records(records)
-
     def chrome_trace(self) -> dict:
         """The buffered spans as a Chrome trace-event JSON object."""
         return self.recorder.chrome_trace()
@@ -130,20 +118,21 @@ class Observation:
         }
 
 
-def observed_call(fn, task):
-    """Run ``fn(task)`` inside a task-scoped observation (worker side).
+def observed_call(fn, task, traced: bool = True):
+    """Run ``fn(task)`` against a task-scoped registry (worker side).
 
-    Module-level so ``functools.partial(observed_call, fn)`` pickles into
-    pool workers.  Saves whatever observation state the process had,
-    installs fresh task-scoped globals, and restores the saved state after
-    the call — so an *in-process* "worker" (serial fallback paths) cannot
-    clobber the parent's live observation.  Returns ``(result, payload)``
-    where payload carries the task's metrics snapshot, span events (with
-    absolute wall-clock timestamps and this process's pid) and any
-    structured log records it produced.
+    Module-level so ``functools.partial(observed_call, fn, traced=...)``
+    pickles into pool and broker workers.  Saves whatever registry and
+    recorder the process had, installs task-scoped ones, and restores the
+    saved state after the call — so an in-process "worker" (the serial
+    executor, a broker's local fallback) neither clobbers nor double-counts
+    into the parent's live scope.  Returns ``(result, payload)``: the
+    payload carries the task's metrics snapshot and, when ``traced``, its
+    span events (absolute wall-clock timestamps, this process's pid) and
+    the structured log records it produced.
     """
-    recorder = TraceRecorder()
     registry = MetricsRegistry()
+    recorder = TraceRecorder() if traced else None
     log_start = _logs.current_sequence()
     saved_recorder = _trace._set_active(recorder)
     saved_registry = _metrics._set_active(registry)
@@ -152,16 +141,32 @@ def observed_call(fn, task):
     finally:
         _trace._set_active(saved_recorder)
         _metrics._set_active(saved_registry)
-    payload = {
-        "metrics": registry.snapshot(),
-        "events": recorder.events(),
-        "logs": _logs.records_since(log_start),
-    }
+    payload = {"metrics": registry.snapshot()}
+    if recorder is not None:
+        payload["events"] = recorder.events()
+        payload["logs"] = _logs.records_since(log_start)
     return result, payload
 
 
-def absorb_payload(payload: dict | None) -> None:
-    """Fold a worker payload into the active observation (no-op if none)."""
-    observation = _active
-    if observation is not None:
-        observation.absorb_payload(payload)
+def absorb_payload(payload: dict) -> None:
+    """Fold one task's payload into the active registry and recorder.
+
+    Metrics go to the active registry (the engine's run scope), spans to
+    the active trace recorder and another process's log records to this
+    process's log; each is a no-op when nothing receives it.
+    """
+    if not isinstance(payload, dict):
+        raise ObservabilityError(
+            f"worker observability payload must be a dict, got {type(payload).__name__}"
+        )
+    registry = _metrics.active_registry()
+    if registry is not None:
+        registry.merge_snapshot(payload["metrics"])
+    recorder = _trace.active_recorder()
+    events = payload.get("events")
+    if events and recorder is not None:
+        recorder.absorb(events)
+    # An in-process task's records are in this process's log already.
+    records = [record for record in payload.get("logs", ()) if record["pid"] != os.getpid()]
+    if records:
+        _logs.absorb_records(records)

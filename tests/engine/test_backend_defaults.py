@@ -91,6 +91,14 @@ def test_fig8_sweep_renders_no_bitstrings(monkeypatch):
     assert rendered == []
 
 
+class _ResultKeepingEngine(ExecutionEngine):
+    def run(self, jobs, seed=0):
+        self.results = super().run(jobs, seed=seed)
+        return self.results
+
+
 def test_fig8_sweep_runs_every_job_on_the_tableau():
-    report = run_bv_study(FIG8_SHAPED)
-    assert report.meta["engine"]["stabilizer_jobs"] == report.meta["engine"]["num_jobs"] == 6
+    engine = _ResultKeepingEngine()
+    report = run_bv_study(FIG8_SHAPED, engine=engine)
+    assert [result.backend for result in engine.results] == ["stabilizer"] * 6
+    assert report.meta["engine"]["counters"]["engine.jobs"] == 6

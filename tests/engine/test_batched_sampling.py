@@ -21,6 +21,7 @@ from repro.circuits.ghz import ghz_circuit
 from repro.engine import CircuitJob, ExecutionEngine
 from repro.engine.hashing import sample_key
 from repro.exceptions import EngineError, MergeError
+from repro.experiments.runner import planner_decisions
 from repro.quantum.device import get_device
 from repro.quantum.sampler import (
     _BitflipPlan,
@@ -54,8 +55,8 @@ class TestGroupedSampling:
         jobs = _jobs(device, count=5)
         engine = ExecutionEngine()
         results = engine.run(jobs, seed=7)
-        assert engine.last_run_stats.sample_groups == 1
-        assert engine.last_run_stats.grouped_sample_jobs == 5
+        assert engine.last_run["counters"]["engine.sample_groups"] == 1
+        assert engine.last_run["counters"]["engine.grouped_sample_jobs"] == 5
         ideal = get_backend("statevector").ideal_distribution(jobs[0].circuit)
         for index, result in enumerate(results):
             rng = np.random.default_rng(np.random.SeedSequence((7, index)))
@@ -88,8 +89,8 @@ class TestGroupedSampling:
         ]
         engine = ExecutionEngine()
         engine.run(jobs, seed=1)
-        assert engine.last_run_stats.sample_groups == 2
-        assert engine.last_run_stats.grouped_sample_jobs == 0
+        assert engine.last_run["counters"]["engine.sample_groups"] == 2
+        assert engine.last_run["counters"].get("engine.grouped_sample_jobs", 0) == 0
 
     def test_grouping_is_invisible_to_worker_count(self, device):
         jobs = _jobs(device, count=6, shots=1024)
@@ -152,8 +153,8 @@ class TestOnePlanPerGroup:
         ]
         engine = ExecutionEngine(max_workers=1)
         engine.run(jobs, seed=7)
-        assert engine.last_run_stats.sample_groups == 2
-        assert engine.last_run_stats.grouped_sample_jobs == 8
+        assert engine.last_run["counters"]["engine.sample_groups"] == 2
+        assert engine.last_run["counters"]["engine.grouped_sample_jobs"] == 8
         assert len(plan_builds) == 2
 
 
@@ -164,8 +165,8 @@ class TestShardedSampling:
         for workers in (1, 2, 4):
             with ExecutionEngine(max_workers=workers, sample_shard_shots=8_192) as engine:
                 result = engine.run([job], seed=3)[0]
-                assert engine.last_run_stats.sharded_jobs == 1
-                assert engine.last_run_stats.sample_shards == 5
+                assert engine.last_run["counters"]["engine.sharded_jobs"] == 1
+                assert engine.last_run["counters"]["sampler.chunks"] == 5
             tables.append(result.noisy.counts())
         assert tables[0] == tables[1] == tables[2]
         assert sum(tables[0].values()) == 40_000
@@ -184,12 +185,12 @@ class TestShardedSampling:
         job = _jobs(device, count=1, shots=20_000)[0]
         engine = ExecutionEngine(sample_shard_shots=4_096)
         first = engine.run([job], seed=2)[0]
-        assert engine.last_run_stats.sample_cache_hits == 0
+        assert engine.last_run["counters"].get("cache.sample.hits", 0) == 0
         second = engine.run([job], seed=2)[0]
-        assert engine.last_run_stats.sample_cache_hits == 1
+        assert engine.last_run["counters"]["cache.sample.hits"] == 1
         # Sampling counters track computed work only: nothing sharded on a hit.
-        assert engine.last_run_stats.sharded_jobs == 0
-        assert engine.last_run_stats.sample_shards == 0
+        assert engine.last_run["counters"].get("engine.sharded_jobs", 0) == 0
+        assert engine.last_run["counters"].get("sampler.chunks", 0) == 0
         assert first.noisy.counts() == second.noisy.counts()
 
     def test_shard_threshold_env_and_validation(self, device, monkeypatch):
@@ -231,8 +232,8 @@ class TestShardedSampling:
         )
         engine = ExecutionEngine(sample_shard_shots=1_000)
         result = engine.run([job], seed=0)[0]
-        assert engine.last_run_stats.sharded_jobs == 0
-        assert engine.last_run_stats.sample_shards == 0
+        assert engine.last_run["counters"].get("engine.sharded_jobs", 0) == 0
+        assert engine.last_run["counters"].get("sampler.chunks", 0) == 0
         assert sum(result.noisy.counts().values()) == 30_000
 
 
@@ -243,23 +244,20 @@ class TestShardProvenance:
         monkeypatch.setenv("REPRO_SAMPLE_SHARD_SHOTS", "5000")
         engine = ExecutionEngine()
         engine.run(_jobs(device, count=1, shots=8_192), seed=3)
-        stats = engine.last_run_stats
-        assert stats.sample_shards == 2  # 5000 + 3192
-        assert stats.planner_decisions["shard"] == {"chunk:5000/override": 1}
+        assert engine.last_run["counters"]["sampler.chunks"] == 2  # 5000 + 3192
+        assert planner_decisions(engine.last_run)["shard"] == {"chunk:5000/override": 1}
 
     def test_constructor_threshold_is_an_override(self, device):
         engine = ExecutionEngine(sample_shard_shots=4_096)
         engine.run(_jobs(device, count=1, shots=8_192), seed=3)
-        stats = engine.last_run_stats
-        assert stats.sample_shards == 2
-        assert stats.planner_decisions["shard"] == {"chunk:4096/override": 1}
+        assert engine.last_run["counters"]["sampler.chunks"] == 2
+        assert planner_decisions(engine.last_run)["shard"] == {"chunk:4096/override": 1}
 
     def test_default_threshold_is_the_heuristic(self, device):
         engine = ExecutionEngine()
         engine.run(_jobs(device, count=1, shots=8_192), seed=3)
-        stats = engine.last_run_stats
-        assert stats.sharded_jobs == 0
-        assert stats.planner_decisions["shard"] == {"none/heuristic": 1}
+        assert engine.last_run["counters"].get("engine.sharded_jobs", 0) == 0
+        assert planner_decisions(engine.last_run)["shard"] == {"none/heuristic": 1}
 
 
 def _digest(words: np.ndarray, counts: np.ndarray) -> str:

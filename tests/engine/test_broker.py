@@ -32,6 +32,7 @@ from repro.engine.broker import (
 from repro.engine.executors import SHARD_EXECUTOR_NAMES
 from repro.engine.transport import FaultInjectingExecutor, recv_message, send_message
 from repro.exceptions import EngineError, TransportError
+from repro.experiments.runner import ExperimentReport, attach_engine_meta, planner_decisions
 from repro.quantum.device import get_device
 
 
@@ -435,7 +436,7 @@ def device():
 
 
 def _sharded_run(device, **engine_kwargs):
-    """One 40k-shot job sharded into 8k chunks; returns (distribution, stats)."""
+    """One 40k-shot job sharded into 8k chunks; returns (distribution, engine)."""
     engine = ExecutionEngine(sample_shard_shots=8_192, **engine_kwargs)
     try:
         job = CircuitJob(
@@ -445,7 +446,7 @@ def _sharded_run(device, **engine_kwargs):
             noise_model=device.noise_model,
         )
         result = engine.run([job], seed=7)[0]
-        return result.noisy, engine.last_run_stats
+        return result.noisy, engine
     finally:
         engine.close()
 
@@ -460,12 +461,18 @@ class TestEngineBrokerBitIdentity:
                 broker=broker.address, join_deadline=10.0, timeout=30.0
             )
             try:
-                noisy, stats = _sharded_run(device, max_workers=1, shard_executor=executor)
+                noisy, engine = _sharded_run(device, max_workers=1, shard_executor=executor)
             finally:
                 executor.close()
             assert noisy.probabilities() == reference.probabilities()
-            assert stats.transport["executor"] == "broker"
-            assert stats.transport["chunks_completed"] == 5
+            # The keys perfbench's shots-broker check reads, as a report carries them.
+            report = attach_engine_meta(ExperimentReport(name="broker"), engine)
+            transport = report.meta["planner"]["transport"]
+            assert transport is engine.transport
+            assert transport["executor"] == "broker"
+            assert transport["chunks_completed"] == 5
+            assert isinstance(transport["leases_reissued"], int)
+            assert "fallbacks" not in transport
         finally:
             broker.stop()
 
@@ -475,8 +482,6 @@ class TestEngineBrokerBitIdentity:
         — rows bit-identical to serial, lease re-issues and worker
         join/leave counts visible in ``report.meta["planner"]["transport"]``.
         """
-        from repro.experiments.runner import ExperimentReport, attach_engine_meta
-
         reference, _ = _sharded_run(device, max_workers=1, shard_executor="serial")
         broker = ShardBroker(heartbeat=0.1).start()
         try:
@@ -528,10 +533,10 @@ class TestEngineBrokerBitIdentity:
             monkeypatch.setenv("REPRO_SHARD_EXECUTOR", "broker")
             monkeypatch.setenv(ENV_SHARD_BROKER, broker.address)
             monkeypatch.setenv(ENV_SHARD_JOIN_DEADLINE, "10")
-            noisy, stats = _sharded_run(device, max_workers=1)
+            noisy, engine = _sharded_run(device, max_workers=1)
             assert noisy.probabilities() == reference.probabilities()
-            assert stats.planner_decisions["shard-executor"] == {"broker/override": 1}
-            assert stats.transport["executor"] == "broker"
+            assert planner_decisions(engine.last_run)["shard-executor"] == {"broker/override": 1}
+            assert engine.transport["executor"] == "broker"
         finally:
             broker.stop()
 
@@ -542,7 +547,10 @@ class TestEngineBrokerBitIdentity:
         monkeypatch.setenv("REPRO_SHARD_EXECUTOR", "broker")
         monkeypatch.setenv(ENV_SHARD_BROKER_LISTEN, "127.0.0.1:0")
         monkeypatch.setenv(ENV_SHARD_JOIN_DEADLINE, "0.2")
-        noisy, stats = _sharded_run(device, max_workers=1)
+        noisy, engine = _sharded_run(device, max_workers=1)
         assert noisy.probabilities() == reference.probabilities()
-        assert stats.transport["fallbacks"] == 1
-        assert stats.transport["fallback"]["executor"] == "serial"
+        report = attach_engine_meta(ExperimentReport(name="fallback"), engine)
+        transport = report.meta["planner"]["transport"]
+        assert transport["executor"] == "broker"
+        assert transport["fallbacks"] == 1
+        assert transport["fallback"]["executor"] == "serial"

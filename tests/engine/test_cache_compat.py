@@ -28,6 +28,7 @@ from pathlib import Path
 import pytest
 
 from repro.engine.cache import ExecutionCache
+from repro.obs.metrics import MetricsScope
 
 FIXTURE = Path(__file__).parent / "data" / "parent_cache"
 ANSWERS = json.loads((FIXTURE / "answers.json").read_text())
@@ -105,8 +106,9 @@ def cache_dir(tmp_path):
 def test_old_entries_answer_as_they_did(cache_dir, entry):
     namespace, key = entry.split("/")
     cache = ExecutionCache(cache_dir)
-    dist = cache.get(namespace, key)
-    assert dist is not None and cache.hits[namespace] == 1
+    with MetricsScope() as scope:
+        dist = cache.get(namespace, key)
+    assert dist is not None and scope.registry.counters == {f"cache.{namespace}.hits": 1}
     assert _answers(dist) == _on_this_interpreter(ANSWERS[entry])
 
 

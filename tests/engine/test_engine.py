@@ -10,6 +10,7 @@ from repro.circuits.qaoa import default_qaoa_parameters, qaoa_circuit
 from repro.engine import CircuitJob, ExecutionCache, ExecutionEngine
 from repro.engine.hashing import circuit_fingerprint, transpile_key
 from repro.exceptions import EngineError
+from repro.obs.metrics import MetricsScope
 from repro.maxcut.graphs import regular_graph_problem
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.device import ibm_paris
@@ -62,25 +63,25 @@ class TestHashing:
 class TestCacheAccounting:
     def test_within_batch_dedup(self):
         engine = ExecutionEngine()
-        engine.run(_bv_jobs(), seed=1)
-        stats = engine.last_run_stats
-        assert stats.num_jobs == 6
+        results = engine.run(_bv_jobs(), seed=1)
+        counters = engine.last_run["counters"]
+        assert counters["engine.jobs"] == 6
         # One transpile + one ideal simulation per unique width; the second
         # key of each width reuses both.
-        assert stats.unique_transpiles_computed == 3
-        assert stats.unique_ideals_computed == 3
-        assert stats.transpile_cache_hits == 3
-        assert stats.ideal_cache_hits == 3
+        assert counters["engine.transpiles_computed"] == 3
+        assert counters["engine.ideals_computed"] == 3
+        assert sum(result.transpile_cache_hit for result in results) == 3
+        assert sum(result.ideal_cache_hit for result in results) == 3
 
     def test_second_run_is_fully_cached(self):
         engine = ExecutionEngine()
         first = engine.run(_bv_jobs(), seed=1)
         second = engine.run(_bv_jobs(), seed=1)
-        stats = engine.last_run_stats
-        assert stats.unique_transpiles_computed == 0
-        assert stats.unique_ideals_computed == 0
-        assert stats.transpile_cache_hits == 6
-        assert stats.ideal_cache_hits == 6
+        counters = engine.last_run["counters"]
+        assert counters.get("engine.transpiles_computed", 0) == 0
+        assert counters.get("engine.ideals_computed", 0) == 0
+        assert sum(result.transpile_cache_hit for result in second) == 6
+        assert sum(result.ideal_cache_hit for result in second) == 6
         for before, after in zip(first, second):
             assert before.noisy.counts() == after.noisy.counts()
             assert after.transpile_cache_hit and after.ideal_cache_hit
@@ -105,9 +106,9 @@ class TestCacheAccounting:
 
         fresh = ExecutionEngine(cache_dir=str(cache_dir))
         fresh.run(_bv_jobs(), seed=1)
-        stats = fresh.last_run_stats
-        assert stats.unique_transpiles_computed == 0
-        assert stats.unique_ideals_computed == 0
+        counters = fresh.last_run["counters"]
+        assert counters.get("engine.transpiles_computed", 0) == 0
+        assert counters.get("engine.ideals_computed", 0) == 0
 
     def test_corrupt_disk_entry_degrades_to_miss(self, tmp_path):
         cache_dir = tmp_path / "artifacts"
@@ -117,15 +118,17 @@ class TestCacheAccounting:
         healed = ExecutionEngine(cache_dir=str(cache_dir))
         results = healed.run(_bv_jobs(widths=(4,), keys_per_width=1), seed=1)
         assert results[0].noisy.num_bits == 4
-        assert healed.last_run_stats.unique_transpiles_computed == 1  # recomputed, no crash
+        # Recomputed, no crash.
+        assert healed.last_run["counters"]["engine.transpiles_computed"] == 1
 
     def test_cache_counters(self):
         cache = ExecutionCache()
-        assert cache.get("ideal", "missing") is None
-        cache.put("ideal", "k", object())
-        assert cache.get("ideal", "k") is not None
-        stats = cache.stats()
-        assert stats["ideal_hits"] == 1 and stats["ideal_misses"] == 1
+        with MetricsScope() as scope:
+            assert cache.get("ideal", "missing") is None
+            cache.put("ideal", "k", object())
+            assert cache.get("ideal", "k") is not None
+        counters = scope.registry.counters
+        assert counters["cache.ideal.hits"] == 1 and counters["cache.ideal.misses"] == 1
         with pytest.raises(EngineError):
             cache.get("histograms", "k")
 
@@ -248,7 +251,7 @@ class TestValidation:
     def test_empty_batch_is_fine(self):
         engine = ExecutionEngine()
         assert engine.run([], seed=0) == []
-        assert engine.last_run_stats.num_jobs == 0
+        assert engine.last_run["counters"].get("engine.jobs", 0) == 0
 
 
 class TestTrajectoryMethod:
@@ -391,9 +394,9 @@ class TestSampleCache:
     def test_second_run_hits_the_sample_tier(self):
         engine = ExecutionEngine()
         first = engine.run(_bv_jobs(), seed=1)
-        assert engine.last_run_stats.sample_cache_hits == 0
+        assert engine.last_run["counters"].get("cache.sample.hits", 0) == 0
         second = engine.run(_bv_jobs(), seed=1)
-        assert engine.last_run_stats.sample_cache_hits == len(second)
+        assert engine.last_run["counters"]["cache.sample.hits"] == len(second)
         for before, after in zip(first, second):
             assert before.noisy.counts() == after.noisy.counts()
             assert after.sample_cache_hit and after.sample_seconds == 0.0
@@ -402,7 +405,7 @@ class TestSampleCache:
         engine = ExecutionEngine()
         engine.run(_bv_jobs(), seed=1)
         results = engine.run(_bv_jobs(), seed=2)
-        assert engine.last_run_stats.sample_cache_hits == 0
+        assert engine.last_run["counters"].get("cache.sample.hits", 0) == 0
         assert all(not result.sample_cache_hit for result in results)
 
     def test_cached_samples_match_an_uncached_engine(self):

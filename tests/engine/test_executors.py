@@ -24,6 +24,7 @@ from repro.engine.executors import (
 )
 from repro.engine.transport import FaultInjectingExecutor
 from repro.exceptions import EngineError
+from repro.experiments.runner import planner_decisions
 from repro.quantum.device import get_device
 
 
@@ -54,7 +55,7 @@ def device():
 
 
 def _sharded_run(device, **engine_kwargs):
-    """One 40k-shot job sharded into 8k chunks; returns (distribution, stats)."""
+    """One 40k-shot job sharded into 8k chunks; returns (distribution, engine)."""
     engine = ExecutionEngine(sample_shard_shots=8_192, **engine_kwargs)
     try:
         job = CircuitJob(
@@ -64,7 +65,7 @@ def _sharded_run(device, **engine_kwargs):
             noise_model=device.noise_model,
         )
         result = engine.run([job], seed=7)[0]
-        return result.noisy, engine.last_run_stats
+        return result.noisy, engine
     finally:
         engine.close()
 
@@ -74,9 +75,7 @@ class TestExecutorBitIdentity:
         reference, _ = _sharded_run(device, max_workers=1)
         for workers in (1, 2, 4):
             for executor in ("serial", _out_of_order()):
-                noisy, stats = _sharded_run(
-                    device, max_workers=workers, shard_executor=executor
-                )
+                noisy, _ = _sharded_run(device, max_workers=workers, shard_executor=executor)
                 assert (
                     noisy.probabilities() == reference.probabilities()
                 ), f"jobs={workers} executor={executor}"
@@ -87,11 +86,12 @@ class TestExecutorBitIdentity:
         reference, _ = _sharded_run(device, max_workers=1)
         executor = _out_of_order()
         try:
-            noisy, stats = _sharded_run(device, max_workers=1, shard_executor=executor)
+            noisy, engine = _sharded_run(device, max_workers=1, shard_executor=executor)
         finally:
             executor.close()
         assert noisy.probabilities() == reference.probabilities()
-        assert stats.planner_decisions["shard-executor"] == {"fault(serial)/override": 1}
+        decisions = planner_decisions(engine.last_run)
+        assert decisions["shard-executor"] == {"fault(serial)/override": 1}
 
 
 class _RecordingExecutor(SerialShardExecutor):
@@ -136,14 +136,15 @@ class TestExecutorOwnership:
 class TestExecutorSelection:
     def test_env_override(self, device, monkeypatch):
         monkeypatch.setenv("REPRO_SHARD_EXECUTOR", "serial")
-        _, stats = _sharded_run(device, max_workers=4)
-        assert stats.planner_decisions["shard-executor"] == {"serial/override": 1}
+        _, engine = _sharded_run(device, max_workers=4)
+        assert planner_decisions(engine.last_run)["shard-executor"] == {"serial/override": 1}
 
     def test_auto_uses_pool_when_workers_allow(self, device):
-        _, stats = _sharded_run(device, max_workers=4)
-        assert stats.planner_decisions["shard-executor"] == {"process-pool/heuristic": 1}
-        _, stats = _sharded_run(device, max_workers=1)
-        assert stats.planner_decisions["shard-executor"] == {"serial/heuristic": 1}
+        _, engine = _sharded_run(device, max_workers=4)
+        decisions = planner_decisions(engine.last_run)
+        assert decisions["shard-executor"] == {"process-pool/heuristic": 1}
+        _, engine = _sharded_run(device, max_workers=1)
+        assert planner_decisions(engine.last_run)["shard-executor"] == {"serial/heuristic": 1}
 
     def test_unknown_name_rejected(self):
         with pytest.raises(EngineError, match="unknown shard executor"):
@@ -227,21 +228,14 @@ class TestDeliveryOrder:
 
 class TestReductionStatsSurface:
     def test_run_stats_count_tree_work(self, device):
-        _, stats = _sharded_run(device, max_workers=1)
+        _, engine = _sharded_run(device, max_workers=1)
+        run = engine.last_run
         # 40_000 shots / 8_192 = 5 chunks -> 4 merges, depth 3.
-        assert stats.sample_shards == 5
-        assert stats.reduction_merges == 4
-        assert stats.reduction_tree_depth == 3
-        assert stats.reduction_peak_live_segments >= 2
-        assert stats.merge_seconds >= 0.0
-        as_dict = stats.as_dict()
-        for key in (
-            "reduction_merges",
-            "reduction_tree_depth",
-            "reduction_peak_live_segments",
-            "merge_seconds",
-        ):
-            assert key in as_dict
+        assert run["counters"]["sampler.chunks"] == 5
+        assert run["counters"]["reduction.merges"] == 4
+        assert run["gauges"]["reduction.tree_depth"] == 3
+        assert run["gauges"]["reduction.peak_live_segments"] >= 2
+        assert run["histograms"]["reduction.merge_seconds"]["sum"] >= 0.0
 
     def test_planner_meta_reduction_block(self, device):
         from repro.experiments.runner import ExperimentReport, attach_engine_meta

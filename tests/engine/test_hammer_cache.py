@@ -252,7 +252,8 @@ class TestPinnedOutputs:
         monkeypatch.setattr(tuning, "_override", None)
         monkeypatch.delenv("REPRO_HAMMER_KERNEL", raising=False)
         shapes = {(256, 8): "dense", (257, 8): "spectral", (257, 20): "spectral",
-                  (257, 21): "tiled", (257, 576): "tiled", (257, 577): "tiled"}
+                  (257, 21): "tiled", (257, 576): "tiled", (257, 577): "tiled",
+                  (22_000, 16): "spectral", (8_800, 63): "tiled"}
         assert {shape: kernels.choose_plan(*shape) for shape in shapes} == shapes
         # The filtered split of the histogram above, and of eight levels of 50
         # on 10 bits: both move if the transform's cost constant is re-fitted.
@@ -321,10 +322,11 @@ class TestEngineHammer:
             first, second, third = engine.hammer(
                 [(dist, None), (copy, HammerConfig()), (dist, HammerConfig(use_filter=False))]
             )
-            stats = engine.cache.stats()
+            counters = engine.metrics.counters
         assert kernel_calls == [dist.num_outcomes] * 2
         assert first is second
-        assert (stats["hammer_hits"], stats["hammer_misses"]) == (0, 2)
+        assert counters.get("cache.hammer.hits", 0) == 0
+        assert counters["cache.hammer.misses"] == 2
         _assert_same_bits(third, hammer(dist, HammerConfig(use_filter=False)))
 
     def test_a_warm_cache_dir_reconstructs_nothing(self, tmp_path, kernel_calls):
@@ -333,7 +335,7 @@ class TestEngineHammer:
             (cold,) = engine.hammer([(dist, None)])
         with ExecutionEngine(cache_dir=tmp_path) as engine:
             (warm,) = engine.hammer([(dist, None)])
-            assert engine.cache.stats()["hammer_hits"] == 1
+            assert engine.metrics.counters["cache.hammer.hits"] == 1
         assert kernel_calls == [dist.num_outcomes]
         _assert_same_bits(warm, cold)
         assert [path.stem for path in (tmp_path / "hammer").glob("*.pkl")] == [hammer_key(dist)]
@@ -346,14 +348,15 @@ class TestEngineHammer:
         entry.write_bytes(b"not a pickle")
         with ExecutionEngine(cache_dir=tmp_path) as engine:
             (again,) = engine.hammer([(dist, None)])
-            stats = engine.cache.stats()
-        assert (stats["hammer_hits"], stats["hammer_misses"]) == (0, 1)
+            counters = engine.metrics.counters
+        assert counters.get("cache.hammer.hits", 0) == 0
+        assert counters["cache.hammer.misses"] == 1
         assert kernel_calls == [dist.num_outcomes] * 2
         _assert_same_bits(again, cold)
         # The recompute rewrote the entry: a third engine hits it.
         with ExecutionEngine(cache_dir=tmp_path) as engine:
             (warm,) = engine.hammer([(dist, None)])
-            assert engine.cache.stats()["hammer_hits"] == 1
+            assert engine.metrics.counters["cache.hammer.hits"] == 1
         _assert_same_bits(warm, cold)
 
 

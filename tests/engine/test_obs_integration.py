@@ -1,6 +1,6 @@
-"""End-to-end observability: the engine under an active Observation.
+"""End-to-end observability: the engine's one account, observed or not.
 
-The PR-8 contracts checked here:
+The contracts checked here:
 
 * **Determinism of counters.**  Counters count *work units* (jobs, shots,
   chunks, merges), so the merged worker metrics of a 2- or 4-worker sharded
@@ -11,6 +11,10 @@ The PR-8 contracts checked here:
 * **All four layers produce spans.**  engine phase -> executor shard ->
   reduction merge -> kernel call, exported as schema-valid Chrome trace
   JSON.
+* **One account.**  Each ``ExecutionEngine.run`` counts into one metrics
+  scope with or without an Observation: ``last_run``'s counters are equal
+  at any worker count, an Observation receives them once, and the
+  engine's lifetime registry is the sum of its runs.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import pytest
 
 from repro.circuits.bv import bernstein_vazirani
 from repro.core.hammer import hammer
-from repro.engine import CircuitJob, ExecutionEngine
+from repro.engine import CircuitJob, ExecutionEngine, FaultInjectingExecutor, SerialShardExecutor
 from repro.experiments import BvStudyConfig, run_bv_study
 from repro.obs import Observation
 from repro.quantum.device import get_device
@@ -76,6 +80,86 @@ class TestCounterDeterminism:
         assert counters["sampler.chunk_shots"] == 40_000
         assert counters["reduction.merges"] == 8  # 5-leaf tree merges 4x, per job
         assert counters["kernel.plan.dense"] >= 1  # the hammer pass dispatched
+
+
+def _mixed_jobs(device):
+    """Two sharded jobs plus a routed group of three sharing circuit and noise model."""
+    jobs = _sharded_jobs(device)
+    circuit = bernstein_vazirani("1101")
+    jobs += [
+        CircuitJob(
+            job_id=f"grouped-{index}",
+            circuit=circuit,
+            shots=2_048,
+            noise_model=device.noise_model,
+            coupling_map=device.coupling_map,
+            basis_gates=device.basis_gates,
+        )
+        for index in range(3)
+    ]
+    return jobs
+
+
+def _sum_counters(*snapshots):
+    total = {}
+    for snapshot in snapshots:
+        for name, value in snapshot["counters"].items():
+            total[name] = total.get(name, 0) + value
+    return total
+
+
+class TestOneAccount:
+    def test_last_run_counters_equal_at_any_worker_count(self, device):
+        runs = []
+        for workers in (1, 2, 4):
+            with ExecutionEngine(max_workers=workers, sample_shard_shots=4_096) as engine:
+                engine.run(_mixed_jobs(device), seed=11)
+            runs.append(engine.last_run["counters"])
+        assert runs[0] == runs[1] == runs[2]
+        counters = runs[0]
+        assert counters["engine.jobs"] == 5
+        assert counters["engine.transpiles_computed"] == 1
+        assert counters["engine.sharded_jobs"] == 2
+        assert counters["sampler.chunks"] == 10
+        assert counters["reduction.merges"] == 8
+        assert counters["engine.sample_groups"] == 1
+        assert counters["engine.grouped_sample_jobs"] == 3
+        assert counters["sampler.jobs"] == 3
+
+    def test_an_observation_receives_each_count_once(self, device):
+        jobs = _mixed_jobs(device)
+        with Observation() as observation:
+            with ExecutionEngine(max_workers=2, sample_shard_shots=4_096) as engine:
+                engine.run(jobs, seed=11)
+        run = engine.last_run["counters"]
+        observed = observation.registry.counters
+        assert {name: observed[name] for name in run} == run
+
+    def test_lifetime_metrics_are_the_sum_of_the_runs(self, device):
+        with ExecutionEngine(sample_shard_shots=4_096) as engine:
+            engine.run(_mixed_jobs(device), seed=11)
+            first = engine.last_run
+            engine.run(_mixed_jobs(device), seed=12)
+            second = engine.last_run
+        assert engine.metrics.counters == _sum_counters(first, second)
+
+    def test_a_faulted_serial_run_counts_each_chunk_once(self, device):
+        jobs = _sharded_jobs(device)
+        with ExecutionEngine(sample_shard_shots=4_096) as engine:
+            clean = engine.run(jobs, seed=11)
+        expected = engine.last_run["counters"]
+        executor = FaultInjectingExecutor(SerialShardExecutor(), seed=3, drop=0.3, duplicate=0.3)
+        with ExecutionEngine(sample_shard_shots=4_096, shard_executor=executor) as engine:
+            faulted = engine.run(jobs, seed=11)
+        counters = engine.last_run["counters"]
+        faults = executor.provenance()["faults"]
+        assert faults["drop"] >= 1 and faults["duplicate"] >= 1
+        assert counters["engine.duplicate_chunks_dropped"] == faults["duplicate"]
+        # A dropped chunk ran twice and a duplicated one arrived twice; each
+        # still counts once.
+        for name in ("sampler.chunks", "sampler.chunk_shots", "reduction.merges"):
+            assert counters[name] == expected[name]
+        assert [r.noisy.counts() for r in faulted] == [r.noisy.counts() for r in clean]
 
 
 class TestRowsBitIdentical:

@@ -1,15 +1,15 @@
 """Tests for engine planning provenance.
 
-Every shard decision is counted in ``EngineRunStats.planner_decisions``,
-folded into the engine's lifetime totals and surfaced through
-``attach_engine_meta`` as ``report.meta["planner"]``.
+Every shard decision is counted in the run's metrics
+(``planner.<kind>.<decision>``), folded into the engine's lifetime registry
+and surfaced through ``attach_engine_meta`` as ``report.meta["planner"]``.
 """
 
 from __future__ import annotations
 
 from repro.circuits.bv import bernstein_vazirani
 from repro.engine import CircuitJob, ExecutionEngine
-from repro.experiments.runner import ExperimentReport, attach_engine_meta
+from repro.experiments.runner import ExperimentReport, attach_engine_meta, planner_decisions
 from repro.quantum.noise import NoiseModel
 
 
@@ -31,14 +31,12 @@ class TestPlannerProvenance:
         assert planner["engine"] == {"shard": {"none/heuristic": 2}}
         assert "machine_profile" not in planner
         assert "costmodel" not in planner
-        assert report.meta["engine"]["planner_decisions"] == {
-            "shard": {"none/heuristic": 2}
-        }
+        assert report.meta["engine"]["counters"]["planner.shard.none/heuristic"] == 2
 
     def test_stats_accumulate_merges_decision_counters(self):
         engine = ExecutionEngine()
         engine.run_single(_job(job_id="a"), seed=2)
         engine.run_single(_job(job_id="b", width=6), seed=3)
-        assert engine.lifetime_stats.planner_decisions["shard"] == {
+        assert planner_decisions(engine.metrics.snapshot())["shard"] == {
             "none/heuristic": 2
         }

@@ -42,10 +42,10 @@ class TestStudiesAreWorkerCountInvariant:
         config = BvStudyConfig(qubit_range=(5, 6), keys_per_size=1, shots=512)
         report = run_bv_study(config, devices=[ibm_paris()], engine=ExecutionEngine())
         engine_meta = report.meta["engine"]
-        assert engine_meta["num_jobs"] == 2
+        assert engine_meta["counters"]["engine.jobs"] == 2
         assert engine_meta["max_workers"] == 1
-        assert engine_meta["wall_seconds"] > 0.0
-        assert "ideal_hits" in engine_meta  # cache counters ride along
+        assert engine_meta["histograms"]["engine.wall_seconds"]["sum"] > 0.0
+        assert "cache.ideal.misses" in engine_meta["counters"]  # cache counters ride along
 
     def test_shared_cache_speeds_up_second_study_run(self):
         config = BvStudyConfig(qubit_range=(5, 7), keys_per_size=1, shots=512)
@@ -55,15 +55,14 @@ class TestStudiesAreWorkerCountInvariant:
         assert first.rows == second.rows  # same config seed -> same keys + streams
         # Meta holds engine-lifetime totals: the second study run added jobs
         # but not a single new transpile or ideal simulation.
-        assert second.meta["engine"]["num_jobs"] == 2 * len(first.rows)
+        first_counters = first.meta["engine"]["counters"]
+        second_counters = second.meta["engine"]["counters"]
+        assert second_counters["engine.jobs"] == 2 * len(first.rows)
         assert (
-            second.meta["engine"]["unique_transpiles_computed"]
-            == first.meta["engine"]["unique_transpiles_computed"]
+            second_counters["engine.transpiles_computed"]
+            == first_counters["engine.transpiles_computed"]
         )
-        assert (
-            second.meta["engine"]["unique_ideals_computed"]
-            == first.meta["engine"]["unique_ideals_computed"]
-        )
+        assert second_counters["engine.ideals_computed"] == first_counters["engine.ideals_computed"]
 
 
 class TestReportJson:
@@ -95,7 +94,7 @@ class TestReportJson:
         restored = ExperimentReport.from_json(report.to_json())
         assert restored.rows == report.rows
         assert restored.summary == pytest.approx(report.summary)
-        assert restored.meta["engine"]["num_jobs"] == 1
+        assert restored.meta["engine"]["counters"]["engine.jobs"] == 1
 
     def test_non_finite_values_serialise_as_null(self):
         report = ExperimentReport(

@@ -21,6 +21,7 @@ import pytest
 
 from repro.calibration import synthetic_snapshot
 from repro.engine.cache import ExecutionCache
+from repro.obs.metrics import MetricsScope
 from repro.engine.hashing import circuit_fingerprint, ideal_key, sample_key
 from repro.quantum.device import google_sycamore, ibm_paris
 from repro.quantum.statevector import simulate_statevector
@@ -80,8 +81,9 @@ def cache_dir(tmp_path):
 
 def _load(cache_dir, entry):
     cache = ExecutionCache(cache_dir)
-    artifact = cache.get("transpile", entry)
-    assert artifact is not None and cache.hits["transpile"] == 1
+    with MetricsScope() as scope:
+        artifact = cache.get("transpile", entry)
+    assert artifact is not None and scope.registry.counters == {"cache.transpile.hits": 1}
     return artifact
 
 

@@ -9,6 +9,7 @@ from repro.calibration.scenario import Scenario
 from repro.engine import ExecutionEngine
 from repro.exceptions import ExperimentError
 from repro.experiments import ScenarioStudyConfig, run_scenario_study
+from repro.obs.metrics import MetricsScope
 
 
 def _small_config(**overrides) -> ScenarioStudyConfig:
@@ -24,7 +25,7 @@ class TestScenarioStudy:
         assert report.name == "scenario_sweep"
         assert report.summary["num_scenarios"] >= 12
         assert len(report.rows) == len(available_scenarios())
-        assert engine.lifetime_stats.num_jobs == len(report.rows)
+        assert engine.metrics.counters["engine.jobs"] == len(report.rows)
         scenario_names = {row["scenario"] for row in report.rows}
         assert scenario_names == set(available_scenarios())
 
@@ -56,13 +57,12 @@ class TestScenarioStudy:
         second = run_scenario_study(_small_config(), engine=engine)
         assert second.rows == first.rows
         # The second sweep re-used every transpile, ideal and sampled histogram.
-        assert engine.last_run_stats.sample_cache_hits == len(first.rows)
-        assert engine.last_run_stats.unique_ideals_computed == 0
+        assert engine.last_run["counters"]["cache.sample.hits"] == len(first.rows)
+        assert engine.last_run["counters"].get("engine.ideals_computed", 0) == 0
 
     def test_repeat_run_reconstructs_nothing_and_builds_no_device(self, monkeypatch):
         engine = ExecutionEngine()
         first = run_scenario_study(_small_config(), engine=engine)
-        engine.cache.reset_counters()
         built = []
         device = Scenario.device
 
@@ -71,13 +71,15 @@ class TestScenarioStudy:
             return device(scenario)
 
         monkeypatch.setattr(Scenario, "device", counting)
-        second = run_scenario_study(_small_config(), engine=engine)
+        with MetricsScope() as scope:
+            second = run_scenario_study(_small_config(), engine=engine)
         assert second.rows == first.rows
         assert second.summary == first.summary
         # Both reconstructions of every job (plain and noise-aware) are hits,
         # and every device comes from the scenario memo.
-        stats = engine.cache.stats()
-        assert (stats["hammer_hits"], stats["hammer_misses"]) == (2 * len(first.rows), 0)
+        counters = scope.registry.counters
+        assert counters["cache.hammer.hits"] == 2 * len(first.rows)
+        assert counters.get("cache.hammer.misses", 0) == 0
         assert built == []
 
     def test_empty_selection_rejected(self):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.exceptions import ObservabilityError
@@ -10,6 +12,7 @@ from repro.obs.metrics import (
     HISTOGRAM_BOUNDS,
     Histogram,
     MetricsRegistry,
+    MetricsScope,
     active_registry,
     counter_add,
     gauge_max,
@@ -65,6 +68,48 @@ class TestRegistry:
         assert snapshot["counters"] == {"engine.runs": 1}
         assert snapshot["gauges"] == {"executor.chunks_in_flight": 7.0}
         assert snapshot["histograms"]["phase.ideal"]["count"] == 1
+
+
+class TestMetricsScope:
+    def test_nested_scopes_fold_once_into_each_enclosing_one(self):
+        lifetime = MetricsRegistry()
+        with MetricsScope() as outer:
+            counter_add("engine.runs")
+            with MetricsScope(lifetime) as inner:
+                counter_add("engine.jobs", 3)
+                observe_hist("phase.sample", 0.5)
+            assert active_registry() is outer.registry
+        assert inner.snapshot["counters"] == {"engine.jobs": 3}
+        assert outer.registry.counters == {"engine.runs": 1, "engine.jobs": 3}
+        assert outer.registry.histograms["phase.sample"].count == 1
+        assert lifetime.counters == {"engine.jobs": 3}
+        assert not metrics_active()
+
+    def test_an_exception_still_restores_and_folds(self):
+        with MetricsScope() as outer:
+            with pytest.raises(RuntimeError):
+                with MetricsScope():
+                    counter_add("engine.jobs")
+                    raise RuntimeError("boom")
+            assert active_registry() is outer.registry
+        assert outer.registry.counters == {"engine.jobs": 1}
+
+    def test_a_scope_counts_only_its_own_thread(self):
+        def other_thread():
+            seen.append(active_registry())
+            with MetricsScope():
+                counter_add("broker.chunks_completed")
+
+        seen = []
+        with MetricsScope() as scope:
+            thread = threading.Thread(target=other_thread)
+            thread.start()
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+            counter_add("engine.jobs")
+            assert active_registry() is scope.registry
+        assert seen == [None]
+        assert scope.registry.counters == {"engine.jobs": 1}
 
 
 class TestHistogram:

@@ -16,7 +16,7 @@ from repro.obs import (
     trace_span,
     tracing_active,
 )
-from repro.obs.logs import reset_logs
+from repro.obs.logs import get_logger, reset_logs
 
 
 @pytest.fixture(autouse=True)
@@ -96,10 +96,23 @@ class TestObservedCall:
         assert observation.registry.counters == {"sampler.chunks": 1}
         assert observation.recorder.span_names() == {"executor.shard"}
 
+    def test_an_in_process_task_logs_once(self):
+        logger = get_logger("repro.test")
+
+        def warning_task(task):
+            logger.warning("task-warning", "logged inside the task")
+            return task
+
+        with Observation() as observation:
+            _, payload = observed_call(warning_task, 1)
+            absorb_payload(payload)
+        assert [record["event"] for record in payload["logs"]] == ["task-warning"]
+        assert [record["event"] for record in observation.log_records()] == ["task-warning"]
+
     def test_absorb_payload_without_observation_is_noop(self):
         absorb_payload({"metrics": {"counters": {"x": 1}}})  # no crash, nothing active
 
     def test_absorb_rejects_malformed_payload(self):
-        with Observation() as observation:
+        with Observation():
             with pytest.raises(ObservabilityError, match="payload"):
-                observation.absorb_payload("not-a-dict")
+                absorb_payload("not-a-dict")

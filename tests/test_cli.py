@@ -178,23 +178,23 @@ class TestProfileSubcommand:
         assert "--backend/--scenario only apply" in capsys.readouterr().err
 
     def test_profile_metrics_appends_table_and_meta(self, capsys):
-        assert main(["profile", "fig8a", "--metrics"]) == 0
+        assert main(["profile", "fig8a"]) == 0
         output = capsys.readouterr().out
         assert "== metrics ==" in output
         assert "sampler.shots" in output
         assert "counter" in output
 
-    def test_profile_metrics_json_carries_obs_block(self, capsys):
-        assert main(["profile", "fig8a", "--metrics", "--format", "json"]) == 0
+    def test_profile_metrics_json_carries_metrics_block(self, capsys):
+        assert main(["profile", "fig8a", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        counters = payload["meta"]["obs"]["metrics"]["counters"]
+        counters = payload["meta"]["metrics"]["counters"]
         assert counters["engine.runs"] >= 1
         assert counters["sampler.shots"] > 0
-
-    def test_metrics_flag_rejected_outside_profile(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["fig8a", "--metrics"])
-        assert "--metrics only applies" in capsys.readouterr().err
+        # Each phase row is its histogram in the same snapshot.
+        histograms = payload["meta"]["metrics"]["histograms"]
+        for row in payload["rows"]:
+            phase = histograms[f"phase.{row['phase']}"]
+            assert (row["seconds"], row["calls"]) == (phase["sum"], phase["count"])
 
 
 class TestTraceCommand:
@@ -303,7 +303,7 @@ class TestSubprocessJsonArtifact:
         payload = json.loads(target.read_text())
         assert payload["name"] == "figure1a_bv_histogram"
         assert payload["rows"] and payload["summary"]
-        assert payload["meta"]["engine"]["num_jobs"] == 1
+        assert payload["meta"]["engine"]["counters"]["engine.jobs"] == 1
 
 
 class TestShardWorkerSubcommand:
@@ -453,7 +453,7 @@ class TestCalibrationSubcommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["name"] == "scenario_sweep"
         assert payload["summary"]["num_scenarios"] >= 12
-        assert payload["meta"]["engine"]["num_jobs"] == len(payload["rows"])
+        assert payload["meta"]["engine"]["counters"]["engine.jobs"] == len(payload["rows"])
 
 
 class TestBackendSubcommands:
@@ -485,7 +485,8 @@ class TestBackendSubcommands:
         assert payload["summary"]["num_scenarios"] == 1.0
         assert all(row["backend"] == "stabilizer" for row in payload["rows"])
         assert payload["meta"]["config"]["backend"] == "auto"
-        assert payload["meta"]["engine"]["stabilizer_jobs"] == len(payload["rows"])
+        backends = [job["backend"] for job in payload["meta"]["jobs"]]
+        assert backends == ["stabilizer"] * len(payload["rows"])
 
     def test_list_mentions_backends(self, capsys):
         assert main(["list"]) == 0
