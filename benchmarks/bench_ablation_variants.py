@@ -1,4 +1,4 @@
-"""Ablation benches for the HAMMER design choices called out in DESIGN.md §5.
+"""Ablation benches for HAMMER's design choices (see ``repro.core.variants``).
 
 Compares the paper's configuration against the named variants (no filter,
 no n/2 cutoff, alternative weight schemes) on a fixed set of noisy BV

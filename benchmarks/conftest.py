@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark regenerates one figure or table of the paper (see DESIGN.md
-§4) on a laptop-scale configuration, prints the reproduced rows/series, and
+Every benchmark regenerates one figure or table of the paper on a
+laptop-scale configuration, prints the reproduced rows/series, and
 asserts the qualitative claim of that figure ("who wins, by roughly what
 factor").  Timings are recorded with pytest-benchmark; the expensive
 experiment drivers are run once per benchmark (``rounds=1``).

@@ -1,8 +1,10 @@
 """Pre-configured HAMMER variants used by the ablation studies.
 
-DESIGN.md calls out four design choices of HAMMER whose impact the ablation
-benchmarks quantify.  Each factory below returns a :class:`HammerConfig`
-exercising one alternative, so experiments can run e.g.::
+HAMMER makes four design choices: the ``P(y) < P(x)`` credit filter, the
+self term, the ``n/2`` neighbourhood cutoff and the inverse-CHS weights.
+``benchmarks/bench_ablation_variants.py`` quantifies each one's impact.
+Each factory below returns a :class:`HammerConfig` exercising one
+alternative, so experiments can run e.g.::
 
     from repro.core import variants, hammer
     reconstructed = hammer(noisy, variants.no_filter())

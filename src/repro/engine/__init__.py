@@ -27,7 +27,7 @@ from repro.engine.hashing import (
     transpile_key,
 )
 from repro.engine.jobs import CircuitJob, JobResult
-from repro.engine.reduction import ReductionStats, ReductionTree, tree_merge_segments
+from repro.engine.reduction import ReductionStats, ReductionTree
 from repro.engine.transport import FaultInjectingExecutor
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "resolve_shard_executor",
     "ReductionTree",
     "ReductionStats",
-    "tree_merge_segments",
     "circuit_fingerprint",
     "coupling_fingerprint",
     "hammer_key",

@@ -26,9 +26,7 @@ module replaces that barrier with a Tascade-style reduction tree:
   outcome (``PackedOutcomes`` aggregation order == lexicographic uint64
   word order), and a pairwise merge of two sorted unique supports is a
   linear interleave (``searchsorted`` + ``insert``) rather than the full
-  re-sort a flat vstack pays — so the tree's extra merge levels cost less
-  than they look, and tree-merge keeps up with (or beats) the flat merge
-  even before overlap with sampling is counted.
+  re-sort a flat vstack pays: no merge sorts anything.
 
 :class:`ReductionTree` is histogram-agnostic on purpose: segments are
 plain ``(words, counts)`` pairs, picklable and compact, exactly what a
@@ -39,7 +37,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +51,6 @@ __all__ = [
     "ReductionTree",
     "ReductionStats",
     "merge_sorted_segments",
-    "tree_merge_segments",
 ]
 
 #: One partial histogram: ``(words, counts)`` — a ``(n, w)`` uint64 packed
@@ -255,19 +251,3 @@ class ReductionTree:
             peak_live_segments=self._peak_live,
             merge_seconds=self._merge_seconds,
         )
-
-
-def tree_merge_segments(segments: Sequence[Segment], num_bits: int) -> Distribution:
-    """Reduce segments through a :class:`ReductionTree` (in-order convenience).
-
-    Drop-in equivalent of the flat ``merge_counted_chunks`` — bit-identical
-    result, ``O(log n)`` peak live segments — for callers that already hold
-    every segment.  Streaming callers should drive :class:`ReductionTree`
-    directly as chunks complete.
-    """
-    if not segments:
-        raise MergeError("cannot merge zero sampled chunks")
-    tree = ReductionTree(len(segments), num_bits)
-    for index, (words, counts) in enumerate(segments):
-        tree.add(index, words, counts)
-    return tree.distribution()

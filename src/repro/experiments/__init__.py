@@ -1,4 +1,4 @@
-"""Experiment modules — one per paper figure/table (see DESIGN.md §4)."""
+"""Experiment modules — one per paper figure/table (see the README's Architecture map)."""
 
 from repro.experiments.bv_study import BvStudyConfig, run_bv_single_example, run_bv_study
 from repro.experiments.complexity_study import (

@@ -1,9 +1,10 @@
 """Activating observation, and carrying it across process boundaries.
 
 :class:`Observation` is the front door of the layer: a context manager
-that installs a fresh :class:`~repro.obs.trace.TraceRecorder` as the
-process global and opens an outer :class:`~repro.obs.metrics.MetricsScope`
-for the enclosed run, then restores the previous state on exit::
+that installs a fresh :class:`~repro.obs.trace.TraceRecorder` as this
+thread's active recorder and opens an outer
+:class:`~repro.obs.metrics.MetricsScope` for the enclosed run, then
+restores the previous state on exit::
 
     with Observation() as obs:
         report = run_bv_study(config, engine=engine)
@@ -123,13 +124,14 @@ def observed_call(fn, task, traced: bool = True):
 
     Module-level so ``functools.partial(observed_call, fn, traced=...)``
     pickles into pool and broker workers.  Saves whatever registry and
-    recorder the process had, installs task-scoped ones, and restores the
+    recorder this thread had, installs task-scoped ones, and restores the
     saved state after the call — so an in-process "worker" (the serial
-    executor, a broker's local fallback) neither clobbers nor double-counts
-    into the parent's live scope.  Returns ``(result, payload)``: the
-    payload carries the task's metrics snapshot and, when ``traced``, its
-    span events (absolute wall-clock timestamps, this process's pid) and
-    the structured log records it produced.
+    executor, a broker's local fallback, a broker worker's thread) neither
+    clobbers nor double-counts into the parent's live scope, and spans the
+    parent's own thread records meanwhile stay the parent's.  Returns
+    ``(result, payload)``: the payload carries the task's metrics snapshot
+    and, when ``traced``, its span events (absolute wall-clock timestamps,
+    this process's pid) and the structured log records it produced.
     """
     registry = MetricsRegistry()
     recorder = TraceRecorder() if traced else None

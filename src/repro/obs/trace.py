@@ -16,10 +16,15 @@ time containment.  Every completed span lands in the active
 process id, thread id and attributes.
 
 **Disabled cost.**  Tracing is off by default: :func:`trace_span` then
-performs a single ``is None`` check on the module global and returns a
-shared no-op span, so instrumented hot paths pay (almost) nothing.  Sites
-hot enough to care about the kwargs dict can guard on
+performs a single ``is None`` check on this thread's recorder slot and
+returns a shared no-op span, so instrumented hot paths pay (almost)
+nothing.  Sites hot enough to care about the kwargs dict can guard on
 :func:`tracing_active` first.
+
+**Threads.**  The active recorder is per thread, like the active metrics
+registry: an :class:`~repro.obs.observe.Observation` traces the thread
+that opened it, and a task-scoped recorder installed on another thread
+(an in-process broker worker's) cannot capture that thread's spans.
 
 **Multiprocessing.**  Each process records into its own buffer; worker
 processes export their events (absolute wall-clock timestamps, their own
@@ -153,30 +158,37 @@ class TraceRecorder:
         }
 
 
-#: The process-global active recorder.  ``None`` (the default) disables
-#: tracing: :func:`trace_span` then costs one ``is None`` check.
-_active: TraceRecorder | None = None
+class _ActiveRecorder(threading.local):
+    """The active recorder, one per thread.
+
+    ``None`` (the default) disables tracing on that thread:
+    :func:`trace_span` then costs one ``is None`` check.
+    """
+
+    recorder: TraceRecorder | None = None
+
+
+_active = _ActiveRecorder()
 
 
 def tracing_active() -> bool:
-    """True when a recorder is active in this process."""
-    return _active is not None
+    """True when a recorder is active on this thread."""
+    return _active.recorder is not None
 
 
 def active_recorder() -> TraceRecorder | None:
-    """The active recorder, or ``None`` when tracing is disabled."""
-    return _active
+    """This thread's active recorder, or ``None`` when tracing is disabled."""
+    return _active.recorder
 
 
 def _set_active(recorder: TraceRecorder | None) -> TraceRecorder | None:
-    """Install ``recorder`` as the process-global, returning the previous one.
+    """Install ``recorder`` as this thread's active one, returning the previous.
 
     Only :mod:`repro.obs.observe` calls this (observation contexts and the
     worker-side save/swap/restore); it is not part of the public surface.
     """
-    global _active
-    previous = _active
-    _active = recorder
+    previous = _active.recorder
+    _active.recorder = recorder
     return previous
 
 
@@ -250,7 +262,7 @@ def record_span(name: str, duration_seconds: float, wall_start: float | None = N
     reconstruct nesting from time containment, so post-hoc spans still
     enclose the live spans recorded inside their region.
     """
-    recorder = _active
+    recorder = _active.recorder
     if recorder is None:
         return
     if wall_start is None:
@@ -273,13 +285,13 @@ def trace_span(name: str, **attrs):
     """Open a span named ``name`` with the given attributes.
 
     Returns a context manager.  While tracing is disabled (the default)
-    this is one global ``is None`` check and the shared no-op span — safe
-    on hot paths.  Span names are dotted, coarsest category first
-    (``engine.phase.sample``, ``executor.shard``, ``reduction.merge``,
-    ``kernel.hammer``, ``cache.get``); the prefix before the first dot
-    becomes the Chrome event category.
+    this is one ``is None`` check on this thread's slot and the shared
+    no-op span — safe on hot paths.  Span names are dotted, coarsest
+    category first (``engine.phase.sample``, ``executor.shard``,
+    ``reduction.merge``, ``kernel.hammer``, ``cache.get``); the prefix
+    before the first dot becomes the Chrome event category.
     """
-    recorder = _active
+    recorder = _active.recorder
     if recorder is None:
         return _NULL_SPAN
     return _Span(recorder, name, attrs)

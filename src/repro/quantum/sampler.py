@@ -320,10 +320,11 @@ def sample_bitflip_chunk(
     Million-shot jobs are split into fixed-size chunks, each drawn from its
     own :class:`numpy.random.SeedSequence`-derived generator; a chunk returns
     its deduplicated packed support and per-outcome shot counts — a compact,
-    picklable partial histogram that :func:`merge_counted_chunks` reduces
-    deterministically.  The shots are counted the way
-    :meth:`PackedOutcomes.aggregate_bit_matrix` counts them: on the packed
-    uint64 key column up to 64 qubits, by unique packed rows beyond.
+    picklable partial histogram that the engine's
+    :class:`~repro.engine.reduction.ReductionTree` reduces deterministically.
+    The shots are counted the way :meth:`PackedOutcomes.aggregate_bit_matrix`
+    counts them: on the packed uint64 key column up to 64 qubits, by unique
+    packed rows beyond.
     """
     if shots <= 0:
         raise CircuitError(f"shots must be positive, got {shots}")
@@ -345,10 +346,10 @@ def merge_counted_chunks(
     re-sorted by outcome value, and counts are integer-valued floats whose
     addition is exact — so ``--jobs 1/2/4`` produce bit-identical rows.
 
-    This flat reduction is the reference the engine's streaming
-    :class:`~repro.engine.reduction.ReductionTree` is bit-identical to; the
-    engine itself now merges through the tree, and this helper remains for
-    callers that already hold every segment.
+    The engine merges through its streaming
+    :class:`~repro.engine.reduction.ReductionTree` instead; this flat
+    vstack-and-re-sort reduction is the tests' reference, the one the tree
+    must be bit-identical to.
     """
     if not segments:
         raise MergeError("cannot merge zero sampled chunks")

@@ -14,7 +14,7 @@ from repro.backends import (
     simulate_stabilizer,
     stabilizer_distribution,
 )
-from repro.circuits.bv import bernstein_vazirani
+from repro.circuits.bv import bernstein_vazirani, bv_secret_key
 from repro.circuits.ghz import ghz_circuit, ghz_correct_outcomes
 from repro.exceptions import BackendError
 from repro.quantum.circuit import QuantumCircuit
@@ -143,8 +143,16 @@ class TestBackendRegistry:
             get_backend("density-matrix")
 
     def test_auto_dispatch_picks_stabilizer_for_clifford(self):
-        clifford = bernstein_vazirani("1011")
-        assert resolve_backend("auto", clifford).name == "stabilizer"
+        # BV is Clifford at any width, so auto picks the tableau narrow or
+        # wide, where the dense backend (at most 24 qubits) cannot follow.
+        keys = ["1011", bv_secret_key(14, "alternating"), bv_secret_key(50, "alternating")]
+        for key in keys:
+            clifford = bernstein_vazirani(key)
+            backend = resolve_backend("auto", clifford)
+            assert backend.name == "stabilizer"
+            assert backend.ideal_distribution(clifford).probabilities() == {key: 1.0}
+        dense = get_backend("statevector").ideal_distribution(bernstein_vazirani(keys[1]))
+        assert dense.probabilities() == {keys[1]: 1.0}
 
     def test_auto_dispatch_falls_back_for_non_clifford(self):
         circuit = QuantumCircuit(3).h(0).t(0)

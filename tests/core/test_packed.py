@@ -294,9 +294,11 @@ class TestDenseChsPath:
 
     def test_dense_average_chs_matches_reference(self):
         dist = self._wide_support_distribution()
-        assert np.allclose(
-            average_chs(dist), _reference_average_chs(dist, dist.num_bits), atol=1e-9
-        )
+        assert not dist.has_packed_view()
+        cold = average_chs(dist)
+        assert np.allclose(cold, _reference_average_chs(dist, dist.num_bits), atol=1e-9)
+        # The second call reads the packed view the first one cached.
+        assert np.array_equal(average_chs(dist), cold)
 
     def test_dense_hammer_matches_reference(self):
         dist = self._wide_support_distribution()

@@ -15,10 +15,13 @@ import numpy as np
 import pytest
 
 from repro.backends import get_backend
+from repro.calibration import CalibrationSnapshot, synthetic_snapshot
 from repro.calibration.generators import snapshot_noise_model
-from repro.circuits.bv import bernstein_vazirani
+from repro.circuits.bv import bernstein_vazirani, random_bv_key
 from repro.circuits.ghz import ghz_circuit
-from repro.engine import CircuitJob, ExecutionEngine
+from repro.datasets.ibm_suite import default_ibm_devices
+from repro.engine import CircuitJob, ExecutionEngine, ReductionTree
+from repro.engine import engine as engine_module
 from repro.engine.hashing import sample_key
 from repro.exceptions import EngineError, MergeError
 from repro.experiments.runner import planner_decisions
@@ -158,6 +161,79 @@ class TestOnePlanPerGroup:
         assert len(plan_builds) == 2
 
 
+def _fig8_jobs(calibrated: bool, seed: int = 8) -> list[CircuitJob]:
+    """Figure 8's 48-job BV batch, with or without a snapshot per machine."""
+    rng = np.random.default_rng(seed)
+    jobs = []
+    for device in default_ibm_devices():
+        noise_model = device.noise_model
+        if calibrated:
+            noise_model = noise_model.with_calibration(
+                synthetic_snapshot(device, seed=seed, spread=0.3)
+            )
+        for num_qubits in range(5, 13):
+            for key_index in range(2):
+                jobs.append(
+                    CircuitJob(
+                        job_id=f"bv-{device.name}-n{num_qubits}-k{key_index}",
+                        circuit=bernstein_vazirani(random_bv_key(num_qubits, rng)),
+                        shots=8192,
+                        noise_model=noise_model,
+                        coupling_map=device.coupling_map,
+                        basis_gates=device.basis_gates,
+                        device=device,
+                    )
+                )
+    return jobs
+
+
+@pytest.fixture
+def edge_matrix_builds(monkeypatch):
+    """The devices whose snapshot computes ``edge_error_matrix``, in call order."""
+    built = []
+    descriptor = CalibrationSnapshot.__dict__["edge_error_matrix"]
+    compute = getattr(descriptor, "func", None) or descriptor.fget
+
+    def counting(snapshot):
+        built.append(snapshot.device_name)
+        return compute(snapshot)
+
+    # Same descriptor type, so a computed-once matrix stays computed once.
+    replacement = type(descriptor)(counting)
+    replacement.__set_name__(CalibrationSnapshot, "edge_error_matrix")
+    monkeypatch.setattr(CalibrationSnapshot, "edge_error_matrix", replacement)
+    return built
+
+
+class TestCalibrationAddsNoWork:
+    """A calibrated batch samples exactly like the uniform one.
+
+    Its only extra work is per snapshot: each snapshot's coupler-error
+    matrix is computed once and read by every job on that machine.
+    """
+
+    def test_calibrated_batch_builds_the_uniform_plans(self, plan_builds, edge_matrix_builds):
+        engine = ExecutionEngine()
+        engine.run(_fig8_jobs(calibrated=False), seed=8)  # fills transpile and ideal
+        readings = {}
+        for calibrated in (False, True):
+            plan_builds.clear()
+            results = engine.run(_fig8_jobs(calibrated), seed=9)
+            counters = engine.last_run["counters"]
+            assert len(results) == 48
+            # Prepare work is cached and every job samples.
+            assert counters.get("engine.transpiles_computed", 0) == 0
+            assert counters.get("engine.ideals_computed", 0) == 0
+            assert counters.get("cache.sample.hits", 0) == 0
+            sampled = ("engine.sample_groups", "sampler.jobs", "sampler.shots")
+            readings[calibrated] = (len(plan_builds), {name: counters[name] for name in sampled})
+        assert readings[True] == readings[False] == (
+            48,
+            {"engine.sample_groups": 48, "sampler.jobs": 48, "sampler.shots": 48 * 8192},
+        )
+        assert sorted(edge_matrix_builds) == sorted(device.name for device in default_ibm_devices())
+
+
 class TestShardedSampling:
     def test_sharded_rows_bit_identical_across_worker_counts(self, device):
         job = _jobs(device, count=1, shots=40_000)[0]
@@ -221,6 +297,34 @@ class TestShardedSampling:
     def test_merge_rejects_empty(self):
         with pytest.raises(MergeError):
             merge_counted_chunks([], 4)
+
+    def test_chunks_merge_as_they_arrive(self, device, monkeypatch):
+        """On the serial executor each chunk merges before the next is drawn."""
+        events = []
+        draw_chunk, add = engine_module.sample_bitflip_chunk, ReductionTree.add
+
+        def counting_chunk(*args, **kwargs):
+            events.append("chunk")
+            return draw_chunk(*args, **kwargs)
+
+        def counting_add(tree, *args):
+            events.append("add")
+            return add(tree, *args)
+
+        monkeypatch.setattr(engine_module, "sample_bitflip_chunk", counting_chunk)
+        monkeypatch.setattr(ReductionTree, "add", counting_add)
+        job = _jobs(device, count=1, shots=16_384, key="1011001011")[0]
+        with ExecutionEngine(
+            max_workers=1, sample_shard_shots=2_048, shard_executor="serial"
+        ) as engine:
+            engine.run([job], seed=7)
+            run = engine.last_run
+        assert events == ["chunk", "add"] * 8
+        assert run["counters"]["sampler.chunks"] == 8
+        # One live segment per level plus the arriving leaf (depth + 1),
+        # never all 8 chunks at once.
+        gauges = run["gauges"]
+        assert (gauges["reduction.tree_depth"], gauges["reduction.peak_live_segments"]) == (3, 4)
 
     def test_trajectory_jobs_are_never_sharded(self, device):
         job = CircuitJob(

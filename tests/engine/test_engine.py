@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.calibration import synthetic_snapshot
 from repro.circuits.bv import bernstein_vazirani
 from repro.circuits.qaoa import default_qaoa_parameters, qaoa_circuit
 from repro.engine import CircuitJob, ExecutionCache, ExecutionEngine
@@ -16,17 +17,21 @@ from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.device import ibm_paris
 
 
-def _bv_jobs(widths=(4, 5, 6), keys_per_width=2, shots=1024, transpile=True):
+def _bv_jobs(widths=(4, 5, 6), keys_per_width=2, shots=1024, transpile=True, calibrated=False):
     device = ibm_paris()
+    noise_model, suffix = device.noise_model, ""
+    if calibrated:
+        noise_model = noise_model.with_calibration(synthetic_snapshot(device, seed=8, spread=0.3))
+        suffix = "-calibrated"
     jobs = []
     for num_qubits in widths:
         for key_index in range(keys_per_width):
             jobs.append(
                 CircuitJob(
-                    job_id=f"bv-n{num_qubits}-k{key_index}",
+                    job_id=f"bv-n{num_qubits}-k{key_index}{suffix}",
                     circuit=bernstein_vazirani("1" * num_qubits),
                     shots=shots,
-                    noise_model=device.noise_model,
+                    noise_model=noise_model,
                     coupling_map=device.coupling_map if transpile else None,
                     basis_gates=device.basis_gates if transpile else None,
                     metadata={"num_qubits": num_qubits},
@@ -157,8 +162,12 @@ class TestCacheAccounting:
 class TestDeterministicParallelism:
     @pytest.mark.parametrize("max_workers", [2, 4])
     def test_bit_identical_across_worker_counts(self, max_workers):
-        serial = ExecutionEngine(max_workers=1).run(_bv_jobs(), seed=9)
-        parallel = ExecutionEngine(max_workers=max_workers).run(_bv_jobs(), seed=9)
+        def jobs():
+            return _bv_jobs() + _bv_jobs(calibrated=True)
+
+        serial = ExecutionEngine(max_workers=1).run(jobs(), seed=9)
+        parallel = ExecutionEngine(max_workers=max_workers).run(jobs(), seed=9)
+        assert len(serial) == len(parallel) == 12
         for a, b in zip(serial, parallel):
             assert a.job_id == b.job_id
             assert a.noisy.counts() == b.noisy.counts()

@@ -15,11 +15,14 @@ The contracts checked here:
   scope with or without an Observation: ``last_run``'s counters are equal
   at any worker count, an Observation receives them once, and the
   engine's lifetime registry is the sum of its runs.
+* **Span cost.**  Span work is per job, never per shot or per outcome,
+  and without an Observation no span is built at all.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -28,6 +31,7 @@ from repro.core.hammer import hammer
 from repro.engine import CircuitJob, ExecutionEngine, FaultInjectingExecutor, SerialShardExecutor
 from repro.experiments import BvStudyConfig, run_bv_study
 from repro.obs import Observation
+from repro.obs import trace as trace_module
 from repro.quantum.device import get_device
 
 
@@ -223,6 +227,43 @@ class TestFourLayerTrace:
         ]
         assert kernel_events and all("plan" in e["args"] for e in kernel_events)
         json.loads(json.dumps(trace))
+
+
+def _fig8_sweep(shots: int):
+    """Figure 8's memo-cold sweep: 9 jobs at 12-14 qubits, one key per width."""
+    config = BvStudyConfig(qubit_range=(12, 14), keys_per_size=1, shots=shots, seed=8)
+    return run_bv_study(config, engine=ExecutionEngine())
+
+
+class TestSpanCost:
+    def test_span_work_is_per_job(self):
+        """16x the shots (and so wider supports) record the very same spans."""
+        recorded = {}
+        for shots in (2_048, 32_768):
+            with Observation() as observation:
+                _fig8_sweep(shots)
+            recorded[shots] = Counter(event["name"] for event in observation.recorder.events())
+            counters = observation.meta()["metrics"]["counters"]
+            assert counters["engine.runs"] == 1
+            assert counters["sampler.shots"] == 9 * shots
+        assert recorded[2_048] == recorded[32_768]
+        assert recorded[2_048]["engine.run"] == 1
+        assert recorded[2_048]["kernel.hammer"] == 9
+
+    def test_no_span_is_built_without_an_observation(self, monkeypatch):
+        built = []
+
+        class CountingSpan(trace_module._Span):
+            def __init__(self, *args):
+                built.append(args[1])
+                super().__init__(*args)
+
+        monkeypatch.setattr(trace_module, "_Span", CountingSpan)
+        _fig8_sweep(2_048)
+        assert built == []
+        with Observation():
+            _fig8_sweep(2_048)
+        assert built  # the count sees an observed run's spans
 
 
 class TestScenarioSweepAcceptance:

@@ -3,7 +3,8 @@
 The contract under test: a :class:`ReductionTree` fed the same chunk
 segments in *any* completion order produces a Distribution bit-identical to
 the flat ``merge_counted_chunks`` reference — for any segment count and for
-register widths straddling the one-word/two-word boundary (63/64/65 bits).
+register widths straddling the one-word/two-word boundary (63/64/65 bits) —
+and its merges interleave sorted segments without sorting anything.
 """
 
 from __future__ import annotations
@@ -14,11 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bitstring import PackedOutcomes
-from repro.engine.reduction import (
-    ReductionTree,
-    merge_sorted_segments,
-    tree_merge_segments,
-)
+from repro.engine.reduction import ReductionTree, merge_sorted_segments
 from repro.exceptions import EngineError, MergeError, NoiseModelError
 from repro.quantum.sampler import merge_counted_chunks
 
@@ -32,6 +29,14 @@ def _random_segments(rng: np.random.Generator, num_segments: int, num_bits: int)
         packed, counts = PackedOutcomes.aggregate_bit_matrix(bits)
         segments.append((packed.words, counts))
     return segments
+
+
+def _tree_merge(segments, num_bits: int):
+    """Feed ``segments`` to a :class:`ReductionTree` in index order."""
+    tree = ReductionTree(len(segments), num_bits)
+    for index, (words, counts) in enumerate(segments):
+        tree.add(index, words, counts)
+    return tree.distribution()
 
 
 class TestTreeEqualsFlatMerge:
@@ -69,7 +74,7 @@ class TestTreeEqualsFlatMerge:
     def test_every_completion_order_gives_identical_bits(self, num_segments, seed):
         rng = np.random.default_rng(seed)
         segments = _random_segments(rng, num_segments, 64)
-        reference = tree_merge_segments(segments, 64)
+        reference = _tree_merge(segments, 64)
         for order_seed in range(3):
             order = np.random.default_rng((seed, order_seed)).permutation(num_segments)
             tree = ReductionTree(num_segments, 64)
@@ -78,6 +83,40 @@ class TestTreeEqualsFlatMerge:
             merged = tree.distribution()
             assert np.array_equal(merged.packed().words, reference.packed().words)
             assert merged.probabilities() == reference.probabilities()
+
+
+def _count_sorts(monkeypatch) -> list[str]:
+    """From now on, record each call of NumPy's sorting functions by name."""
+    calls: list[str] = []
+    for name in ("unique", "sort", "argsort", "lexsort"):
+        original = getattr(np, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counting)
+    return calls
+
+
+class TestMergesNeverSort:
+    """A merge interleaves two sorted segments: only the flat reference sorts."""
+
+    @pytest.mark.parametrize("num_bits", [16, 100])
+    def test_shuffled_tree_merges_call_no_sort(self, monkeypatch, num_bits):
+        segments = _random_segments(np.random.default_rng(num_bits), 16, num_bits)
+        order = np.random.default_rng(7).permutation(16)
+        sorts = _count_sorts(monkeypatch)
+        tree = ReductionTree(16, num_bits)
+        for index in order:
+            tree.add(int(index), *segments[index])
+        assert tree.complete and tree.stats().merges == 15
+        assert sorts == []
+        flat = merge_counted_chunks(segments, num_bits)
+        assert "unique" in sorts  # the counter sees the flat merge's sort
+        merged = tree.distribution()
+        assert np.array_equal(merged.packed().words, flat.packed().words)
+        assert merged.probabilities() == flat.probabilities()
 
 
 class TestMergeSortedSegments:
@@ -97,21 +136,24 @@ class TestMergeSortedSegments:
 
 class TestTreeMechanics:
     def test_stats_in_order_completion(self):
-        segments = _random_segments(np.random.default_rng(3), 8, 16)
-        tree = ReductionTree(8, 16)
-        for index, (words, counts) in enumerate(segments):
-            tree.add(index, words, counts)
-        stats = tree.stats()
-        assert stats.num_leaves == 8
-        assert stats.depth == 3
-        assert stats.merges == 7
-        # In-order arrival holds at most one live segment per level.
-        assert stats.peak_live_segments <= stats.depth + 1
+        # 8 chunks, and a 256-chunk stream on a two-word register.
+        for num_leaves, num_bits, depth in ((8, 16, 3), (256, 100, 8)):
+            segments = _random_segments(np.random.default_rng(3), num_leaves, num_bits)
+            tree = ReductionTree(num_leaves, num_bits)
+            for index, (words, counts) in enumerate(segments):
+                tree.add(index, words, counts)
+            stats = tree.stats()
+            assert stats.num_leaves == num_leaves
+            assert stats.depth == depth
+            assert stats.merges == num_leaves - 1
+            # In-order arrival holds at most one live segment per level.
+            assert stats.peak_live_segments <= stats.depth + 1
+            assert tree.distribution().num_bits == num_bits
 
     def test_non_power_of_two_leaf_counts(self):
         for count in (1, 3, 5, 6, 7, 11):
             segments = _random_segments(np.random.default_rng(count), count, 10)
-            merged = tree_merge_segments(segments, 10)
+            merged = _tree_merge(segments, 10)
             flat = merge_counted_chunks(segments, 10)
             assert np.array_equal(merged.packed().words, flat.packed().words)
             assert merged.probabilities() == flat.probabilities()
@@ -144,8 +186,6 @@ class TestTreeMechanics:
     def test_zero_leaves_rejected(self):
         with pytest.raises(MergeError):
             ReductionTree(0, 4)
-        with pytest.raises(MergeError):
-            tree_merge_segments([], 4)
 
 
 class TestMergeErrorCompatibility:

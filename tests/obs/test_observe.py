@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.exceptions import ObservabilityError
@@ -108,6 +110,40 @@ class TestObservedCall:
             absorb_payload(payload)
         assert [record["event"] for record in payload["logs"]] == ["task-warning"]
         assert [record["event"] for record in observation.log_records()] == ["task-warning"]
+
+    def test_a_task_on_another_thread_leaves_the_parents_spans_alone(self):
+        """An in-process worker thread's task records only its own spans.
+
+        While the task runs (as on a ``BrokerWorker`` thread), a span the
+        observing thread opens belongs to the observation, not to the
+        task's payload, which the engine discards if the chunk turns out
+        to be a duplicate.
+        """
+        started, release = threading.Event(), threading.Event()
+        returned = []
+
+        def waiting_task(task):
+            started.set()
+            assert release.wait(timeout=10)
+            return _fake_task(task)
+
+        with Observation() as observation:
+            worker = threading.Thread(
+                target=lambda: returned.append(observed_call(waiting_task, 5))
+            )
+            worker.start()
+            assert started.wait(timeout=10)
+            with trace_span("main.work"):
+                counter_add("engine.runs")
+            release.set()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        ((result, payload),) = returned
+        assert result == 10
+        assert observation.recorder.span_names() == {"main.work"}
+        assert observation.registry.counters == {"engine.runs": 1}
+        assert [event["name"] for event in payload["events"]] == ["executor.shard"]
+        assert payload["metrics"]["counters"] == {"sampler.chunks": 1}
 
     def test_absorb_payload_without_observation_is_noop(self):
         absorb_payload({"metrics": {"counters": {"x": 1}}})  # no crash, nothing active
