@@ -32,13 +32,11 @@ not by a socket timeout:
 :class:`BrokerExecutor`
     The engine-facing :class:`~repro.engine.executors.ShardExecutor`
     (``REPRO_SHARD_EXECUTOR=broker``).  Connects to a running broker
-    (``REPRO_SHARD_BROKER=host:port``) or embeds one in the driver process
-    (``REPRO_SHARD_BROKER_LISTEN=host:port``) for workers to join.
-    Graceful degradation: if no worker registers within
-    ``REPRO_SHARD_JOIN_DEADLINE`` seconds (default 10), it warns once
-    through :mod:`repro.obs.logs` and runs the batch on its fallback
-    executor (process pool, or serial at ``max_workers=1``) instead of
-    hanging.
+    (``REPRO_SHARD_BROKER=host:port``).  Graceful degradation: if no
+    worker registers within ``REPRO_SHARD_JOIN_DEADLINE`` seconds (default
+    10), it warns once through :mod:`repro.obs.logs` and runs the batch on
+    its fallback executor (process pool, or serial at ``max_workers=1``)
+    instead of hanging.
 
 All frames ride the authenticated wire protocol of
 :mod:`repro.engine.transport`: with ``REPRO_SHARD_KEY`` set on every peer,
@@ -48,7 +46,6 @@ it (localhost testing) frames travel unauthenticated.
 Environment wiring (every timing must be a finite number of seconds)::
 
     REPRO_SHARD_BROKER         connect the executor to a running broker
-    REPRO_SHARD_BROKER_LISTEN  embed a broker in the driver at this address
     REPRO_SHARD_HEARTBEAT      lease heartbeat interval, seconds (default 2)
     REPRO_SHARD_JOIN_DEADLINE  max wait for the first worker (default 10)
     REPRO_SHARD_TIMEOUT        executor's recv timeout, seconds (default 60)
@@ -97,14 +94,12 @@ __all__ = [
     "DEFAULT_HEARTBEAT_SECONDS",
     "DEFAULT_JOIN_DEADLINE_SECONDS",
     "ENV_SHARD_BROKER",
-    "ENV_SHARD_BROKER_LISTEN",
     "ENV_SHARD_HEARTBEAT",
     "ENV_SHARD_JOIN_DEADLINE",
     "ENV_SHARD_TIMEOUT",
 ]
 
 ENV_SHARD_BROKER = "REPRO_SHARD_BROKER"
-ENV_SHARD_BROKER_LISTEN = "REPRO_SHARD_BROKER_LISTEN"
 ENV_SHARD_HEARTBEAT = "REPRO_SHARD_HEARTBEAT"
 ENV_SHARD_JOIN_DEADLINE = "REPRO_SHARD_JOIN_DEADLINE"
 ENV_SHARD_TIMEOUT = "REPRO_SHARD_TIMEOUT"
@@ -250,7 +245,7 @@ class ShardBroker:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "ShardBroker":
-        """Serve in a background thread (tests, embed mode); returns self."""
+        """Serve in a background thread (tests); returns self."""
         self._start_scanner()
         self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
         self._accept_thread.start()
@@ -758,10 +753,8 @@ _LIFETIME_COUNTERS = (
 
 
 class BrokerExecutor(ShardExecutor):
-    """Run shard chunks through a :class:`ShardBroker`'s pull workers.
+    """Run shard chunks through the pull workers of the broker at ``broker``.
 
-    Exactly one of ``broker`` (connect to a running service) or ``listen``
-    (embed a broker in this process for workers to join) must be given.
     When no worker registers within ``join_deadline`` seconds the batch
     runs on ``fallback`` instead — a warn-once, never a hang.
 
@@ -773,19 +766,14 @@ class BrokerExecutor(ShardExecutor):
 
     def __init__(
         self,
-        broker: str | None = None,
-        listen: str | None = None,
+        broker: str,
         fallback: ShardExecutor | None = None,
         join_deadline: float | None = None,
         timeout: float = DEFAULT_TIMEOUT_SECONDS,
-        heartbeat: float | None = None,
         auth_key: "bytes | None" = _KEY_FROM_ENV,  # type: ignore[assignment]
     ) -> None:
-        if (broker is None) == (listen is None):
-            raise EngineError(
-                "BrokerExecutor needs exactly one of broker=HOST:PORT "
-                "(connect) or listen=HOST:PORT (embed)"
-            )
+        parse_hostport(broker)
+        self._address = str(broker)
         self.timeout = _seconds("timeout", timeout)
         self._auth_key = resolve_shard_key() if auth_key is _KEY_FROM_ENV else auth_key
         self._fallback = fallback if fallback is not None else SerialShardExecutor()
@@ -794,30 +782,14 @@ class BrokerExecutor(ShardExecutor):
             if join_deadline is None
             else _seconds("join_deadline", join_deadline, allow_zero=True)
         )
-        self._broker: ShardBroker | None = None
-        if listen is not None:
-            host, port = parse_hostport(listen)
-            # Eager start so workers can join (and tests can read the bound
-            # address) before the first batch arrives.
-            self._broker = ShardBroker(
-                host, port, heartbeat=heartbeat, auth_key=self._auth_key
-            ).start()
-            self._address = self._broker.address
-        else:
-            parse_hostport(broker)
-            self._address = str(broker)
         self._stats_snapshot: dict = {}
-        self._fell_back = False
+        #: Batches that ran on the fallback (no worker joined in time).
+        self._fallbacks = 0
 
     @property
     def address(self) -> str:
-        """The broker's ``host:port`` (bound address in embed mode)."""
+        """The broker's ``host:port``."""
         return self._address
-
-    @property
-    def embedded_broker(self) -> ShardBroker | None:
-        """The in-process broker when built with ``listen`` (else None)."""
-        return self._broker
 
     # ------------------------------------------------------------------
     def _connect(self) -> socket.socket:
@@ -862,7 +834,7 @@ class BrokerExecutor(ShardExecutor):
         if not tasks:
             return
         if not self._await_workers():
-            self._fell_back = True
+            self._fallbacks += 1
             counter_add("broker.fallbacks")
             _logger.warn_once(
                 "broker-no-workers",
@@ -918,18 +890,16 @@ class BrokerExecutor(ShardExecutor):
                 pass
 
     def close(self) -> None:
-        """Stop the embedded broker (if any) and close the fallback."""
-        if self._broker is not None:
-            self._broker.stop()
+        """Close the fallback; the broker is a service of its own."""
         self._fallback.close()
 
     def provenance(self) -> dict:
-        stats = self._broker.stats() if self._broker is not None else self._stats_snapshot
+        """The broker's lifetime counters as of this executor's latest batch."""
         provenance: dict = {"executor": self.name, "broker": self._address}
         for key in _LIFETIME_COUNTERS:
-            provenance[key] = int(stats.get(key, 0))
-        if self._fell_back:
-            provenance["fallbacks"] = 1
+            provenance[key] = int(self._stats_snapshot.get(key, 0))
+        if self._fallbacks:
+            provenance["fallbacks"] = self._fallbacks
             inner = {"executor": self._fallback.name}
             inner.update(self._fallback.provenance())
             provenance["fallback"] = inner
@@ -939,32 +909,27 @@ class BrokerExecutor(ShardExecutor):
 def broker_executor_from_env(pool=None) -> BrokerExecutor:
     """Build a :class:`BrokerExecutor` from the environment.
 
-    ``REPRO_SHARD_BROKER`` selects connect mode, ``REPRO_SHARD_BROKER_LISTEN``
-    embed mode; exactly one must be set (both validated eagerly with
-    :func:`~repro.engine.transport.parse_hostport`, naming the bad entry).
+    ``REPRO_SHARD_BROKER`` names the running broker to connect to; it is
+    required, and validated eagerly with
+    :func:`~repro.engine.transport.parse_hostport`, naming the bad entry.
     The no-worker fallback is a process-pool executor when the engine hands
     over its pool, serial otherwise.
     """
     broker = os.environ.get(ENV_SHARD_BROKER, "").strip()
-    listen = os.environ.get(ENV_SHARD_BROKER_LISTEN, "").strip()
-    if bool(broker) == bool(listen):
+    if not broker:
         raise EngineError(
-            f"shard executor 'broker' requires exactly one of "
-            f"{ENV_SHARD_BROKER}=host:port (connect to a running broker) or "
-            f"{ENV_SHARD_BROKER_LISTEN}=host:port (embed one in this process)"
+            f"shard executor 'broker' requires {ENV_SHARD_BROKER}=host:port "
+            f"(the address of a running broker)"
         )
-    for env_name, value in ((ENV_SHARD_BROKER, broker), (ENV_SHARD_BROKER_LISTEN, listen)):
-        if value:
-            try:
-                parse_hostport(value)
-            except EngineError as error:
-                raise EngineError(f"{env_name} entry {value!r} is invalid: {error}") from error
+    try:
+        parse_hostport(broker)
+    except EngineError as error:
+        raise EngineError(f"{ENV_SHARD_BROKER} entry {broker!r} is invalid: {error}") from error
     fallback: ShardExecutor = (
         ProcessPoolShardExecutor(pool) if pool is not None else SerialShardExecutor()
     )
     return BrokerExecutor(
-        broker=broker or None,
-        listen=listen or None,
+        broker=broker,
         fallback=fallback,
         timeout=_env_seconds(ENV_SHARD_TIMEOUT, DEFAULT_TIMEOUT_SECONDS),
     )

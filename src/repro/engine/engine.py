@@ -14,12 +14,11 @@ three phases, deduplicating shared work through the content-addressed
    ``engine.resolve_backend`` span, each computed ideal counts
    ``ideal.backend.<name>``, and the resolved backend is part of the cache
    key.
-3. **Sampling** — every job draws its noisy histogram with its own RNG.
-   Bit-flip jobs that share an executed circuit and noise fingerprint are
-   *grouped*: the circuit-dependent noise arrays and ideal support views
-   are built once per group and the per-job shot matrices are packed in a
-   single vectorized pass — while each job still consumes its own seed
-   stream, so grouped histograms are bit-identical to ungrouped ones.
+3. **Sampling** — every job draws its noisy histogram from its own seed
+   stream, one task per job: bit-flip jobs through
+   :func:`~repro.quantum.sampler.sample_bitflip_batch` with one request,
+   trajectory jobs through
+   :func:`~repro.quantum.sampler.sample_trajectory_distribution`.
    Jobs above the shard threshold (``REPRO_SAMPLE_SHARD_SHOTS``, default
    262,144) are split into fixed-size shot chunks with per-chunk seed
    streams; chunks execute on a pluggable
@@ -35,12 +34,12 @@ three phases, deduplicating shared work through the content-addressed
    sampling too, while heterogeneous (calibrated) runs never collide with
    uniform ones.
 
-The transpile and ideal phases share one cached map (look each key up,
-compute each distinct miss once, store it).  :meth:`ExecutionEngine.hammer`
-runs HAMMER through the same map, in the calling process, after a study has
-its histograms, keyed by the histogram's content and the
-:class:`~repro.core.hammer.HammerConfig`, so a re-run on a filled
-``cache_dir`` reconstructs nothing.
+Every phase runs through one cached map (look each key up, compute each
+distinct miss once, store it); only the map step differs per phase.
+:meth:`ExecutionEngine.hammer` runs HAMMER through the same map, in the
+calling process, after a study has its histograms, keyed by the histogram's
+content and the :class:`~repro.core.hammer.HammerConfig`, so a re-run on a
+filled ``cache_dir`` reconstructs nothing.
 
 Determinism
 -----------
@@ -66,7 +65,9 @@ or ``REPRO_SHARD_EXECUTOR``, else ``auto``; the worker count is
 ``max_workers``.  Each shard layout is counted with its source as the
 counter ``planner.shard.<choice>/<source>``; the shard executor that ran a
 batch's chunks is the gauge ``planner.shard-executor.<name>/<source>`` (it
-follows the worker count, and counters do not).
+follows the worker count, and counters do not).  A named executor is
+resolved once, at the engine's first sharded batch, and serves every later
+batch until :meth:`ExecutionEngine.close`.
 
 Accounting
 ----------
@@ -85,7 +86,7 @@ from __future__ import annotations
 import os
 import time
 import weakref
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -118,7 +119,6 @@ from repro.engine.hashing import (
     circuit_fingerprint,
     hammer_key,
     ideal_key,
-    noise_fingerprint,
     sample_key,
     transpile_key,
 )
@@ -151,31 +151,6 @@ class _TranspileArtifact:
     circuit: QuantumCircuit
     permutation: tuple[int, ...]
     num_swaps: int
-
-
-def _merge_numeric(into: dict, other: dict) -> dict:
-    """Deep-merge ``other`` into a copy of ``into``: numbers add, dicts recurse.
-
-    Folds each batch's transport provenance into the engine's totals —
-    chunk/lease/fault counts add across batches while identifying values
-    (executor name, broker address, seed) are simply carried forward.
-    Booleans are identity, not addends.
-    """
-    merged = dict(into)
-    for key, value in other.items():
-        present = merged.get(key)
-        if isinstance(value, dict):
-            merged[key] = _merge_numeric(present if isinstance(present, dict) else {}, value)
-        elif (
-            isinstance(value, (int, float))
-            and not isinstance(value, bool)
-            and isinstance(present, (int, float))
-            and not isinstance(present, bool)
-        ):
-            merged[key] = present + value
-        else:
-            merged[key] = value
-    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -216,54 +191,36 @@ def _hammer_task(task: tuple) -> tuple[str, Distribution, float]:
     return key, reconstructed, time.perf_counter() - start
 
 
-def _sample_group_task(task: tuple) -> list[tuple[int, Distribution, float]]:
-    """Sample one group of bit-flip jobs sharing (executed circuit, noise model).
-
-    The group's noise arrays and ideal support views are built once; each
-    job draws from its own ``SeedSequence``-derived generator, so results
-    are bit-identical to ungrouped sampling.  The batch wall time is
-    attributed to jobs proportionally to their shot counts.
-    """
-    circuit, ideal, noise_model, requests = task
-    total_shots = sum(shots for _, shots, _ in requests)
-    # Counters count *work units* (jobs, shots) — never group slices, which
-    # vary with worker count — so merged totals match a serial run exactly.
-    counter_add("sampler.jobs", len(requests))
-    counter_add("sampler.shots", total_shots)
-    with trace_span("engine.task.sample_group", jobs=len(requests), shots=total_shots):
+def _sample_task(task: tuple) -> tuple[str, Distribution, float]:
+    """Draw one job's histogram in one stream, from its own ``SeedSequence``."""
+    key, circuit, ideal, noise_model, shots, method, entropy, _ = task
+    # ``entropy`` is (seed, job index).
+    with trace_span("engine.task.sample", job=entropy[1], method=method, shots=shots):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy))
         start = time.perf_counter()
-        generators = [
-            (shots, np.random.default_rng(np.random.SeedSequence(entropy)))
-            for _, shots, entropy in requests
-        ]
-        distributions = sample_bitflip_batch(circuit, noise_model, generators, ideal=ideal)
-        elapsed = time.perf_counter() - start
-    return [
-        (index, noisy, elapsed * shots / total_shots)
-        for (index, shots, _), noisy in zip(requests, distributions)
-    ]
+        if method == "trajectory":
+            counter_add("sampler.trajectory_jobs")
+            noisy = sample_trajectory_distribution(circuit, noise_model, shots, rng=rng)
+        else:
+            counter_add("sampler.jobs")
+            counter_add("sampler.shots", shots)
+            # A one-request batch is bit-identical to a lone draw, and
+            # perfbench counts sampled shots through this name.
+            (noisy,) = sample_bitflip_batch(circuit, noise_model, [(shots, rng)], ideal=ideal)
+        return key, noisy, time.perf_counter() - start
 
 
-def _sample_shard_task(task: tuple) -> tuple[int, int, np.ndarray, np.ndarray, float]:
+def _sample_shard_task(task: tuple) -> tuple[str, int, np.ndarray, np.ndarray, float]:
     """Draw one fixed-size shot chunk of a sharded job as (words, counts)."""
-    index, chunk, circuit, ideal, noise_model, chunk_shots, entropy = task
+    key, chunk, circuit, ideal, noise_model, chunk_shots, entropy = task
     counter_add("sampler.chunks")
     counter_add("sampler.chunk_shots", chunk_shots)
-    with trace_span("executor.shard", job=index, chunk=chunk, shots=chunk_shots):
+    # ``entropy`` is (seed, job index, chunk).
+    with trace_span("executor.shard", job=entropy[1], chunk=chunk, shots=chunk_shots):
         rng = np.random.default_rng(np.random.SeedSequence(entropy))
         start = time.perf_counter()
         words, counts = sample_bitflip_chunk(circuit, noise_model, chunk_shots, rng, ideal=ideal)
-        return index, chunk, words, counts, time.perf_counter() - start
-
-
-def _sample_trajectory_task(task: tuple) -> tuple[int, Distribution, float]:
-    index, circuit, noise_model, shots, entropy = task
-    counter_add("sampler.trajectory_jobs")
-    with trace_span("engine.task.trajectory", job=index, shots=shots):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy))
-        start = time.perf_counter()
-        noisy = sample_trajectory_distribution(circuit, noise_model, shots, rng=rng)
-        return index, noisy, time.perf_counter() - start
+        return key, chunk, words, counts, time.perf_counter() - start
 
 
 def _timed_call(task: tuple) -> tuple[Any, float]:
@@ -352,10 +309,13 @@ class ExecutionEngine:
         # Executor selection mirrors the shard-threshold precedence: an
         # explicit argument or env value is an override (recorded as such in
         # planner provenance); otherwise "auto" follows the worker count.
-        self._shard_executor_instance: ShardExecutor | None = None
+        # The caller's instance, or the named one resolved at the first
+        # sharded batch; only the latter is the engine's to close.
+        self._shard_executor: ShardExecutor | None = None
+        self._owns_shard_executor = not isinstance(shard_executor, ShardExecutor)
         executor_override = shard_executor is not None
         if isinstance(shard_executor, ShardExecutor):
-            self._shard_executor_instance = shard_executor
+            self._shard_executor = shard_executor
             self._shard_executor_name = shard_executor.name
         else:
             if shard_executor is None:
@@ -384,10 +344,10 @@ class ExecutionEngine:
         self.metrics = MetricsRegistry()
         #: The metrics snapshot of the latest :meth:`run`.
         self.last_run: dict | None = None
-        #: Transport provenance of every sharded batch since construction:
-        #: the shard executor's :meth:`~ShardExecutor.provenance`, folded by
-        #: :func:`_merge_numeric` (broker chunk and lease counts, injected
-        #: faults); empty while only local executors ran.
+        #: Transport provenance of the engine's shard executor as of its
+        #: latest sharded batch (:meth:`~ShardExecutor.provenance`): the
+        #: broker's lifetime chunk and lease counts, and the fault tallies
+        #: of the executor; empty while only local executors ran.
         self.transport: dict = {}
         self._pool: ProcessPoolExecutor | None = None
         self._pool_finalizer: weakref.finalize | None = None
@@ -406,12 +366,14 @@ class ExecutionEngine:
         return self._pool
 
     def close(self) -> None:
-        """Shut down the worker pool (subsequent runs recreate it lazily).
+        """Close the shard executor the engine resolved and the pool it may borrow.
 
-        A shard executor instance passed in as ``shard_executor=`` belongs
-        to the caller, who closes it; the engine only ever closes the
-        executors it resolves itself, after each batch.
+        Later runs recreate both lazily.  A shard executor instance passed
+        in as ``shard_executor=`` belongs to the caller, who closes it.
         """
+        if self._owns_shard_executor and self._shard_executor is not None:
+            self._shard_executor.close()
+            self._shard_executor = None
         if self._pool is not None:
             if self._pool_finalizer is not None:
                 self._pool_finalizer.detach()
@@ -443,14 +405,16 @@ class ExecutionEngine:
         return results
 
     def _cached_map(
-        self, namespace: str, pool: ProcessPoolExecutor | None, fn: Callable, tasks: Iterable
+        self, namespace: str, compute: Callable[[list], Iterable], tasks: Iterable
     ) -> tuple[dict[str, Any], dict[str, float]]:
         """Serve each task from cache ``namespace``, computing every distinct miss once.
 
-        A task's first element is its cache key and ``fn`` returns ``(key,
-        artifact, seconds)``.  A key repeated among ``tasks`` is looked up
-        and computed once; computed artifacts are stored.  Returns every
-        key's artifact and the seconds of each computed one.
+        A task's first element is its cache key.  ``compute`` is the phase's
+        map step: it takes the list of missed tasks and yields ``(key,
+        artifact, seconds)`` for each, in any order.  A key repeated among
+        ``tasks`` is looked up and computed once; computed artifacts are
+        stored.  Returns every key's artifact and the seconds of each
+        computed one.
         """
         artifacts: dict[str, Any] = {}
         misses: dict[str, tuple] = {}
@@ -464,7 +428,7 @@ class ExecutionEngine:
             else:
                 artifacts[key] = cached
         seconds: dict[str, float] = {}
-        for key, artifact, elapsed in self._map(pool, fn, list(misses.values())):
+        for key, artifact, elapsed in compute(list(misses.values())):
             self.cache.put(namespace, key, artifact)
             artifacts[key] = artifact
             seconds[key] = elapsed
@@ -478,37 +442,85 @@ class ExecutionEngine:
         """
         return max(1, num_tasks // (self.max_workers * 4))
 
-    def _resolve_shard_executor(
-        self, pool: ProcessPoolExecutor | None, num_tasks: int
-    ) -> ShardExecutor:
-        """Pick the executor for this batch's shard tasks, recording provenance.
+    def _resolve_shard_executor(self) -> ShardExecutor:
+        """The executor of this batch's shard tasks, recording provenance.
 
-        A sharded batch can reach here with ``pool is None`` even at
-        ``max_workers > 1``: single-job batches never open the pool.  Shard
-        chunks are by construction big enough to amortize worker dispatch, so
-        both ``auto`` and an explicit ``process-pool`` selection open the
-        pool here when the worker count allows fan-out.
+        A named executor is resolved once, at the engine's first sharded
+        batch, and kept until :meth:`close`.  Shard chunks are by
+        construction big enough to amortize worker dispatch, so every name
+        but ``serial`` opens the pool when the worker count allows fan-out
+        (``broker`` for its no-worker fallback), even for a one-job batch.
         """
-        if self._shard_executor_instance is not None:
-            executor = self._shard_executor_instance
-        else:
+        if self._shard_executor is None:
             name = self._shard_executor_name
-            if (
-                pool is None
-                and self.max_workers > 1
-                and num_tasks > 1
-                # "broker" takes the pool too: it is the substrate of the
-                # no-worker graceful-degradation fallback.
-                and name in ("auto", "process-pool", "broker")
-            ):
-                pool = self._get_pool()
-            executor = resolve_shard_executor(name, pool)
+            pool = self._get_pool() if name != "serial" else None
+            self._shard_executor = resolve_shard_executor(name, pool)
+        executor = self._shard_executor
         source = "override" if self._shard_executor_override else "heuristic"
         # An info gauge (1 = chunks ran here), not a counter: ``auto`` picks
         # the executor from the worker count, and counters count only work
         # units, equal at any worker count.
         gauge_set(f"planner.shard-executor.{executor.name}/{source}", 1)
         return executor
+
+    def _sample(self, pool: ProcessPoolExecutor | None, tasks: list[tuple]) -> Iterator[tuple]:
+        """The sample phase's map step: draw each missed job's histogram.
+
+        A task is ``(key, circuit, ideal, noise model, shots, method,
+        entropy, chunk shots)``.  Jobs drawn in one stream (``chunk shots``
+        is ``None``) map through :func:`_sample_task`.  A sharded job splits
+        into fixed-size chunks with per-chunk seed streams ``(*entropy,
+        chunk)``; the chunks run on the shard executor and merge into the
+        job's fixed-shape reduction tree *as they complete* (no barrier, peak
+        live segments ``O(log chunks)`` per job, bit-identical for any
+        executor and completion order), and the job's histogram is yielded
+        when its tree completes, with its chunks' summed seconds.
+        """
+        yield from self._map(pool, _sample_task, [task for task in tasks if task[-1] is None])
+        trees: dict[str, ReductionTree] = {}
+        chunk_tasks: list[tuple] = []
+        for key, circuit, ideal, noise_model, shots, _, entropy, chunk_shots in tasks:
+            if chunk_shots is None:
+                continue
+            sizes = [chunk_shots] * (shots // chunk_shots)
+            if shots % chunk_shots:
+                sizes.append(shots % chunk_shots)
+            counter_add("engine.sharded_jobs")
+            trees[key] = ReductionTree(len(sizes), circuit.num_qubits)
+            chunk_tasks.extend(
+                (key, chunk, circuit, ideal, noise_model, size, (*entropy, chunk))
+                for chunk, size in enumerate(sizes)
+            )
+        if not chunk_tasks:
+            return
+        executor = self._resolve_shard_executor()
+        seconds = dict.fromkeys(trees, 0.0)
+        # Each chunk counts into a task-scoped registry, wherever it runs,
+        # and ships the snapshot back with its (words, counts).
+        shard_fn = partial(observed_call, _sample_shard_task, traced=tracing_active())
+        try:
+            for item, payload in executor.run(shard_fn, chunk_tasks):
+                key, chunk, words, counts, elapsed = item
+                tree = trees.get(key)
+                if tree is None or tree.arrived(chunk):
+                    # Second delivery of a chunk an at-least-once transport
+                    # retried or duplicated: drop it — payload included, so
+                    # the work-unit counters stay exactly equal to a
+                    # fault-free run's.
+                    counter_add("engine.duplicate_chunks_dropped")
+                    continue
+                absorb_payload(payload)
+                seconds[key] += elapsed
+                tree.add(chunk, words, counts)
+                if tree.complete:
+                    del trees[key]
+                    tree_stats = tree.stats()
+                    gauge_max("reduction.tree_depth", tree_stats.depth)
+                    gauge_max("reduction.peak_live_segments", tree_stats.peak_live_segments)
+                    observe_hist("reduction.merge_seconds", tree_stats.merge_seconds)
+                    yield key, tree.distribution(), seconds[key]
+        finally:
+            self.transport = executor.provenance()
 
     def map_timed(self, fn: Callable, items: Iterable) -> list[tuple[Any, float]]:
         """Run ``fn`` over ``items`` (respecting ``max_workers``), timing each call.
@@ -594,7 +606,7 @@ class ExecutionEngine:
             job_tkeys.append(key)
             transpile_tasks.append((key, job.circuit, job.coupling_map, job.basis_gates))
         transpile_artifacts, transpile_seconds = self._cached_map(
-            "transpile", pool, _transpile_task, transpile_tasks
+            "transpile", partial(self._map, pool, _transpile_task), transpile_tasks
         )
         record_phase_seconds("transpile", time.perf_counter() - phase_start)
 
@@ -646,159 +658,46 @@ class ExecutionEngine:
             job_ikeys.append(key)
             ideal_tasks.append((key, executed, backend_name))
         ideal_distributions, ideal_seconds = self._cached_map(
-            "ideal", pool, _ideal_task, ideal_tasks
+            "ideal", partial(self._map, pool, _ideal_task), ideal_tasks
         )
         record_phase_seconds("ideal", time.perf_counter() - phase_start)
 
         # ---- Phase 3: noisy sampling (one independent RNG stream per job) ----
-        # The sample cache is keyed on (executed circuit, noise fingerprint —
-        # including any calibration snapshot —, shots, method, seed entropy,
-        # shard layout), so a hit returns exactly the histogram the per-job
-        # RNG stream(s) would draw and bit-identity across worker counts is
-        # preserved.  Cache-miss bit-flip jobs sharing an executed circuit
-        # and noise fingerprint are grouped into one vectorized multi-seed
-        # batch; jobs above the shard threshold fan out into fixed-size shot
-        # chunks that merge in a deterministic reduction order.
+        # The sample key digests the executed circuit, the noise fingerprint
+        # (calibration snapshot included), shots, method, the job's seed
+        # entropy and its shard layout, so a hit is exactly the histogram
+        # the job's stream(s) would draw, at any worker count.
         phase_start = time.perf_counter()
-        sampled_by_index: dict[int, tuple[Distribution, float, bool]] = {}
         job_skeys: list[str] = []
-        trajectory_tasks: list[tuple] = []
-        shard_tasks: list[tuple] = []
-        shard_chunk_counts: dict[int, int] = {}
-        group_members: dict[tuple[str, str], list[int]] = {}
-        # Noise fingerprints are content hashes; memoise per model object so
-        # sweeps reusing one NoiseModel across many jobs hash it once here.
-        noise_fingerprints: dict[int, str] = {}
+        sample_tasks: list[tuple] = []
         for index, job in enumerate(jobs):
-            job_chunk_shots = self._plan_shard(job)
-            sharded = job_chunk_shots is not None
-            skey = sample_key(
-                executed_circuits[index],
+            chunk_shots = self._plan_shard(job)
+            executed = executed_circuits[index]
+            key = sample_key(
+                executed,
                 job.noise_model,
                 job.shots,
                 job.method,
                 (seed, index),
                 backend=job_backends[index],
-                shard_shots=job_chunk_shots,
+                shard_shots=chunk_shots,
             )
-            job_skeys.append(skey)
-            cached = self.cache.get("sample", skey)
-            if cached is not None:
-                # Every sampling counter (groups, grouped jobs, sharded jobs,
-                # shards) tracks *computed* work only; cache hits contribute
-                # nothing, the same convention as engine.ideals_computed.
-                sampled_by_index[index] = (cached, 0.0, True)
-                continue
-            if job.method == "trajectory":
-                trajectory_tasks.append(
-                    (index, executed_circuits[index], job.noise_model, job.shots, (seed, index))
+            job_skeys.append(key)
+            sample_tasks.append(
+                (
+                    key,
+                    executed,
+                    ideal_distributions[job_ikeys[index]],
+                    job.noise_model,
+                    job.shots,
+                    job.method,
+                    (seed, index),
+                    chunk_shots,
                 )
-                continue
-            if sharded:
-                chunk_sizes = [job_chunk_shots] * (job.shots // job_chunk_shots)
-                if job.shots % job_chunk_shots:
-                    chunk_sizes.append(job.shots % job_chunk_shots)
-                shard_chunk_counts[index] = len(chunk_sizes)
-                counter_add("engine.sharded_jobs")
-                for chunk, chunk_shots in enumerate(chunk_sizes):
-                    shard_tasks.append(
-                        (
-                            index,
-                            chunk,
-                            executed_circuits[index],
-                            ideal_distributions[job_ikeys[index]],
-                            job.noise_model,
-                            chunk_shots,
-                            (seed, index, chunk),
-                        )
-                    )
-                continue
-            fingerprint = noise_fingerprints.get(id(job.noise_model))
-            if fingerprint is None:
-                fingerprint = noise_fingerprint(job.noise_model)
-                noise_fingerprints[id(job.noise_model)] = fingerprint
-            group_members.setdefault((job_ikeys[index], fingerprint), []).append(index)
-
-        # One logical group per (ideal key, noise fingerprint) with at least
-        # one cache-miss job; worker slicing below is an execution detail and
-        # must not change the counters.
-        counter_add("engine.sample_groups", len(group_members))
-        group_tasks: list[tuple] = []
-        for indices in group_members.values():
-            if len(indices) > 1:
-                counter_add("engine.grouped_sample_jobs", len(indices))
-            # Grouping must not serialize a parallel run: split each group
-            # into at most ``max_workers`` consecutive slices.  Per-job seed
-            # streams are independent, so the split never changes results.
-            num_slices = min(len(indices), self.max_workers) if pool is not None else 1
-            for slice_index in range(num_slices):
-                members = indices[slice_index::num_slices]
-                if not members:
-                    continue
-                first = members[0]
-                group_tasks.append(
-                    (
-                        executed_circuits[first],
-                        ideal_distributions[job_ikeys[first]],
-                        jobs[first].noise_model,
-                        [(i, jobs[i].shots, (seed, i)) for i in members],
-                    )
-                )
-
-        for task_results in self._map(pool, _sample_group_task, group_tasks):
-            for index, noisy, sample_seconds in task_results:
-                self.cache.put("sample", job_skeys[index], noisy)
-                sampled_by_index[index] = (noisy, sample_seconds, False)
-        for index, noisy, sample_seconds in self._map(
-            pool, _sample_trajectory_task, trajectory_tasks
-        ):
-            self.cache.put("sample", job_skeys[index], noisy)
-            sampled_by_index[index] = (noisy, sample_seconds, False)
-        if shard_tasks:
-            # Streaming shard path: chunks execute on the configured
-            # ShardExecutor and merge into each job's fixed-shape reduction
-            # tree *as they complete* — no barrier-collect, peak live
-            # segments O(log chunks) per job, and the merged histogram is
-            # bit-identical for any executor and completion order.
-            executor = self._resolve_shard_executor(pool, len(shard_tasks))
-            trees: dict[int, ReductionTree] = {
-                index: ReductionTree(count, executed_circuits[index].num_qubits)
-                for index, count in shard_chunk_counts.items()
-            }
-            chunk_seconds: dict[int, float] = {}
-            # Each chunk counts into a task-scoped registry, wherever it
-            # runs, and ships the snapshot back with its (words, counts).
-            shard_fn = partial(observed_call, _sample_shard_task, traced=tracing_active())
-            try:
-                for item, payload in executor.run(shard_fn, shard_tasks):
-                    index, chunk, words, counts, elapsed = item
-                    tree = trees.get(index)
-                    if tree is None or tree.arrived(chunk):
-                        # Second delivery of a chunk an at-least-once
-                        # transport retried or duplicated: drop it — payload
-                        # included, so the work-unit counters stay exactly
-                        # equal to a fault-free run's.
-                        counter_add("engine.duplicate_chunks_dropped")
-                        continue
-                    absorb_payload(payload)
-                    chunk_seconds[index] = chunk_seconds.get(index, 0.0) + elapsed
-                    tree.add(chunk, words, counts)
-                    if tree.complete:
-                        noisy = tree.distribution()
-                        self.cache.put("sample", job_skeys[index], noisy)
-                        sampled_by_index[index] = (noisy, chunk_seconds[index], False)
-                        tree_stats = tree.stats()
-                        gauge_max("reduction.tree_depth", tree_stats.depth)
-                        gauge_max("reduction.peak_live_segments", tree_stats.peak_live_segments)
-                        observe_hist("reduction.merge_seconds", tree_stats.merge_seconds)
-                        del trees[index]
-            finally:
-                provenance = executor.provenance()
-                if provenance:
-                    self.transport = _merge_numeric(self.transport, provenance)
-                # An executor passed in serves every batch; its owner closes it.
-                if executor is not self._shard_executor_instance:
-                    executor.close()
+            )
+        sampled, sample_seconds = self._cached_map(
+            "sample", partial(self._sample, pool), sample_tasks
+        )
         record_phase_seconds("sample", time.perf_counter() - phase_start)
 
         # ---- Assemble results in batch order ----
@@ -806,7 +705,8 @@ class ExecutionEngine:
         ideal_owner = _owners(job_ikeys, ideal_seconds)
         results: list[JobResult] = []
         for index, job in enumerate(jobs):
-            noisy, sample_seconds, sample_hit = sampled_by_index[index]
+            skey = job_skeys[index]
+            noisy = sampled[skey]
             tkey = job_tkeys[index]
             ikey = job_ikeys[index]
             executed = executed_circuits[index]
@@ -840,9 +740,9 @@ class ExecutionEngine:
                     transpile_cache_hit=transpile_hit,
                     ideal_cache_hit=ideal_hit,
                     prepare_seconds=prepare_seconds,
-                    sample_seconds=sample_seconds,
+                    sample_seconds=sample_seconds.get(skey, 0.0),
                     metadata=dict(job.metadata),
-                    sample_cache_hit=sample_hit,
+                    sample_cache_hit=skey not in sample_seconds,
                     measurement_permutation=measurement_permutation,
                     executed_circuit=executed,
                     backend=job_backends[index],
@@ -871,5 +771,7 @@ class ExecutionEngine:
         """
         with MetricsScope(self.metrics):
             tasks = [(hammer_key(noisy, config), noisy, config) for noisy, config in requests]
-            reconstructed, _ = self._cached_map("hammer", None, _hammer_task, tasks)
+            reconstructed, _ = self._cached_map(
+                "hammer", partial(self._map, None, _hammer_task), tasks
+            )
         return [reconstructed[key] for key, _, _ in tasks]

@@ -84,11 +84,11 @@ class ShardExecutor(ABC):
         """Release any resources; the default executor owns none."""
 
     def provenance(self) -> dict:
-        """Transport accounting for the last :meth:`run` (empty by default).
+        """Transport accounting since construction (empty by default).
 
         Executors that move chunks across real boundaries (the broker, fault
         injection) report chunk and lease counts and injected faults
-        here; the engine folds the dict into
+        here; after each sharded batch the engine keeps the latest dict as
         ``report.meta["planner"]["transport"]``.
         """
         return {}

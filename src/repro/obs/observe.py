@@ -14,7 +14,10 @@ restores the previous state on exit::
 The engine counts with or without an observation (each ``run`` and
 ``hammer`` call is a metrics scope of its own); an observation adds spans
 and logs, and its registry receives the engine's counts through the same
-scope fold, once.  Observations do not nest — a second activation raises
+scope fold, once.  An observation belongs to the thread that opened it, as
+the recorder and registry it installs do: another thread's work is not
+observed by it, and that thread may open an observation of its own.
+Observations do not nest on one thread — a second activation raises
 :class:`~repro.exceptions.ObservabilityError` — which keeps span
 attribution unambiguous.
 
@@ -34,6 +37,7 @@ placement and completion order.
 from __future__ import annotations
 
 import os
+import threading
 
 from repro.exceptions import ObservabilityError
 from repro.obs import logs as _logs
@@ -50,18 +54,24 @@ __all__ = [
     "absorb_payload",
 ]
 
-#: The process-global active observation (parent-process use only).
-_active: "Observation | None" = None
+
+class _ActiveObservation(threading.local):
+    """The active observation, one per thread (``None`` outside one)."""
+
+    observation: "Observation | None" = None
+
+
+_active = _ActiveObservation()
 
 
 def observation_active() -> bool:
-    """True when an :class:`Observation` is active in this process."""
-    return _active is not None
+    """True when an :class:`Observation` is active on this thread."""
+    return _active.observation is not None
 
 
 def current_observation() -> "Observation | None":
-    """The active observation, or ``None``."""
-    return _active
+    """This thread's active observation, or ``None``."""
+    return _active.observation
 
 
 class Observation:
@@ -75,20 +85,18 @@ class Observation:
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "Observation":
-        global _active
-        if _active is not None:
-            raise ObservabilityError("an observation is already active")
-        _active = self
+        if _active.observation is not None:
+            raise ObservabilityError("an observation is already active on this thread")
+        _active.observation = self
         self._log_start = _logs.current_sequence()
         _trace._set_active(self.recorder)
         self._scope.__enter__()
         return self
 
     def __exit__(self, *exc_info) -> None:
-        global _active
         _trace._set_active(None)
         self._scope.__exit__(*exc_info)
-        _active = None
+        _active.observation = None
 
     # ------------------------------------------------------------------
     def chrome_trace(self) -> dict:

@@ -1,7 +1,6 @@
-"""Engine phase-3 batching: grouped multi-seed sampling + shot sharding.
+"""Engine phase-3 sampling: one stream per job, plus shot sharding.
 
-The grouping and sharding rewrites must be invisible in the results: grouped
-jobs draw exactly the histograms their lone per-job RNG streams would, and
+Each job draws exactly the histogram its lone per-job RNG stream would, and
 sharded million-shot jobs produce bit-identical rows for any worker count,
 with the shard layout folded into the sample cache key so the two stream
 layouts can never alias.
@@ -54,12 +53,13 @@ def _jobs(device, count=4, shots=2048, key="10110"):
 
 
 class TestGroupedSampling:
-    def test_grouped_results_match_lone_draws_exactly(self, device):
+    def test_grouped_results_match_lone_draws_exactly(self, device, plan_builds):
         jobs = _jobs(device, count=5)
         engine = ExecutionEngine()
         results = engine.run(jobs, seed=7)
-        assert engine.last_run["counters"]["engine.sample_groups"] == 1
-        assert engine.last_run["counters"]["engine.grouped_sample_jobs"] == 5
+        # One plan per job, each job drawn from its own stream.
+        assert len(plan_builds) == 5
+        assert engine.last_run["counters"]["sampler.jobs"] == 5
         ideal = get_backend("statevector").ideal_distribution(jobs[0].circuit)
         for index, result in enumerate(results):
             rng = np.random.default_rng(np.random.SeedSequence((7, index)))
@@ -90,10 +90,14 @@ class TestGroupedSampling:
             CircuitJob(job_id="a", circuit=circuit, shots=512, noise_model=device.noise_model),
             CircuitJob(job_id="b", circuit=circuit, shots=512, noise_model=scaled),
         ]
-        engine = ExecutionEngine()
-        engine.run(jobs, seed=1)
-        assert engine.last_run["counters"]["engine.sample_groups"] == 2
-        assert engine.last_run["counters"].get("engine.grouped_sample_jobs", 0) == 0
+        results = ExecutionEngine().run(jobs, seed=1)
+        ideal = get_backend("statevector").ideal_distribution(circuit)
+        for index, (job, result) in enumerate(zip(jobs, results)):
+            rng = np.random.default_rng(np.random.SeedSequence((1, index)))
+            lone = sample_bitflip_distribution(
+                circuit, job.noise_model, job.shots, rng=rng, ideal=ideal
+            )
+            assert result.noisy.counts() == lone.counts()
 
     def test_grouping_is_invisible_to_worker_count(self, device):
         jobs = _jobs(device, count=6, shots=1024)
@@ -121,8 +125,8 @@ def plan_builds(monkeypatch):
     return built
 
 
-class TestOnePlanPerGroup:
-    """Grouping shares one plan (noise arrays, ideal views) across a group's jobs."""
+class TestOnePlanPerBatchCall:
+    """A batch call shares one plan (noise arrays, ideal views) across its requests."""
 
     def test_a_batch_builds_one_plan_and_a_lone_call_one_per_job(self, device, plan_builds):
         circuit = bernstein_vazirani("1011010")
@@ -142,23 +146,6 @@ class TestOnePlanPerGroup:
         ]
         assert len(plan_builds) == 33
         assert [d.counts() for d in batched] == [d.counts() for d in lone]
-
-    def test_the_engine_builds_one_plan_per_group(self, device, plan_builds):
-        scaled = device.noise_model.scaled(2.0)
-        jobs = _jobs(device, count=5) + [
-            CircuitJob(
-                job_id=f"scaled-{index}",
-                circuit=bernstein_vazirani("10110"),
-                shots=2048,
-                noise_model=scaled,
-            )
-            for index in range(3)
-        ]
-        engine = ExecutionEngine(max_workers=1)
-        engine.run(jobs, seed=7)
-        assert engine.last_run["counters"]["engine.sample_groups"] == 2
-        assert engine.last_run["counters"]["engine.grouped_sample_jobs"] == 8
-        assert len(plan_builds) == 2
 
 
 def _fig8_jobs(calibrated: bool, seed: int = 8) -> list[CircuitJob]:
@@ -225,11 +212,11 @@ class TestCalibrationAddsNoWork:
             assert counters.get("engine.transpiles_computed", 0) == 0
             assert counters.get("engine.ideals_computed", 0) == 0
             assert counters.get("cache.sample.hits", 0) == 0
-            sampled = ("engine.sample_groups", "sampler.jobs", "sampler.shots")
+            sampled = ("sampler.jobs", "sampler.shots")
             readings[calibrated] = (len(plan_builds), {name: counters[name] for name in sampled})
         assert readings[True] == readings[False] == (
             48,
-            {"engine.sample_groups": 48, "sampler.jobs": 48, "sampler.shots": 48 * 8192},
+            {"sampler.jobs": 48, "sampler.shots": 48 * 8192},
         )
         assert sorted(edge_matrix_builds) == sorted(device.name for device in default_ibm_devices())
 

@@ -20,7 +20,6 @@ from repro.circuits.bv import bernstein_vazirani
 from repro.engine import CircuitJob, ExecutionEngine
 from repro.engine.broker import (
     ENV_SHARD_BROKER,
-    ENV_SHARD_BROKER_LISTEN,
     ENV_SHARD_HEARTBEAT,
     ENV_SHARD_JOIN_DEADLINE,
     ENV_SHARD_TIMEOUT,
@@ -276,22 +275,11 @@ class TestHeldNext:
 # Executor construction, fallback, env wiring
 # ---------------------------------------------------------------------------
 class TestBrokerExecutor:
-    def test_requires_exactly_one_mode(self):
-        with pytest.raises(EngineError, match="exactly one"):
-            BrokerExecutor()
-        with pytest.raises(EngineError, match="exactly one"):
-            BrokerExecutor(broker="127.0.0.1:1", listen="127.0.0.1:0")
+    def test_validates_the_address_and_timeout(self):
+        with pytest.raises(EngineError, match="HOST:PORT"):
+            BrokerExecutor(broker="bogus")
         with pytest.raises(EngineError, match="timeout"):
             BrokerExecutor(broker="127.0.0.1:1", timeout=0)
-
-    def test_embed_mode_starts_own_broker(self):
-        executor = BrokerExecutor(listen="127.0.0.1:0", join_deadline=5.0, timeout=10.0)
-        try:
-            assert executor.embedded_broker is not None
-            _start_worker(executor.embedded_broker)
-            assert sorted(executor.run(_double, [5, 6])) == [10, 12]
-        finally:
-            executor.close()
 
     def test_no_worker_falls_back_instead_of_hanging(self):
         from repro.obs.logs import log_records, reset_logs
@@ -334,18 +322,14 @@ class TestBrokerExecutor:
     def test_broker_name_registered(self):
         assert "broker" in SHARD_EXECUTOR_NAMES
 
-    def test_env_requires_exactly_one_address(self, monkeypatch):
+    def test_env_requires_the_broker_address(self, monkeypatch):
         monkeypatch.delenv(ENV_SHARD_BROKER, raising=False)
-        monkeypatch.delenv(ENV_SHARD_BROKER_LISTEN, raising=False)
-        with pytest.raises(EngineError, match="exactly one of"):
+        with pytest.raises(EngineError, match=f"requires {ENV_SHARD_BROKER}"):
             broker_executor_from_env()
         monkeypatch.setenv(ENV_SHARD_BROKER, "127.0.0.1:1")
-        monkeypatch.setenv(ENV_SHARD_BROKER_LISTEN, "127.0.0.1:0")
-        with pytest.raises(EngineError, match="exactly one of"):
-            broker_executor_from_env()
+        assert broker_executor_from_env().address == "127.0.0.1:1"
 
     def test_env_validates_addresses_eagerly_naming_entry(self, monkeypatch):
-        monkeypatch.delenv(ENV_SHARD_BROKER_LISTEN, raising=False)
         monkeypatch.setenv(ENV_SHARD_BROKER, "bogus")
         with pytest.raises(EngineError, match="REPRO_SHARD_BROKER entry 'bogus'"):
             broker_executor_from_env()
@@ -388,14 +372,16 @@ class TestTimingValidation:
         "name", (ENV_SHARD_HEARTBEAT, ENV_SHARD_JOIN_DEADLINE, ENV_SHARD_TIMEOUT)
     )
     def test_env_timing_rejected_naming_the_variable(self, monkeypatch, name, raw):
-        # Embed mode reads all three variables; close() stops the embedded
-        # broker should one be accepted.
-        monkeypatch.delenv(ENV_SHARD_BROKER, raising=False)
-        monkeypatch.setenv(ENV_SHARD_BROKER_LISTEN, "127.0.0.1:0")
+        # The broker reads the heartbeat, the executor the other two; stop()
+        # closes the broker's socket should a heartbeat be accepted.
+        monkeypatch.setenv(ENV_SHARD_BROKER, "127.0.0.1:1")
         monkeypatch.setenv(name, raw)
         reason = "a number" if raw == "soon" else "a finite number"
         with pytest.raises(EngineError, match=f"{name} must be {reason}"):
-            broker_executor_from_env().close()
+            if name == ENV_SHARD_HEARTBEAT:
+                ShardBroker().stop()
+            else:
+                broker_executor_from_env()
 
     @pytest.mark.parametrize("raw", _NON_FINITE)
     @pytest.mark.parametrize("argument", sorted(_TIMING_ARGUMENTS))
@@ -412,19 +398,19 @@ class TestTimingValidation:
             BrokerExecutor(broker="127.0.0.1:1")
 
     def test_env_timings_are_read(self, monkeypatch):
-        monkeypatch.delenv(ENV_SHARD_BROKER, raising=False)
-        monkeypatch.setenv(ENV_SHARD_BROKER_LISTEN, "127.0.0.1:0")
+        monkeypatch.setenv(ENV_SHARD_BROKER, "127.0.0.1:1")
         monkeypatch.setenv(ENV_SHARD_HEARTBEAT, "0.5")
         # Zero stays valid: check for a worker once, then fall back.
         monkeypatch.setenv(ENV_SHARD_JOIN_DEADLINE, "0")
         monkeypatch.setenv(ENV_SHARD_TIMEOUT, "7.5")
-        executor = broker_executor_from_env()
+        broker = ShardBroker()
         try:
-            assert executor.embedded_broker.heartbeat == 0.5
-            assert executor._join_deadline == 0.0
-            assert executor.timeout == 7.5
+            assert broker.heartbeat == 0.5
         finally:
-            executor.close()
+            broker.stop()
+        executor = broker_executor_from_env()
+        assert executor._join_deadline == 0.0
+        assert executor.timeout == 7.5
 
 
 # ---------------------------------------------------------------------------
@@ -435,17 +421,21 @@ def device():
     return get_device("ibm-paris")
 
 
+def _sharded_job(device) -> CircuitJob:
+    """One 40k-shot job: five chunks at 8k shots."""
+    return CircuitJob(
+        job_id="shard-broker",
+        circuit=bernstein_vazirani("10110"),
+        shots=40_000,
+        noise_model=device.noise_model,
+    )
+
+
 def _sharded_run(device, **engine_kwargs):
     """One 40k-shot job sharded into 8k chunks; returns (distribution, engine)."""
     engine = ExecutionEngine(sample_shard_shots=8_192, **engine_kwargs)
     try:
-        job = CircuitJob(
-            job_id="shard-broker",
-            circuit=bernstein_vazirani("10110"),
-            shots=40_000,
-            noise_model=device.noise_model,
-        )
-        result = engine.run([job], seed=7)[0]
+        result = engine.run([_sharded_job(device)], seed=7)[0]
         return result.noisy, engine
     finally:
         engine.close()
@@ -541,16 +531,40 @@ class TestEngineBrokerBitIdentity:
             broker.stop()
 
     def test_env_resolved_fallback_when_no_worker(self, device, monkeypatch):
-        # Embedded broker, nobody joins: the run must degrade to the local
-        # fallback executor inside the join deadline, not hang.
+        # A started broker that no worker joins: the run must degrade to the
+        # local fallback executor inside the join deadline, not hang.
         reference, _ = _sharded_run(device, max_workers=1, shard_executor="serial")
-        monkeypatch.setenv("REPRO_SHARD_EXECUTOR", "broker")
-        monkeypatch.setenv(ENV_SHARD_BROKER_LISTEN, "127.0.0.1:0")
-        monkeypatch.setenv(ENV_SHARD_JOIN_DEADLINE, "0.2")
-        noisy, engine = _sharded_run(device, max_workers=1)
+        broker = ShardBroker(heartbeat=0.1).start()
+        try:
+            monkeypatch.setenv("REPRO_SHARD_EXECUTOR", "broker")
+            monkeypatch.setenv(ENV_SHARD_BROKER, broker.address)
+            monkeypatch.setenv(ENV_SHARD_JOIN_DEADLINE, "0.2")
+            noisy, engine = _sharded_run(device, max_workers=1)
+        finally:
+            broker.stop()
         assert noisy.probabilities() == reference.probabilities()
         report = attach_engine_meta(ExperimentReport(name="fallback"), engine)
         transport = report.meta["planner"]["transport"]
         assert transport["executor"] == "broker"
         assert transport["fallbacks"] == 1
         assert transport["fallback"]["executor"] == "serial"
+
+    def test_transport_reads_the_brokers_lifetime_counters(self, device, monkeypatch):
+        """Three batches through one engine report the broker's counts, once."""
+        broker = ShardBroker(heartbeat=0.1).start()
+        try:
+            _start_worker(broker)
+            monkeypatch.setenv("REPRO_SHARD_EXECUTOR", "broker")
+            monkeypatch.setenv(ENV_SHARD_BROKER, broker.address)
+            monkeypatch.setenv(ENV_SHARD_JOIN_DEADLINE, "10")
+            with ExecutionEngine(sample_shard_shots=8_192) as engine:
+                for seed in (7, 8, 9):
+                    engine.run([_sharded_job(device)], seed=seed)
+            stats = broker.stats()
+        finally:
+            broker.stop()
+        report = attach_engine_meta(ExperimentReport(name="three-batches"), engine)
+        transport = report.meta["planner"]["transport"]
+        counts = ("chunks_completed", "batches", "workers_joined")
+        assert [transport[name] for name in counts] == [stats[name] for name in counts]
+        assert [stats[name] for name in counts] == [15, 3, 1]

@@ -79,18 +79,43 @@ class TestCacheAccounting:
         assert sum(result.ideal_cache_hit for result in results) == 3
 
     def test_second_run_is_fully_cached(self):
-        engine = ExecutionEngine()
-        first = engine.run(_bv_jobs(), seed=1)
-        second = engine.run(_bv_jobs(), seed=1)
+        # Every kind of sample goes through the one look-up: single-stream
+        # bit-flip jobs, a trajectory job and a sharded job.
+        noise_model = ibm_paris().noise_model
+        jobs = _bv_jobs() + [
+            CircuitJob(
+                job_id="trajectory",
+                circuit=bernstein_vazirani("101"),
+                shots=256,
+                noise_model=noise_model,
+                method="trajectory",
+            ),
+            CircuitJob(
+                job_id="sharded",
+                circuit=bernstein_vazirani("101"),
+                shots=10_000,
+                noise_model=noise_model,
+            ),
+        ]
+        engine = ExecutionEngine(sample_shard_shots=4_096)
+        first = engine.run(jobs, seed=1)
+        counters = engine.last_run["counters"]
+        assert counters["sampler.jobs"] == 6
+        assert counters["sampler.trajectory_jobs"] == 1
+        assert counters["engine.sharded_jobs"] == 1
+        second = engine.run(jobs, seed=1)
         counters = engine.last_run["counters"]
         assert counters.get("engine.transpiles_computed", 0) == 0
         assert counters.get("engine.ideals_computed", 0) == 0
+        assert counters["cache.sample.hits"] == len(jobs)
+        assert [name for name in counters if name.startswith("sampler.")] == []
         assert sum(result.transpile_cache_hit for result in second) == 6
-        assert sum(result.ideal_cache_hit for result in second) == 6
+        assert sum(result.ideal_cache_hit for result in second) == len(jobs)
         for before, after in zip(first, second):
             assert before.noisy.counts() == after.noisy.counts()
-            assert after.transpile_cache_hit and after.ideal_cache_hit
-            assert after.prepare_seconds == 0.0
+            assert after.transpile_cache_hit == after.transpiled
+            assert after.ideal_cache_hit and after.sample_cache_hit
+            assert after.prepare_seconds == 0.0 and after.sample_seconds == 0.0
 
     def test_per_job_trace_rows(self):
         engine = ExecutionEngine()

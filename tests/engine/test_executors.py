@@ -16,6 +16,7 @@ import pytest
 
 from repro.circuits.bv import bernstein_vazirani
 from repro.engine import CircuitJob, ExecutionEngine
+from repro.engine import engine as engine_module
 from repro.engine.executors import (
     SHARD_EXECUTOR_NAMES,
     ProcessPoolShardExecutor,
@@ -54,17 +55,23 @@ def device():
     return get_device("ibm-paris")
 
 
-def _sharded_run(device, **engine_kwargs):
-    """One 40k-shot job sharded into 8k chunks; returns (distribution, engine)."""
-    engine = ExecutionEngine(sample_shard_shots=8_192, **engine_kwargs)
-    try:
-        job = CircuitJob(
+def _sharded_jobs(device):
+    """One 40k-shot job: five chunks at 8k shots."""
+    return [
+        CircuitJob(
             job_id="shard-exec",
             circuit=bernstein_vazirani("10110"),
             shots=40_000,
             noise_model=device.noise_model,
         )
-        result = engine.run([job], seed=7)[0]
+    ]
+
+
+def _sharded_run(device, **engine_kwargs):
+    """One 40k-shot job sharded into 8k chunks; returns (distribution, engine)."""
+    engine = ExecutionEngine(sample_shard_shots=8_192, **engine_kwargs)
+    try:
+        result = engine.run(_sharded_jobs(device), seed=7)[0]
         return result.noisy, engine
     finally:
         engine.close()
@@ -131,6 +138,50 @@ class TestExecutorOwnership:
             engine.close()
         assert executor.batches == 2
         assert executor.closes == 0
+
+    def test_transport_is_the_executors_own_account(self, device):
+        """Three batches through a caller's fault injector count its faults once."""
+        executor = FaultInjectingExecutor(
+            SerialShardExecutor(), seed=5, drop=0.3, duplicate=0.2
+        )
+        with ExecutionEngine(sample_shard_shots=8_192, shard_executor=executor) as engine:
+            for seed in (7, 8, 9):
+                engine.run(_sharded_jobs(device), seed=seed)
+        assert engine.transport == executor.provenance()
+        assert engine.transport["faults"]["duplicate"] == 3
+
+    def test_a_named_executor_is_resolved_once(self, device, monkeypatch):
+        resolved = []
+
+        def counting(name, pool):
+            resolved.append(name)
+            return resolve_shard_executor(name, pool)
+
+        monkeypatch.setattr(engine_module, "resolve_shard_executor", counting)
+        with ExecutionEngine(sample_shard_shots=8_192, shard_executor="serial") as engine:
+            for seed in (7, 8, 9):
+                engine.run(_sharded_jobs(device), seed=seed)
+                assert planner_decisions(engine.last_run)["shard-executor"] == {
+                    "serial/override": 1
+                }
+        assert resolved == ["serial"]
+
+    def test_a_closed_engine_resolves_a_fresh_executor(self, device):
+        """close() drops the executor with the pool it borrows; the next batch runs."""
+        reference = ExecutionEngine(sample_shard_shots=8_192)
+        expected = [reference.run(_sharded_jobs(device), seed=seed)[0] for seed in (7, 8)]
+        engine = ExecutionEngine(max_workers=2, sample_shard_shots=8_192)
+        try:
+            rows = []
+            for seed in (7, 8):
+                rows.append(engine.run(_sharded_jobs(device), seed=seed)[0])
+                decisions = planner_decisions(engine.last_run)
+                assert decisions["shard-executor"] == {"process-pool/heuristic": 1}
+                engine.close()
+        finally:
+            engine.close()
+        for row, lone in zip(rows, expected):
+            assert row.noisy.probabilities() == lone.noisy.probabilities()
 
 
 class TestExecutorSelection:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -87,7 +88,7 @@ class TestCounterDeterminism:
 
 
 def _mixed_jobs(device):
-    """Two sharded jobs plus a routed group of three sharing circuit and noise model."""
+    """Two sharded jobs plus three routed jobs sharing circuit and noise model."""
     jobs = _sharded_jobs(device)
     circuit = bernstein_vazirani("1101")
     jobs += [
@@ -126,8 +127,6 @@ class TestOneAccount:
         assert counters["engine.sharded_jobs"] == 2
         assert counters["sampler.chunks"] == 10
         assert counters["reduction.merges"] == 8
-        assert counters["engine.sample_groups"] == 1
-        assert counters["engine.grouped_sample_jobs"] == 3
         assert counters["sampler.jobs"] == 3
 
     def test_an_observation_receives_each_count_once(self, device):
@@ -320,3 +319,35 @@ class TestReportMeta:
         assert obs["spans"]["events"] > 0
         assert "engine.run" in obs["spans"]["names"]
         json.loads(json.dumps(obs))  # the meta block is artifact-safe JSON
+
+
+def _on_thread(fn):
+    """Run ``fn`` on a fresh thread and return its result."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn).result(timeout=120)
+
+
+class TestPerThreadObservation:
+    """An observation observes the thread that opened it, and only that one."""
+
+    config = BvStudyConfig(qubit_range=(5, 5), keys_per_size=1, shots=512, seed=8)
+
+    def test_a_study_on_a_thread_that_does_not_observe_carries_no_obs_block(self):
+        with Observation() as observation:
+            report = _on_thread(lambda: run_bv_study(self.config))
+        assert report.meta["engine"]["counters"]["engine.jobs"] == 3
+        assert "obs" not in report.meta
+        assert "engine.jobs" not in observation.registry.counters
+
+    def test_a_second_thread_opens_its_own_observation(self):
+        def observed_study():
+            with Observation() as observation:
+                report = run_bv_study(self.config)
+            return observation, report
+
+        with Observation() as outer:
+            inner, report = _on_thread(observed_study)
+        assert inner.registry.counters["engine.jobs"] == 3
+        assert report.meta["obs"]["metrics"]["counters"]["engine.jobs"] == 3
+        assert "engine.run" in report.meta["obs"]["spans"]["names"]
+        assert "engine.jobs" not in outer.registry.counters

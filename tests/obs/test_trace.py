@@ -103,9 +103,9 @@ class TestRecording:
     def test_span_survives_exceptions(self):
         with Observation() as observation:
             with pytest.raises(ValueError):
-                with trace_span("engine.task.sample_group"):
+                with trace_span("engine.task.sample"):
                     raise ValueError("boom")
-        assert observation.recorder.span_names() == {"engine.task.sample_group"}
+        assert observation.recorder.span_names() == {"engine.task.sample"}
 
 
 class TestRingBuffer:
