@@ -10,17 +10,22 @@ The paper's workloads (Tables 1 and 2) use four graph families:
   (Google dataset).
 
 Every generator returns a :class:`MaxCutProblem`: a weighted undirected graph
-with a stable node ordering (node ``i`` ↔ qubit ``i``).
+with a stable node ordering (node ``i`` ↔ qubit ``i``).  Each generator
+imports networkx on its first call, so a process that builds no graph never
+loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.exceptions import GraphError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "MaxCutProblem",
@@ -80,6 +85,8 @@ class MaxCutProblem:
 
 
 def _validated_graph(graph: nx.Graph, family: str, seed: int | None) -> MaxCutProblem:
+    import networkx as nx
+
     if graph.number_of_nodes() < 2:
         raise GraphError(f"{family} instance needs at least 2 nodes")
     relabeled = nx.convert_node_labels_to_integers(graph, ordering="sorted")
@@ -95,6 +102,8 @@ def grid_graph_problem(num_nodes: int, seed: int | None = None) -> MaxCutProblem
     exactly, trailing nodes are dropped (keeping connectivity), mirroring how
     the Google experiments carve device subgraphs of a given size.
     """
+    import networkx as nx
+
     if num_nodes < 2:
         raise GraphError("grid instance needs at least 2 nodes")
     columns = int(np.ceil(np.sqrt(num_nodes)))
@@ -109,6 +118,8 @@ def grid_graph_problem(num_nodes: int, seed: int | None = None) -> MaxCutProblem
 
 def regular_graph_problem(num_nodes: int, degree: int = 3, seed: int | None = None) -> MaxCutProblem:
     """A random ``degree``-regular graph (3-regular by default)."""
+    import networkx as nx
+
     if num_nodes <= degree:
         raise GraphError(f"{degree}-regular graph needs more than {degree} nodes")
     if (num_nodes * degree) % 2 != 0:
@@ -119,6 +130,8 @@ def regular_graph_problem(num_nodes: int, degree: int = 3, seed: int | None = No
 
 def erdos_renyi_problem(num_nodes: int, edge_probability: float, seed: int | None = None) -> MaxCutProblem:
     """An Erdős–Rényi random graph with the given edge density (0.2–0.8 in the paper)."""
+    import networkx as nx
+
     if not 0.0 < edge_probability <= 1.0:
         raise GraphError(f"edge_probability must be in (0, 1], got {edge_probability}")
     rng_seed = seed if seed is not None else 0
@@ -133,6 +146,8 @@ def erdos_renyi_problem(num_nodes: int, edge_probability: float, seed: int | Non
 
 def sherrington_kirkpatrick_problem(num_nodes: int, seed: int | None = None) -> MaxCutProblem:
     """A fully-connected SK instance with random ±1 edge weights."""
+    import networkx as nx
+
     if num_nodes < 2:
         raise GraphError("SK instance needs at least 2 nodes")
     rng = np.random.default_rng(seed)
@@ -144,6 +159,8 @@ def sherrington_kirkpatrick_problem(num_nodes: int, seed: int | None = None) -> 
 
 def ring_graph_problem(num_nodes: int, seed: int | None = None) -> MaxCutProblem:
     """A 2-regular ring instance (cheapest QAOA workload; used in examples/tests)."""
+    import networkx as nx
+
     if num_nodes < 3:
         raise GraphError("ring instance needs at least 3 nodes")
     graph = nx.cycle_graph(num_nodes)

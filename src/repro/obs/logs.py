@@ -6,10 +6,12 @@ visible on an interactive stderr, invisible in the JSON artifact of a
 headless sweep.  This module gives them one structured sink:
 
 * Every record is appended to a bounded process-global ring buffer with a
-  monotonically increasing sequence number.  Observation contexts
-  (:mod:`repro.obs.observe`) slice records by sequence number into
-  ``report.meta["obs"]["log"]`` and worker payloads, so a headless run's
-  artifacts carry exactly the warnings it produced.
+  monotonically increasing sequence number and the thread whose account it
+  belongs to: the thread that logged it, or the thread that absorbed it
+  from a worker's payload.  Observation contexts
+  (:mod:`repro.obs.observe`) slice their own thread's records by sequence
+  number into ``report.meta["obs"]["log"]`` and worker payloads, so a
+  headless run's artifacts carry exactly the warnings it produced.
 * ``REPRO_LOG`` selects the *stderr* rendering: ``text`` (default, one
   human line per record), ``json`` (one JSON object per line, for log
   shippers) or ``off`` (artifacts only — silence on stderr).
@@ -77,19 +79,28 @@ def log_records() -> list[dict]:
     return list(_records)
 
 
-def records_since(sequence: int) -> list[dict]:
-    """Records appended after sequence number ``sequence`` (exclusive)."""
-    return [record for record in _records if record["seq"] > sequence]
+def records_since(sequence: int, thread: int | None = None) -> list[dict]:
+    """Records appended after sequence number ``sequence`` (exclusive).
+
+    With ``thread`` (a ``threading.get_ident()`` value), only the records in
+    that thread's account.
+    """
+    return [
+        record
+        for record in _records
+        if record["seq"] > sequence and (thread is None or record["thread"] == thread)
+    ]
 
 
 def absorb_records(records: list[dict]) -> None:
-    """Fold records exported by a worker process into this process's ring.
+    """Fold records exported by a worker into the calling thread's account.
 
     Worker sequence numbers are local to the worker; absorbed records are
     re-sequenced here so :func:`records_since` slices stay consistent.
     """
+    thread = threading.get_ident()
     for record in records:
-        _append(dict(record))
+        _append({**record, "thread": thread})
 
 
 def reset_logs() -> None:
@@ -145,6 +156,7 @@ class StructuredLogger:
                 "message": message,
                 "fields": fields,
                 "pid": os.getpid(),
+                "thread": threading.get_ident(),
             }
         )
         _emit_stderr(record)

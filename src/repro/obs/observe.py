@@ -15,8 +15,9 @@ The engine counts with or without an observation (each ``run`` and
 ``hammer`` call is a metrics scope of its own); an observation adds spans
 and logs, and its registry receives the engine's counts through the same
 scope fold, once.  An observation belongs to the thread that opened it, as
-the recorder and registry it installs do: another thread's work is not
-observed by it, and that thread may open an observation of its own.
+the recorder and registry it installs and the log records it reads do:
+another thread's work is not observed by it, and that thread may open an
+observation of its own.
 Observations do not nest on one thread — a second activation raises
 :class:`~repro.exceptions.ObservabilityError` — which keeps span
 attribution unambiguous.
@@ -82,6 +83,7 @@ class Observation:
         self._scope = MetricsScope()
         self.registry = self._scope.registry
         self._log_start = 0
+        self._thread: int | None = None
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "Observation":
@@ -89,6 +91,7 @@ class Observation:
             raise ObservabilityError("an observation is already active on this thread")
         _active.observation = self
         self._log_start = _logs.current_sequence()
+        self._thread = threading.get_ident()
         _trace._set_active(self.recorder)
         self._scope.__enter__()
         return self
@@ -104,8 +107,8 @@ class Observation:
         return self.recorder.chrome_trace()
 
     def log_records(self) -> list[dict]:
-        """Structured log records emitted (or absorbed) during the run."""
-        return _logs.records_since(self._log_start)
+        """Structured log records this thread emitted (or absorbed) during the run."""
+        return _logs.records_since(self._log_start, self._thread)
 
     def meta(self) -> dict:
         """The ``report.meta["obs"]`` block: metrics + span/log summaries.
@@ -154,7 +157,7 @@ def observed_call(fn, task, traced: bool = True):
     payload = {"metrics": registry.snapshot()}
     if recorder is not None:
         payload["events"] = recorder.events()
-        payload["logs"] = _logs.records_since(log_start)
+        payload["logs"] = _logs.records_since(log_start, threading.get_ident())
     return result, payload
 
 
@@ -176,7 +179,9 @@ def absorb_payload(payload: dict) -> None:
     events = payload.get("events")
     if events and recorder is not None:
         recorder.absorb(events)
-    # An in-process task's records are in this process's log already.
-    records = [record for record in payload.get("logs", ()) if record["pid"] != os.getpid()]
+    # A task that ran on this very thread logged into its account already;
+    # another process's or another thread's records join it here.
+    here = (os.getpid(), threading.get_ident())
+    records = [record for record in payload.get("logs", ()) if (record["pid"], record["thread"]) != here]
     if records:
         _logs.absorb_records(records)

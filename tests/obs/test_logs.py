@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 
 import pytest
 
@@ -44,6 +45,7 @@ class TestRing:
         assert first["event"] == "gpu-fallback"
         assert first["fields"] == {"plan": "tiled"}
         assert first["pid"] == os.getpid()
+        assert first["thread"] == threading.get_ident()
         assert log_records() == [first, second]
 
     def test_records_since_slices_exclusively(self, quiet):
@@ -66,6 +68,9 @@ class TestRing:
         records = log_records()
         assert [record["seq"] for record in records] == [1, 2]
         assert records[-1]["logger"] == "repro.worker"
+        # It joins the absorbing thread's account.
+        assert records[-1]["thread"] == threading.get_ident()
+        assert records_since(0, threading.get_ident()) == records
 
 
 class TestWarnOnce:

@@ -145,6 +145,40 @@ class TestObservedCall:
         assert [event["name"] for event in payload["events"]] == ["executor.shard"]
         assert payload["metrics"]["counters"] == {"sampler.chunks": 1}
 
+    def test_an_in_process_task_on_another_thread_logs_into_the_observing_thread(self):
+        """A worker thread's record reaches the observation that absorbs its payload.
+
+        The observing thread's own record, logged while the task runs, stays
+        out of the task's payload.
+        """
+        logger = get_logger("repro.test")
+        started, release = threading.Event(), threading.Event()
+        returned = []
+
+        def waiting_task(task):
+            started.set()
+            assert release.wait(timeout=10)
+            logger.warning("task-warning", "logged inside the task")
+            return task
+
+        with Observation() as observation:
+            worker = threading.Thread(
+                target=lambda: returned.append(observed_call(waiting_task, 5))
+            )
+            worker.start()
+            assert started.wait(timeout=10)
+            logger.warning("main-warning", "logged while the task runs")
+            release.set()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            ((_, payload),) = returned
+            absorb_payload(payload)
+        assert [record["event"] for record in payload["logs"]] == ["task-warning"]
+        assert [record["event"] for record in observation.log_records()] == [
+            "main-warning",
+            "task-warning",
+        ]
+
     def test_absorb_payload_without_observation_is_noop(self):
         absorb_payload({"metrics": {"counters": {"x": 1}}})  # no crash, nothing active
 
@@ -152,3 +186,26 @@ class TestObservedCall:
         with Observation():
             with pytest.raises(ObservabilityError, match="payload"):
                 absorb_payload("not-a-dict")
+
+
+class TestPerThreadLog:
+    def test_two_observing_threads_each_see_only_their_own_record(self):
+        logger = get_logger("repro.test")
+        both_open = threading.Barrier(2, timeout=10)
+        both_logged = threading.Barrier(2, timeout=10)
+        seen = {}
+
+        def observe(name):
+            with Observation() as observation:
+                both_open.wait()
+                logger.warning(f"{name}-warning", f"logged on the {name} thread")
+                both_logged.wait()
+            seen[name] = [entry["event"] for entry in observation.meta()["log"]]
+
+        threads = [threading.Thread(target=observe, args=(name,)) for name in ("first", "second")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == {"first": ["first-warning"], "second": ["second-warning"]}

@@ -46,6 +46,20 @@ class TestCouplingMap:
         assert path[0] == 0 and path[-1] == 3
         assert len(path) == 4
 
+    def test_a_qubit_outside_the_map_raises_a_device_error(self):
+        cmap = linear_coupling(4)
+        message = "qubit 9 is not on coupling map 'linear-4'"
+        with pytest.raises(DeviceError, match=message):
+            cmap.neighbors(9)
+        with pytest.raises(DeviceError, match=message):
+            cmap.distance(0, 9)
+        with pytest.raises(DeviceError, match=message):
+            cmap.shortest_path(9, 0)
+        with pytest.raises(DeviceError, match="qubit -1 is not on"):
+            cmap.shortest_path(-1, -1)
+        assert not cmap.are_coupled(3, 9)
+        assert not cmap.are_coupled(9, 3)
+
 
 class TestTopologies:
     def test_linear(self):
