@@ -251,86 +251,6 @@ class StabilizerState:
         counts -= np.bitwise_count(minus).sum(axis=-1).astype(np.int64)
         return counts % 4
 
-    def _rowsum_into(self, targets: np.ndarray, source: int) -> None:
-        """Multiply row ``source`` into every row in ``targets`` (phase-correct)."""
-        if targets.size == 0:
-            return
-        xi = self.x[source][None, :]
-        zi = self.z[source][None, :]
-        exponent = self._phase_exponent(xi, zi, self.x[targets], self.z[targets])
-        total = (
-            2 * self.r[targets].astype(np.int64) + 2 * int(self.r[source]) + exponent
-        ) % 4
-        self.r[targets] = (total // 2).astype(np.uint8)
-        self.x[targets] ^= xi
-        self.z[targets] ^= zi
-
-    # ------------------------------------------------------------------
-    # Measurement
-    # ------------------------------------------------------------------
-    def measure(
-        self,
-        qubit: int,
-        rng: np.random.Generator | None = None,
-        forced: int | None = None,
-    ) -> tuple[int, bool]:
-        """Measure one qubit in the computational basis.
-
-        Returns ``(outcome, was_random)``.  A random outcome is drawn from
-        ``rng`` unless ``forced`` pins it.  When the outcome is genuinely
-        random and neither ``rng`` nor ``forced`` is given, this raises
-        instead of silently minting a fresh unseeded generator — every
-        sampling path in this package derives from explicit seed streams,
-        and an untraceable nondeterministic fallback would break that
-        contract.
-        """
-        n = self.num_qubits
-        word, mask = self._locate(qubit)
-        xcol = (self.x[:, word] & mask) != 0
-        stabilizer_hits = np.nonzero(xcol[n:])[0]
-        if stabilizer_hits.size:
-            pivot = int(stabilizer_hits[0]) + n
-            others = np.nonzero(xcol)[0]
-            others = others[others != pivot]
-            self._rowsum_into(others, pivot)
-            # The destabilizer remembers the pre-measurement stabilizer.
-            self.x[pivot - n] = self.x[pivot]
-            self.z[pivot - n] = self.z[pivot]
-            self.r[pivot - n] = self.r[pivot]
-            if forced is not None:
-                outcome = int(forced) & 1
-            elif rng is not None:
-                outcome = int(rng.integers(0, 2))
-            else:
-                raise BackendError(
-                    f"measurement of qubit {qubit} is random; pass rng= or forced= "
-                    f"(refusing to draw from an unseeded generator)"
-                )
-            self.x[pivot] = 0
-            self.z[pivot] = 0
-            self.z[pivot, word] = mask
-            self.r[pivot] = outcome
-            return outcome, True
-        # Deterministic: accumulate the stabilizers flagged by destabilizers
-        # into a scratch row; its sign is the outcome.
-        scratch_x = np.zeros(self._num_words, dtype=np.uint64)
-        scratch_z = np.zeros(self._num_words, dtype=np.uint64)
-        scratch_r = 0
-        for row in np.nonzero(xcol[:n])[0]:
-            source = int(row) + n
-            exponent = int(
-                self._phase_exponent(
-                    self.x[source][None, :],
-                    self.z[source][None, :],
-                    scratch_x[None, :],
-                    scratch_z[None, :],
-                )[0]
-            )
-            scratch_r = (2 * scratch_r + 2 * int(self.r[source]) + exponent) % 4 // 2
-            scratch_x ^= self.x[source]
-            scratch_z ^= self.z[source]
-        return int(scratch_r), False
-
     # ------------------------------------------------------------------
     # Full-register distribution
     # ------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Thin adapter over :mod:`repro.quantum.statevector`.  The engine's ideal
 phase historically ran ``simulate_statevector(circuit).measurement_distribution()``
 verbatim; this backend performs exactly that call, so every pre-backend
-study row stays bit-identical on it.  It runs non-Clifford bit-flip jobs,
-trajectory jobs and any job that names ``backend="statevector"``.
+study row stays bit-identical on it.  It runs every non-Clifford job under
+``"auto"`` and any job that names ``backend="statevector"``.
 """
 
 from __future__ import annotations

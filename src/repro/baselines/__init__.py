@@ -1,7 +1,6 @@
 """Baseline post-processing and inference schemes HAMMER is compared against."""
 
 from repro.baselines.inference import (
-    hamming_centrality_ranking,
     majority_vote_outcome,
     most_frequent_outcome,
 )
@@ -12,7 +11,6 @@ from repro.baselines.readout_mitigation import (
 )
 
 __all__ = [
-    "hamming_centrality_ranking",
     "majority_vote_outcome",
     "most_frequent_outcome",
     "ReadoutCalibration",

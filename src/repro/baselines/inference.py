@@ -3,26 +3,19 @@
 The paper's baseline is the raw measured histogram: the program's answer is
 read off as the most frequent outcome (for single-answer circuits) or the
 histogram is used directly for expectation values (QAOA).  These helpers make
-that baseline explicit and add two cheap alternatives used in the ablation
-benchmarks:
-
-* *majority-vote bit inference* — infer each output bit independently from
-  its marginal, a folklore trick that works when errors are independent but
-  ignores correlations; and
-* *top-k re-ranking by Hamming centrality* — rank outcomes by how much
-  probability mass sits within Hamming distance 1, a simplified neighbour
-  heuristic that HAMMER generalises.
+that baseline explicit and add a cheap alternative that the scenario study
+reports: *majority-vote bit inference*, which infers each output bit
+independently from its marginal, a folklore trick that works when errors are
+independent but ignores correlations.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.bitstring import hamming_distance
 from repro.core.distribution import Distribution
-from repro.exceptions import DistributionError
 
-__all__ = ["most_frequent_outcome", "majority_vote_outcome", "hamming_centrality_ranking"]
+__all__ = ["most_frequent_outcome", "majority_vote_outcome"]
 
 
 def most_frequent_outcome(distribution: Distribution) -> str:
@@ -42,24 +35,3 @@ def majority_vote_outcome(distribution: Distribution) -> str:
     bits = distribution.packed().bit_matrix()
     ones_probability = np.cumsum(bits * probabilities[:, None], axis=0)[-1]
     return "".join("1" if p >= 0.5 else "0" for p in ones_probability)
-
-
-def hamming_centrality_ranking(distribution: Distribution, top_k: int = 10) -> list[tuple[str, float]]:
-    """Rank the top outcomes by probability mass within Hamming distance 1.
-
-    Returns ``(outcome, centrality score)`` pairs sorted by decreasing score;
-    only the ``top_k`` most probable outcomes are scored (the heuristic is a
-    cheap stand-in for HAMMER's full neighbourhood analysis).
-    """
-    if top_k <= 0:
-        raise DistributionError(f"top_k must be positive, got {top_k}")
-    candidates = [outcome for outcome, _ in distribution.ranked_outcomes()[:top_k]]
-    scores: list[tuple[str, float]] = []
-    for candidate in candidates:
-        score = distribution.probability(candidate)
-        for outcome, probability in distribution.items():
-            if outcome != candidate and hamming_distance(candidate, outcome) == 1:
-                score += probability
-        scores.append((candidate, float(score)))
-    scores.sort(key=lambda pair: -pair[1])
-    return scores

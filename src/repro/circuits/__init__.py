@@ -1,9 +1,8 @@
-"""Benchmark circuit generators: BV, GHZ, QAOA, random identity, QFT."""
+"""Benchmark circuit generators: BV, GHZ, QAOA, random identity."""
 
 from repro.circuits.bv import bernstein_vazirani, bv_correct_outcome, bv_secret_key, random_bv_key
 from repro.circuits.ghz import ghz_circuit, ghz_correct_outcomes
 from repro.circuits.qaoa import QaoaParameters, default_qaoa_parameters, qaoa_circuit
-from repro.circuits.qft import qft_basis_state_circuit, qft_circuit
 from repro.circuits.random_identity import (
     RandomIdentitySpec,
     identity_correct_outcome,
@@ -21,8 +20,6 @@ __all__ = [
     "QaoaParameters",
     "default_qaoa_parameters",
     "qaoa_circuit",
-    "qft_basis_state_circuit",
-    "qft_circuit",
     "RandomIdentitySpec",
     "identity_correct_outcome",
     "random_identity_circuit",

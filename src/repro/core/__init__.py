@@ -16,19 +16,14 @@ Public surface:
 """
 
 from repro.core import tuning, variants
-from repro.core.kernels import choose_plan, chs_histogram, has_fast_popcount, popcount_u64
+from repro.core.kernels import choose_plan, chs_histogram, popcount_u64
 from repro.core.bitstring import (
     PackedOutcomes,
-    all_bitstrings,
-    bitstring_to_int,
     flip_bits,
     hamming_distance,
-    hamming_weight,
     int_to_bitstring,
     neighbors_at_distance,
     pack_bit_matrix,
-    pairwise_hamming_matrix,
-    random_bitstring,
     unpack_bit_matrix,
     validate_bitstring,
 )
@@ -65,16 +60,11 @@ from repro.core.weights import (
 __all__ = [
     # bitstrings / packed backend
     "PackedOutcomes",
-    "all_bitstrings",
-    "bitstring_to_int",
     "flip_bits",
     "hamming_distance",
-    "hamming_weight",
     "int_to_bitstring",
     "neighbors_at_distance",
     "pack_bit_matrix",
-    "pairwise_hamming_matrix",
-    "random_bitstring",
     "unpack_bit_matrix",
     "validate_bitstring",
     # distribution
@@ -114,7 +104,6 @@ __all__ = [
     # kernels / tuning
     "choose_plan",
     "chs_histogram",
-    "has_fast_popcount",
     "popcount_u64",
     "tuning",
 ]

@@ -9,10 +9,10 @@ all Hamming arithmetic (pairwise distances, CHS accumulation, spectra) is
 then popcount + ``bincount`` work on the packed words with no string
 round-trips.
 
-The scalar helpers (validation, int conversions, neighbour enumeration)
-remain string-based; the bulk helpers (:func:`pack_bitstrings`,
-:func:`pairwise_hamming_matrix`, :func:`hamming_distance_to_reference`) are
-thin wrappers over the packed representation.
+The scalar helpers (validation, int conversion, neighbour enumeration)
+remain string-based; bulk distances are methods of :class:`PackedOutcomes`
+(:meth:`~PackedOutcomes.block_distances`,
+:meth:`~PackedOutcomes.distances_to_reference`).
 """
 
 from __future__ import annotations
@@ -26,21 +26,14 @@ from repro.exceptions import BitstringError
 
 __all__ = [
     "validate_bitstring",
-    "bitstring_to_int",
     "int_to_bitstring",
     "hamming_distance",
-    "hamming_weight",
     "flip_bits",
     "neighbors_at_distance",
-    "all_bitstrings",
-    "random_bitstring",
     "PackedOutcomes",
     "pack_bit_matrix",
     "unpack_bit_matrix",
     "xor_distance_histogram",
-    "pack_bitstrings",
-    "pairwise_hamming_matrix",
-    "hamming_distance_to_reference",
 ]
 
 _VALID_CHARS = frozenset("01")
@@ -80,12 +73,6 @@ def validate_bitstring(bitstring: str, num_bits: int | None = None) -> str:
     return bitstring
 
 
-def bitstring_to_int(bitstring: str) -> int:
-    """Convert a bitstring (most-significant bit first) to an integer."""
-    validate_bitstring(bitstring)
-    return int(bitstring, 2)
-
-
 def int_to_bitstring(value: int, num_bits: int) -> str:
     """Convert an integer to a fixed-width bitstring (MSB first).
 
@@ -101,12 +88,6 @@ def int_to_bitstring(value: int, num_bits: int) -> str:
     if value >= (1 << num_bits):
         raise BitstringError(f"value {value} does not fit in {num_bits} bits")
     return format(value, f"0{num_bits}b")
-
-
-def hamming_weight(bitstring: str) -> int:
-    """Return the number of '1' characters in ``bitstring``."""
-    validate_bitstring(bitstring)
-    return bitstring.count("1")
 
 
 def hamming_distance(a: str, b: str) -> int:
@@ -148,26 +129,6 @@ def neighbors_at_distance(bitstring: str, distance: int) -> Iterator[str]:
         yield flip_bits(bitstring, positions)
 
 
-def all_bitstrings(num_bits: int) -> list[str]:
-    """Return every bitstring of the given width, in ascending integer order."""
-    if num_bits <= 0:
-        raise BitstringError(f"num_bits must be positive, got {num_bits}")
-    if num_bits > 24:
-        raise BitstringError(
-            f"refusing to enumerate 2**{num_bits} bitstrings; use sampling instead"
-        )
-    return [int_to_bitstring(value, num_bits) for value in range(1 << num_bits)]
-
-
-def random_bitstring(num_bits: int, rng: np.random.Generator | None = None) -> str:
-    """Return a uniformly random bitstring of the given width."""
-    if num_bits <= 0:
-        raise BitstringError(f"num_bits must be positive, got {num_bits}")
-    generator = rng if rng is not None else np.random.default_rng()
-    bits = generator.integers(0, 2, size=num_bits)
-    return "".join("1" if bit else "0" for bit in bits)
-
-
 def _checked_bit_matrix(bits: np.ndarray) -> np.ndarray:
     """``bits`` as a C-contiguous uint8 array, once every value is known to be 0 or 1.
 
@@ -187,7 +148,7 @@ def _checked_bit_matrix(bits: np.ndarray) -> np.ndarray:
 def pack_bit_matrix(bits: np.ndarray) -> np.ndarray:
     """Pack a ``(N, width)`` 0/1 matrix into ``(N, ceil(width/64))`` uint64 words.
 
-    Bit layout matches :func:`pack_bitstrings`: word ``w`` holds bit columns
+    Bit layout matches :attr:`PackedOutcomes.words`: word ``w`` holds bit columns
     ``[64w, 64w + 64)`` MSB-first; the final word is right-aligned in its low
     bits when ``width`` is not a multiple of 64.  The final word's columns
     need only ``ceil(columns / 8)`` bytes: when they are not a whole number
@@ -504,39 +465,3 @@ def xor_distance_histogram(
     length ``num_bits + 1`` with zeros beyond ``limit``.
     """
     return chs_histogram(packed, weights, limit)
-
-
-def pack_bitstrings(bitstrings: Sequence[str]) -> np.ndarray:
-    """Pack bitstrings into a 2-D uint64 array for fast Hamming arithmetic.
-
-    Each row corresponds to one bitstring; columns hold 64-bit words (MSB of
-    the string in the most-significant position of the first word's used
-    bits).  All strings must share the same width.
-
-    Returns
-    -------
-    numpy.ndarray
-        Array of shape ``(len(bitstrings), ceil(width / 64))`` and dtype
-        ``uint64``.
-    """
-    return PackedOutcomes.from_strings(bitstrings).words
-
-
-def pairwise_hamming_matrix(bitstrings: Sequence[str]) -> np.ndarray:
-    """Return the full ``N x N`` matrix of pairwise Hamming distances.
-
-    Implemented with packed uint64 words and popcounts, so the cost is
-    ``O(N^2 * ceil(width/64))`` word operations rather than ``O(N^2 * width)``
-    character comparisons.
-    """
-    packed = PackedOutcomes.from_strings(bitstrings)
-    return packed.block_distances(0, packed.num_outcomes)
-
-
-def hamming_distance_to_reference(bitstrings: Sequence[str], reference: str) -> np.ndarray:
-    """Return Hamming distances from every bitstring to a single reference."""
-    validate_bitstring(reference)
-    packed = PackedOutcomes.from_strings(list(bitstrings))
-    if len(reference) != packed.num_bits:
-        raise BitstringError("reference width does not match bitstring width")
-    return packed.distances_to_reference(reference)

@@ -53,10 +53,9 @@ Dispatch has two steps: a forced plan (``REPRO_HAMMER_KERNEL`` or
 the fixed shape rules of :func:`choose_plan` decide.  :func:`chs_histogram`
 is the one CHS dispatch of every plan.
 
-The popcount primitive is runtime-dispatched at import: ``np.bitwise_count``
-where the running NumPy provides it (>= 2.0), a byte-table lookup fallback
-otherwise.  The two sizes that fix accumulation order — the ``dense`` row
-block (:data:`PAIRWISE_BLOCK_ENTRIES`) and the symmetric tile
+The popcount primitive is NumPy's ``np.bitwise_count`` (NumPy >= 2.0).  The
+two sizes that fix accumulation order — the ``dense`` row block
+(:data:`PAIRWISE_BLOCK_ENTRIES`) and the symmetric tile
 (:data:`TILE_ENTRIES`) — are constants, so a plan accumulates in the same
 order on every machine.
 """
@@ -76,7 +75,6 @@ from repro.obs.trace import trace_span
 
 __all__ = [
     "popcount_u64",
-    "has_fast_popcount",
     "choose_plan",
     "chs_histogram",
     "hammer_pass",
@@ -89,40 +87,10 @@ __all__ = [
     "TILE_ENTRIES",
 ]
 
-# ---------------------------------------------------------------------------
-# Popcount dispatch
-# ---------------------------------------------------------------------------
-_HAVE_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
-#: Per-byte popcount table for the NumPy < 2 fallback.
-_POPCOUNT_LUT = np.array([bin(value).count("1") for value in range(256)], dtype=np.uint8)
-
-
-def has_fast_popcount() -> bool:
-    """True when the running NumPy provides a native ``bitwise_count``."""
-    return _HAVE_BITWISE_COUNT
-
-
-def _popcount_lut_u64(values: np.ndarray) -> np.ndarray:
-    """Per-element popcount of a uint64 array via the byte-LUT fallback.
-
-    Used as :func:`popcount_u64` on NumPy < 2 (no ``np.bitwise_count``);
-    kept importable on every NumPy so the differential test can hold the
-    two implementations against each other.
-    """
-    contiguous = np.ascontiguousarray(values, dtype=np.uint64)
-    as_bytes = contiguous.view(np.uint8).reshape(contiguous.shape + (8,))
-    return _POPCOUNT_LUT[as_bytes].sum(axis=-1, dtype=np.uint8)
-
-
-if _HAVE_BITWISE_COUNT:
-
-    def popcount_u64(values: np.ndarray) -> np.ndarray:
-        """Per-element popcount of a uint64 array (native ``np.bitwise_count``)."""
-        return np.bitwise_count(values)
-
-else:  # pragma: no cover - exercised only on NumPy < 2
-    popcount_u64 = _popcount_lut_u64
+def popcount_u64(values: np.ndarray) -> np.ndarray:
+    """Per-element popcount of a uint64 array (``np.bitwise_count``)."""
+    return np.bitwise_count(values)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ or lazily at the first stage for dict-built histograms.
 from __future__ import annotations
 
 import abc
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from repro.core.distribution import Distribution
 from repro.core.hammer import HammerConfig, hammer
@@ -135,15 +135,6 @@ class PostProcessingPipeline:
         for stage in self.stages:
             current = stage.apply(current)
         return current
-
-    def apply_with_trace(self, distribution: Distribution) -> list[tuple[str, Distribution]]:
-        """Run the pipeline and return ``(stage name, output)`` after every stage."""
-        trace: list[tuple[str, Distribution]] = []
-        current = distribution
-        for stage in self.stages:
-            current = stage.apply(current)
-            trace.append((stage.name, current))
-        return trace
 
     def stage_names(self) -> list[str]:
         """Names of the stages in execution order."""

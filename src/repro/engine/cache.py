@@ -11,8 +11,8 @@ Four namespaces are used by :class:`~repro.engine.engine.ExecutionEngine`:
     Value: the noise-free measurement :class:`Distribution`.
 ``"sample"``
     Key: :func:`~repro.engine.hashing.sample_key` (executed circuit + noise
-    fingerprint — including any calibration snapshot — + shots + method +
-    per-job seed entropy).  Value: the noisy measurement
+    fingerprint — including any calibration snapshot — + shots + per-job
+    seed entropy + backend + shard layout).  Value: the noisy measurement
     :class:`Distribution`.  Because the key pins the RNG entropy, a hit
     returns exactly the histogram an uncached run would draw.
 ``"hammer"``

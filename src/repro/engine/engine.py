@@ -9,16 +9,15 @@ three phases, deduplicating shared work through the content-addressed
 2. **Ideal simulation** — the noise-free distribution of each unique
    *executed* circuit is computed once, through the job's resolved
    :mod:`~repro.backends` backend: by default the stabilizer tableau when a
-   bit-flip job's executed circuit is Clifford (every BV sweep), the dense
-   statevector otherwise.  The ``"auto"`` probe runs in an
+   job's executed circuit is Clifford (every BV sweep), the dense statevector
+   otherwise.  The ``"auto"`` probe runs in an
    ``engine.resolve_backend`` span, each computed ideal counts
    ``ideal.backend.<name>``, and the resolved backend is part of the cache
    key.
-3. **Sampling** — every job draws its noisy histogram from its own seed
-   stream, one task per job: bit-flip jobs through
-   :func:`~repro.quantum.sampler.sample_bitflip_batch` with one request,
-   trajectory jobs through
-   :func:`~repro.quantum.sampler.sample_trajectory_distribution`.
+3. **Sampling** — every job draws its noisy histogram from the bit-flip +
+   scramble model (:mod:`repro.quantum.sampler`) in its own seed stream,
+   one task per job, through
+   :func:`~repro.quantum.sampler.sample_bitflip_batch` with one request.
    Jobs above the shard threshold (``REPRO_SAMPLE_SHARD_SHOTS``, default
    262,144) are split into fixed-size shot chunks with per-chunk seed
    streams; chunks execute on a pluggable
@@ -126,11 +125,7 @@ from repro.engine.jobs import CircuitJob, JobResult
 from repro.engine.reduction import ReductionTree
 from repro.exceptions import BackendError, EngineError
 from repro.quantum.circuit import QuantumCircuit
-from repro.quantum.sampler import (
-    sample_bitflip_batch,
-    sample_bitflip_chunk,
-    sample_trajectory_distribution,
-)
+from repro.quantum.sampler import sample_bitflip_batch, sample_bitflip_chunk
 from repro.quantum.transpiler import transpile
 
 #: Jobs above this many shots are sampled in fixed-size chunks with
@@ -193,20 +188,16 @@ def _hammer_task(task: tuple) -> tuple[str, Distribution, float]:
 
 def _sample_task(task: tuple) -> tuple[str, Distribution, float]:
     """Draw one job's histogram in one stream, from its own ``SeedSequence``."""
-    key, circuit, ideal, noise_model, shots, method, entropy, _ = task
+    key, circuit, ideal, noise_model, shots, entropy, _ = task
     # ``entropy`` is (seed, job index).
-    with trace_span("engine.task.sample", job=entropy[1], method=method, shots=shots):
+    with trace_span("engine.task.sample", job=entropy[1], shots=shots):
         rng = np.random.default_rng(np.random.SeedSequence(entropy))
         start = time.perf_counter()
-        if method == "trajectory":
-            counter_add("sampler.trajectory_jobs")
-            noisy = sample_trajectory_distribution(circuit, noise_model, shots, rng=rng)
-        else:
-            counter_add("sampler.jobs")
-            counter_add("sampler.shots", shots)
-            # A one-request batch is bit-identical to a lone draw, and
-            # perfbench counts sampled shots through this name.
-            (noisy,) = sample_bitflip_batch(circuit, noise_model, [(shots, rng)], ideal=ideal)
+        counter_add("sampler.jobs")
+        counter_add("sampler.shots", shots)
+        # A one-request batch is bit-identical to a lone draw, and perfbench
+        # counts sampled shots through this name.
+        (noisy,) = sample_bitflip_batch(circuit, noise_model, [(shots, rng)], ideal=ideal)
         return key, noisy, time.perf_counter() - start
 
 
@@ -466,9 +457,9 @@ class ExecutionEngine:
     def _sample(self, pool: ProcessPoolExecutor | None, tasks: list[tuple]) -> Iterator[tuple]:
         """The sample phase's map step: draw each missed job's histogram.
 
-        A task is ``(key, circuit, ideal, noise model, shots, method,
-        entropy, chunk shots)``.  Jobs drawn in one stream (``chunk shots``
-        is ``None``) map through :func:`_sample_task`.  A sharded job splits
+        A task is ``(key, circuit, ideal, noise model, shots, entropy, chunk
+        shots)``.  Jobs drawn in one stream (``chunk shots`` is ``None``) map
+        through :func:`_sample_task`.  A sharded job splits
         into fixed-size chunks with per-chunk seed streams ``(*entropy,
         chunk)``; the chunks run on the shard executor and merge into the
         job's fixed-shape reduction tree *as they complete* (no barrier, peak
@@ -479,7 +470,7 @@ class ExecutionEngine:
         yield from self._map(pool, _sample_task, [task for task in tasks if task[-1] is None])
         trees: dict[str, ReductionTree] = {}
         chunk_tasks: list[tuple] = []
-        for key, circuit, ideal, noise_model, shots, _, entropy, chunk_shots in tasks:
+        for key, circuit, ideal, noise_model, shots, entropy, chunk_shots in tasks:
             if chunk_shots is None:
                 continue
             sizes = [chunk_shots] * (shots // chunk_shots)
@@ -577,11 +568,9 @@ class ExecutionEngine:
     def _plan_shard(self, job: CircuitJob) -> int | None:
         """Chunk size of one job's shard layout (``None``: one stream).
 
-        ``None`` means the historical single-stream draw: trajectory jobs
-        and jobs at or below the shard threshold.
+        ``None`` means the historical single-stream draw, for jobs at or
+        below the shard threshold.
         """
-        if job.method != "bitflip":
-            return None
         chunk = self.sample_shard_shots if job.shots > self.sample_shard_shots else None
         choice = "none" if chunk is None else f"chunk:{chunk}"
         source = "override" if self._shard_override else "heuristic"
@@ -664,9 +653,9 @@ class ExecutionEngine:
 
         # ---- Phase 3: noisy sampling (one independent RNG stream per job) ----
         # The sample key digests the executed circuit, the noise fingerprint
-        # (calibration snapshot included), shots, method, the job's seed
-        # entropy and its shard layout, so a hit is exactly the histogram
-        # the job's stream(s) would draw, at any worker count.
+        # (calibration snapshot included), shots, the job's seed entropy and
+        # its shard layout, so a hit is exactly the histogram the job's
+        # stream(s) would draw, at any worker count.
         phase_start = time.perf_counter()
         job_skeys: list[str] = []
         sample_tasks: list[tuple] = []
@@ -677,7 +666,6 @@ class ExecutionEngine:
                 executed,
                 job.noise_model,
                 job.shots,
-                job.method,
                 (seed, index),
                 backend=job_backends[index],
                 shard_shots=chunk_shots,
@@ -690,7 +678,6 @@ class ExecutionEngine:
                     ideal_distributions[job_ikeys[index]],
                     job.noise_model,
                     job.shots,
-                    job.method,
                     (seed, index),
                     chunk_shots,
                 )

@@ -139,7 +139,6 @@ def sample_key(
     circuit: QuantumCircuit,
     noise_model: NoiseModel,
     shots: int,
-    method: str,
     entropy: tuple[int, ...],
     backend: str = "statevector",
     shard_shots: int | None = None,
@@ -147,13 +146,12 @@ def sample_key(
     """Cache key of one noisy sampling run.
 
     Sampling is deterministic given the executed circuit, the noise model,
-    the shot budget, the sampling method, the RNG seed entropy *and* the
-    ideal-simulation backend (the sampler draws rows from the backend's
-    ideal support, whose float probabilities differ between backends at the
-    last ulp) — the engine derives every job's generator from ``(seed,
-    batch index)``, so including that entropy here makes cached histograms
-    exactly the ones an uncached run would draw, preserving worker-count
-    bit-identity.
+    the shot budget, the RNG seed entropy *and* the ideal-simulation backend
+    (the sampler draws rows from the backend's ideal support, whose float
+    probabilities differ between backends at the last ulp) — the engine
+    derives every job's generator from ``(seed, batch index)``, so including
+    that entropy here makes cached histograms exactly the ones an uncached
+    run would draw, preserving worker-count bit-identity.
 
     ``shard_shots`` is the chunk size of a sharded job (``None`` for the
     unsharded path).  A sharded job consumes per-chunk RNG streams instead
@@ -161,14 +159,18 @@ def sample_key(
     the same entropy — the layout must be part of the key.  Leaving it out
     of the digest when ``None`` keeps every pre-existing persistent-cache
     key valid.
+
+    The digest still carries the length-prefixed name ``bitflip`` of the
+    one sampling model, where keys once carried a per-job method: every
+    existing key, ``--cache-dir`` file name and pinned digest stays put.
     """
     digest = hashlib.sha256(b"repro-sample-v2")
     digest.update(circuit.canonical_bytes())
     digest.update(noise_fingerprint(noise_model).encode("ascii"))
     digest.update(struct.pack("<q", shots))
-    method_bytes = method.encode("utf-8")
-    digest.update(struct.pack("<q", len(method_bytes)))
-    digest.update(method_bytes)
+    model = b"bitflip"
+    digest.update(struct.pack("<q", len(model)))
+    digest.update(model)
     digest.update(struct.pack("<q", len(entropy)))
     digest.update(struct.pack(f"<{len(entropy)}q", *entropy))
     digest.update(("backend:" + backend).encode("utf-8"))

@@ -1,10 +1,12 @@
 """Job and result schema of the execution engine.
 
 A :class:`CircuitJob` describes one circuit execution request — the logical
-circuit, the shot budget, the noise model, and (optionally) the device shape
-to transpile onto.  The engine turns a batch of jobs into
-:class:`JobResult` objects carrying both histograms plus the per-job timing
-and cache-hit metadata the experiment reports surface.
+circuit, the shot budget, the noise model, the ideal-simulation backend and
+(optionally) the device shape to transpile onto.  Every job samples the
+bit-flip + scramble model of :mod:`repro.quantum.sampler`.  The engine turns
+a batch of jobs into :class:`JobResult` objects carrying both histograms
+plus the per-job timing and cache-hit metadata the experiment reports
+surface.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from repro.quantum.device import DeviceProfile
 from repro.quantum.noise import NoiseModel
 
 __all__ = ["CircuitJob", "JobResult"]
-
-_SAMPLING_METHODS = ("bitflip", "trajectory")
 
 
 @dataclass(frozen=True)
@@ -53,20 +53,15 @@ class CircuitJob:
     map_to_logical:
         When the circuit was routed, un-permute the measured bitstrings (and
         the ideal distribution) back to logical qubit order.
-    method:
-        Sampling backend: ``"bitflip"`` (fast analytic) or ``"trajectory"``
-        (Monte-Carlo Pauli trajectories).
     backend:
         Ideal-simulation backend: a registry name
-        (``"statevector"``/``"stabilizer"``) or ``"auto"``, which picks the
-        stabilizer tableau whenever the executed (post-transpile) circuit is
-        Clifford and the dense statevector otherwise.  When not given, a
-        ``"bitflip"`` job resolves to ``"auto"`` and a ``"trajectory"`` job
-        (which re-simulates noisy statevectors) to ``"statevector"``; an
-        explicit value is kept.  Both backends return the same ideal
-        distribution, so no histogram moves, but the resolved backend is
-        part of the ideal and sample cache keys: a ``--cache-dir`` written
-        while Clifford jobs defaulted to the statevector misses once.
+        (``"statevector"``/``"stabilizer"``) or ``"auto"`` (the default),
+        which picks the stabilizer tableau whenever the executed
+        (post-transpile) circuit is Clifford and the dense statevector
+        otherwise.  Both backends return the same ideal distribution, so no
+        histogram moves, but the resolved backend is part of the ideal and
+        sample cache keys: a ``--cache-dir`` written while Clifford jobs
+        defaulted to the statevector misses once.
     metadata:
         Free-form study-level tags (device name, sweep coordinates, …),
         copied onto the :class:`JobResult`.
@@ -80,33 +75,18 @@ class CircuitJob:
     basis_gates: tuple[str, ...] | None = None
     device: DeviceProfile | None = None
     map_to_logical: bool = True
-    method: str = "bitflip"
-    backend: str | None = None
+    backend: str = AUTO_BACKEND
     metadata: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.backend is None:
-            default = "statevector" if self.method == "trajectory" else AUTO_BACKEND
-            object.__setattr__(self, "backend", default)
         if not self.job_id:
             raise EngineError("job_id must be a non-empty string")
         if self.shots <= 0:
             raise EngineError(f"job {self.job_id!r}: shots must be positive, got {self.shots}")
-        if self.method not in _SAMPLING_METHODS:
-            raise EngineError(
-                f"job {self.job_id!r}: unknown sampling method {self.method!r}; "
-                f"expected one of {_SAMPLING_METHODS}"
-            )
         if self.backend != AUTO_BACKEND and self.backend not in available_backends():
             raise EngineError(
                 f"job {self.job_id!r}: unknown backend {self.backend!r}; "
                 f"expected one of {available_backends()} or {AUTO_BACKEND!r}"
-            )
-        if self.method == "trajectory" and self.backend != "statevector":
-            raise EngineError(
-                f"job {self.job_id!r}: the 'trajectory' sampling method re-simulates "
-                f"noisy statevectors and only supports backend='statevector', "
-                f"got {self.backend!r}"
             )
 
     @property
@@ -205,7 +185,11 @@ class JobResult:
         return per_physical_qubit[list(self.measurement_permutation)]
 
     def as_trace_row(self) -> dict[str, Any]:
-        """Flat row for trace tables (same shape as ``trace_pipeline`` rows)."""
+        """Flat row of this job's shape, backend, cache hits and seconds.
+
+        :func:`~repro.experiments.runner.attach_engine_meta` lists one per
+        job under ``report.meta["jobs"]``.
+        """
         return {
             "job_id": self.job_id,
             "num_qubits": self.num_qubits,

@@ -25,40 +25,7 @@ __all__ = [
     "planner_decisions",
     "format_table",
     "gmean_of_ratios",
-    "trace_pipeline",
 ]
-
-
-def trace_pipeline(pipeline, distribution) -> tuple[Any, list[dict[str, Any]]]:
-    """Run a post-processing pipeline, tracking the packed view per stage.
-
-    The input's packed view is materialised up front and then flows through
-    the stage chain (each built-in stage shares or slices it — see
-    :mod:`repro.core.pipeline`), so the returned rows record, per stage, the
-    support size and whether the output arrived with its packing already
-    attached (``packed_cached``) rather than deferred to the next consumer.
-
-    Returns ``(final_distribution, rows)``; the rows slot directly into
-    :class:`ExperimentReport`.
-    """
-    distribution.packed()
-    rows: list[dict[str, Any]] = [
-        {
-            "stage": "input",
-            "num_outcomes": distribution.num_outcomes,
-            "packed_cached": True,
-        }
-    ]
-    trace = pipeline.apply_with_trace(distribution)
-    for stage_name, staged in trace:
-        rows.append(
-            {
-                "stage": stage_name,
-                "num_outcomes": staged.num_outcomes,
-                "packed_cached": staged.has_packed_view(),
-            }
-        )
-    return trace[-1][1], rows
 
 
 def format_table(rows: Sequence[Mapping[str, Any]], float_format: str = "{:.4f}") -> str:
@@ -226,9 +193,8 @@ def attach_engine_meta(report: ExperimentReport, engine, trace=None) -> Experime
     are counted by the ``kernel.plan.*`` and ``ideal.backend.*`` counters.
 
     ``trace`` accepts the :class:`~repro.engine.jobs.JobResult` list of a
-    run; each result contributes one ``as_trace_row`` dict, giving the JSON
-    artifact the same per-stage visibility :func:`trace_pipeline` rows give
-    the post-processing pipeline.
+    run; each result contributes one ``as_trace_row`` dict under
+    ``report.meta["jobs"]``.
 
     When an :class:`~repro.obs.observe.Observation` is active, an ``obs``
     block (metrics snapshot, span summary, structured log records) rides

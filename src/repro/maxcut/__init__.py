@@ -9,7 +9,7 @@ from repro.maxcut.graphs import (
     ring_graph_problem,
     sherrington_kirkpatrick_problem,
 )
-from repro.maxcut.landscape import LandscapePoint, LandscapeScan, landscape_sharpness, scan_landscape
+from repro.maxcut.landscape import LandscapePoint, LandscapeScan, landscape_sharpness
 from repro.maxcut.optimizer import OptimizationTracePoint, QaoaOptimizationResult, optimize_qaoa
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "LandscapePoint",
     "LandscapeScan",
     "landscape_sharpness",
-    "scan_landscape",
     "OptimizationTracePoint",
     "QaoaOptimizationResult",
     "optimize_qaoa",

@@ -9,7 +9,6 @@ and (b) HAMMER restores the gradients, which is what
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +24,8 @@ __all__ = [
     "LandscapeScan",
     "landscape_circuits",
     "scan_from_distributions",
-    "scan_landscape",
     "landscape_sharpness",
 ]
-
-#: A function mapping a QAOA circuit to the measurement distribution used for scoring.
-CircuitExecutor = Callable[[object], Distribution]
 
 
 @dataclass(frozen=True)
@@ -70,10 +65,9 @@ def landscape_circuits(
     """Enumerate the grid's circuits as ``(beta, gamma, circuit)`` triples.
 
     Grid order is beta-major (all gammas for the first beta, then the next
-    beta), matching :func:`scan_landscape` and
-    :func:`scan_from_distributions`.  This is the batch-execution face of the
-    scan: build the circuits here, run them through an execution engine, and
-    fold the measured distributions back with :func:`scan_from_distributions`.
+    beta), matching :func:`scan_from_distributions`.  Build the circuits
+    here, run them through an execution engine, and fold the measured
+    distributions back with :func:`scan_from_distributions`.
     """
     betas = np.asarray(list(beta_values), dtype=float)
     gammas = np.asarray(list(gamma_values), dtype=float)
@@ -126,34 +120,6 @@ def scan_from_distributions(
             )
         )
     return LandscapeScan(betas=betas, gammas=gammas, cost_ratio_grid=grid, points=tuple(points))
-
-
-def scan_landscape(
-    problem: MaxCutProblem,
-    executor: CircuitExecutor,
-    beta_values: np.ndarray | list[float],
-    gamma_values: np.ndarray | list[float],
-    extra_layers: int = 0,
-) -> LandscapeScan:
-    """Scan the (β, γ) landscape of a max-cut instance.
-
-    Parameters
-    ----------
-    executor:
-        Callable mapping a :class:`~repro.quantum.circuit.QuantumCircuit` to a
-        measured :class:`Distribution` — an ideal simulator, a noisy sampler
-        or a noisy sampler followed by HAMMER.
-    beta_values / gamma_values:
-        Grid axes.
-    extra_layers:
-        Number of additional layers appended after the scanned first layer,
-        using fixed mid-range angles (the paper scans p=1 slices of deeper
-        circuits).
-    """
-    triples = landscape_circuits(problem, beta_values, gamma_values, extra_layers=extra_layers)
-    return scan_from_distributions(
-        problem, beta_values, gamma_values, [executor(circuit) for _, _, circuit in triples]
-    )
 
 
 def landscape_sharpness(scan: LandscapeScan) -> float:

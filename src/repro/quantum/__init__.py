@@ -2,9 +2,9 @@
 
 This subpackage provides everything needed to go from an abstract circuit to
 a noisy measurement histogram: a gate library, the :class:`QuantumCircuit`
-IR, a dense statevector simulator, configurable noise models, noisy samplers,
-a small transpiler (basis decomposition + SWAP routing) and simulated device
-profiles for the machines the paper evaluates on.
+IR, a dense statevector simulator, configurable noise models, the bit-flip
+sampler, a small transpiler (basis decomposition + SWAP routing) and
+simulated device profiles for the machines the paper evaluates on.
 """
 
 from repro.quantum.circuit import Instruction, QuantumCircuit
@@ -28,7 +28,6 @@ from repro.quantum.device import (
 )
 from repro.quantum.entanglement import (
     entanglement_entropy,
-    meyer_wallach_entanglement,
     reduced_density_matrix,
     von_neumann_entropy,
 )
@@ -36,13 +35,10 @@ from repro.quantum.gates import GATE_REGISTRY, GateDefinition, gate_definition, 
 from repro.quantum.noise import NoiseModel, PauliNoise, ReadoutError
 from repro.quantum.sampler import (
     NoisySampler,
-    apply_readout_errors,
     merge_counted_chunks,
     sample_bitflip_batch,
     sample_bitflip_chunk,
     sample_bitflip_distribution,
-    sample_noisy_distribution,
-    sample_trajectory_distribution,
 )
 from repro.quantum.statevector import Statevector, ideal_distribution, simulate_statevector
 from repro.quantum.transpiler import TranspiledCircuit, decompose_to_basis, route_circuit, transpile
@@ -65,7 +61,6 @@ __all__ = [
     "ibm_paris",
     "ibm_toronto",
     "entanglement_entropy",
-    "meyer_wallach_entanglement",
     "reduced_density_matrix",
     "von_neumann_entropy",
     "GATE_REGISTRY",
@@ -76,13 +71,10 @@ __all__ = [
     "PauliNoise",
     "ReadoutError",
     "NoisySampler",
-    "apply_readout_errors",
     "merge_counted_chunks",
     "sample_bitflip_batch",
     "sample_bitflip_chunk",
     "sample_bitflip_distribution",
-    "sample_noisy_distribution",
-    "sample_trajectory_distribution",
     "Statevector",
     "ideal_distribution",
     "simulate_statevector",

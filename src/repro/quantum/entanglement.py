@@ -4,8 +4,7 @@ The paper's Section 7 benchmarks (H·U_R·U_R†·H circuits) quantify the degre
 of entanglement generated by the random sub-circuit as the entanglement
 entropy of the state after ``H·U_R``, computed from ideal simulation.  We
 implement the standard bipartite von Neumann entropy via the reduced density
-matrix of a qubit subset, plus the Meyer–Wallach measure as a cheap global
-entanglement proxy used in experiment summaries.
+matrix of a qubit subset.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ __all__ = [
     "reduced_density_matrix",
     "von_neumann_entropy",
     "entanglement_entropy",
-    "meyer_wallach_entanglement",
 ]
 
 
@@ -75,17 +73,3 @@ def entanglement_entropy(
         partition = list(range(state.num_qubits // 2)) or [0]
     reduced = reduced_density_matrix(state, partition)
     return von_neumann_entropy(reduced)
-
-
-def meyer_wallach_entanglement(state: Statevector) -> float:
-    """Meyer–Wallach global entanglement measure, in [0, 1].
-
-    Defined as ``2 * (1 - mean_k Tr(rho_k^2))`` over single-qubit reduced
-    density matrices; 0 for product states, 1 for maximally entangled GHZ-like
-    states of many qubits.
-    """
-    purities = []
-    for qubit in range(state.num_qubits):
-        reduced = reduced_density_matrix(state, [qubit])
-        purities.append(float(np.real(np.trace(reduced @ reduced))))
-    return float(2.0 * (1.0 - np.mean(purities)))

@@ -15,14 +15,12 @@ model that reproduces the statistical character of their output histograms:
   asymmetric bias (reading ``1`` as ``0`` is more likely than the reverse on
   superconducting hardware).
 
-Two consumers use these models:
-
-* the trajectory sampler (:mod:`repro.quantum.sampler`) inserts sampled Pauli
-  instructions into the circuit and re-simulates, capturing error
-  propagation through entangling gates;
-* the fast bit-flip sampler converts accumulated error probabilities into
-  per-qubit flip probabilities applied to ideal measurement samples, which is
-  what the large dataset sweeps use.
+One consumer samples these models: the bit-flip sampler
+(:mod:`repro.quantum.sampler`) converts accumulated error probabilities into
+per-qubit flip probabilities applied to ideal measurement samples, plus a
+scramble probability for trials whose errors spread through the whole
+register.  Readout mitigation and HAMMER's noise-aware weights read the same
+per-qubit arrays.
 """
 
 from __future__ import annotations
@@ -40,8 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (calibration -> devic
     from repro.calibration.snapshot import CalibrationSnapshot
 
 __all__ = ["ReadoutError", "PauliNoise", "NoiseModel"]
-
-_PAULI_NAMES = ("x", "y", "z")
 
 
 @dataclass(frozen=True)
@@ -100,11 +96,6 @@ class PauliNoise:
             raise NoiseModelError(f"Pauli probabilities sum to {total} > 1")
 
     @property
-    def error_probability(self) -> float:
-        """Total probability that any error occurs."""
-        return self.prob_x + self.prob_y + self.prob_z
-
-    @property
     def bitflip_probability(self) -> float:
         """Probability of a bit-flipping error (X or Y)."""
         return self.prob_x + self.prob_y
@@ -116,21 +107,10 @@ class PauliNoise:
             raise NoiseModelError(f"error probability must be in [0, 1], got {error}")
         return cls(prob_x=error / 3.0, prob_y=error / 3.0, prob_z=error / 3.0)
 
-    def sample(self, rng: np.random.Generator) -> str | None:
-        """Sample an error Pauli name ('x'/'y'/'z') or None for no error."""
-        draw = rng.random()
-        if draw < self.prob_x:
-            return "x"
-        if draw < self.prob_x + self.prob_y:
-            return "y"
-        if draw < self.error_probability:
-            return "z"
-        return None
-
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Device-level noise description consumed by the samplers.
+    """Device-level noise description consumed by the bit-flip sampler.
 
     Attributes
     ----------
@@ -150,7 +130,7 @@ class NoiseModel:
     calibration:
         Optional per-qubit / per-edge
         :class:`~repro.calibration.snapshot.CalibrationSnapshot`.  When
-        present, every consumer (gate channels, accumulated flip
+        present, every consumer (gate errors, accumulated flip
         probabilities, readout flips) reads the heterogeneous rates and the
         scalar fields above only serve as documentation of the medians.
         When ``None`` (the default) the scalars are used directly — the
@@ -205,7 +185,7 @@ class NoiseModel:
         return np.asarray(self.calibration.idle_error_per_layer[:num_qubits])
 
     # ------------------------------------------------------------------
-    # Per-gate channels
+    # Per-gate errors
     # ------------------------------------------------------------------
     def gate_error(self, instruction: Instruction) -> float:
         """Depolarizing error probability associated with one instruction."""
@@ -215,40 +195,6 @@ class NoiseModel:
                 return self.calibration.edge_error(*instruction.qubits)
             return float(self.calibration.single_qubit_error[instruction.qubits[0]])
         return self.two_qubit_error if instruction.num_qubits == 2 else self.single_qubit_error
-
-    def gate_channel(self, instruction: Instruction) -> PauliNoise:
-        """Pauli channel applied (per qubit) after the instruction."""
-        return PauliNoise.depolarizing(self.gate_error(instruction))
-
-    def sample_error_instructions(
-        self, circuit: QuantumCircuit, rng: np.random.Generator
-    ) -> list[tuple[int, Instruction]]:
-        """Sample stochastic Pauli error insertions for one noisy trajectory.
-
-        Returns a list of ``(position, error_instruction)`` pairs where
-        ``position`` is the index in the circuit's instruction list *after*
-        which the error should be applied.
-        """
-        errors: list[tuple[int, Instruction]] = []
-        for position, instruction in enumerate(circuit.instructions):
-            channel = self.gate_channel(instruction)
-            for qubit in instruction.qubits:
-                pauli = channel.sample(rng)
-                if pauli is not None:
-                    errors.append((position, Instruction(pauli, (qubit,))))
-        # Idle errors: one channel per qubit per depth layer (per-qubit rates
-        # when calibrated; with a uniform model every qubit draws from the
-        # same channel, so the RNG stream matches the historical scalar path).
-        depth = circuit.depth()
-        idle_rates = self.idle_rates(circuit.num_qubits)
-        if depth > 0 and np.any(idle_rates > 0):
-            last_position = len(circuit.instructions) - 1
-            for qubit in range(circuit.num_qubits):
-                idle_channel = PauliNoise.depolarizing(min(1.0, idle_rates[qubit] * depth))
-                pauli = idle_channel.sample(rng)
-                if pauli is not None:
-                    errors.append((last_position, Instruction(pauli, (qubit,))))
-        return errors
 
     # ------------------------------------------------------------------
     # Aggregate (analytic) error strengths for the fast sampler

@@ -1,28 +1,17 @@
 """Noisy execution of circuits: turning a circuit + noise model into a histogram.
 
-Two sampling strategies are provided behind one entry point,
-:func:`sample_noisy_distribution`:
+One noise model produces every noisy histogram: the analytic bit-flip +
+scramble model.  The ideal output distribution is computed once; each shot
+then draws an ideal sample and passes it through (a) independent per-qubit
+bit-flip channels whose strengths accumulate the circuit's gate, idle and
+crosstalk errors and (b) readout assignment errors.  A small "scramble"
+probability replaces the shot with a uniformly random outcome, modelling
+trials whose errors propagated so widely that the output carries no
+information.  Every study, dataset emulator and benchmark draws from it; it
+produces exactly the Hamming-clustered + uniform-background histograms the
+paper characterises.
 
-``"trajectory"``
-    Monte-Carlo Pauli-trajectory simulation.  For each trajectory a set of
-    stochastic Pauli errors is sampled from the noise model and *inserted into
-    the circuit*, so errors propagate through subsequent entangling gates
-    exactly as they would physically.  Shots are divided over the
-    trajectories.  Accurate but costs one statevector simulation per
-    trajectory; use it for small circuits and validation.
-
-``"bitflip"``
-    Fast analytic model.  The ideal output distribution is computed once; each
-    shot then draws an ideal sample and passes it through (a) independent
-    per-qubit bit-flip channels whose strengths accumulate the circuit's gate,
-    idle and crosstalk errors and (b) readout assignment errors.  A small
-    "scramble" probability replaces the shot with a uniformly random outcome,
-    modelling trials whose errors propagated so widely that the output carries
-    no information.  This is the model behind the large benchmark sweeps and
-    the dataset emulators; it produces exactly the Hamming-clustered +
-    uniform-background histograms the paper characterises.
-
-Both paths consume the noise model through per-qubit *arrays*
+The sampler consumes the noise model through per-qubit *arrays*
 (``accumulated_bitflip_probabilities``, ``readout_flip_probabilities``), so a
 :class:`~repro.quantum.noise.NoiseModel` carrying a per-qubit/per-edge
 :class:`~repro.calibration.snapshot.CalibrationSnapshot` is sampled with no
@@ -30,12 +19,13 @@ extra RNG draws and no code change here — heterogeneity only changes the
 probabilities inside the arrays, and a uniform model remains bit-identical
 to historical releases.
 
-Both return a :class:`~repro.core.distribution.Distribution` over bitstrings
-(qubit 0 = most-significant bit).  Internally each path works on ``(shots, n)``
-bit matrices end to end and hands the final matrix to
-:meth:`Distribution.from_bit_matrix`, which deduplicates shots with array ops
-and delivers the histogram with its packed Hamming view pre-cached — no
-per-shot strings are ever materialised.
+Every entry point returns a :class:`~repro.core.distribution.Distribution`
+over bitstrings (qubit 0 = most-significant bit), or a shard's packed
+``(words, counts)``.  Internally the draw works on a ``(shots, n)`` bit
+matrix end to end and hands it to :meth:`Distribution.from_bit_matrix` or
+the packed aggregation, which deduplicate shots with array ops and deliver
+the histogram with its packed Hamming view pre-cached — no per-shot strings
+are ever materialised.
 
 The bit-flip draw (:meth:`_BitflipPlan.draw`) makes exactly these generator
 calls, in this order: ``choice(shots)`` over the ideal support,
@@ -45,8 +35,8 @@ k > 0) and ``random((shots, n))`` for readout.  That sequence is the
 histogram contract: change a call, a size or the order and every pinned
 digest, golden row and benchmark reference moves.  The draw works in place
 on one contiguous ``(shots, n)`` uint8 matrix, and both ``(shots, n)``
-uniform draws fill one float64 buffer; the readout step is shared with the
-trajectory path (:func:`_apply_readout_errors_to_bits`).
+uniform draws fill one float64 buffer; the readout step is
+:func:`_apply_readout_errors_to_bits`.
 """
 
 from __future__ import annotations
@@ -58,37 +48,18 @@ import numpy as np
 
 from repro.core.bitstring import PackedOutcomes, pack_bit_matrix
 from repro.core.distribution import Distribution
-from repro.exceptions import CircuitError, MergeError, NoiseModelError
+from repro.exceptions import CircuitError, MergeError
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.noise import NoiseModel
-from repro.quantum.statevector import Statevector, simulate_statevector
+from repro.quantum.statevector import simulate_statevector
 
 __all__ = [
-    "sample_noisy_distribution",
-    "sample_trajectory_distribution",
     "sample_bitflip_distribution",
     "sample_bitflip_batch",
     "sample_bitflip_chunk",
     "merge_counted_chunks",
-    "apply_readout_errors",
     "NoisySampler",
 ]
-
-_DEFAULT_MAX_TRAJECTORIES = 64
-
-
-def _bitstrings_from_matrix(bits: np.ndarray) -> list[str]:
-    """Convert a (shots, n) 0/1 integer matrix into bitstring samples."""
-    from repro.core.bitstring import _strings_from_bit_matrix
-
-    return _strings_from_bit_matrix(np.ascontiguousarray(bits, dtype=np.uint8))
-
-
-def _samples_to_bit_matrix(samples: list[str]) -> np.ndarray:
-    """Convert bitstring samples into a (shots, n) uint8 matrix."""
-    from repro.core.bitstring import _bit_matrix_from_strings
-
-    return _bit_matrix_from_strings(samples, len(samples[0]))
 
 
 def _apply_readout_errors_to_bits(
@@ -116,64 +87,6 @@ def _apply_readout_errors_to_bits(
     lo ^= hi
     as_bool ^= lo
     return bits
-
-
-def apply_readout_errors(
-    samples: list[str], noise_model: NoiseModel, rng: np.random.Generator
-) -> list[str]:
-    """Apply per-qubit readout assignment errors to a list of sampled bitstrings.
-
-    String-list convenience wrapper around the bit-matrix kernel; internal
-    sampling paths stay on bit matrices and never call this.
-    """
-    if not samples:
-        return samples
-    bits = _samples_to_bit_matrix(samples)
-    p10, p01 = noise_model.readout_flip_probabilities(bits.shape[1])
-    return _bitstrings_from_matrix(_apply_readout_errors_to_bits(bits, p10, p01, rng))
-
-
-def sample_trajectory_distribution(
-    circuit: QuantumCircuit,
-    noise_model: NoiseModel,
-    shots: int,
-    rng: np.random.Generator | None = None,
-    max_trajectories: int = _DEFAULT_MAX_TRAJECTORIES,
-) -> Distribution:
-    """Monte-Carlo Pauli trajectory sampling (see module docstring)."""
-    if shots <= 0:
-        raise CircuitError(f"shots must be positive, got {shots}")
-    if max_trajectories <= 0:
-        raise NoiseModelError(f"max_trajectories must be positive, got {max_trajectories}")
-    generator = rng if rng is not None else np.random.default_rng()
-    num_trajectories = min(shots, max_trajectories)
-    shots_per_trajectory = [shots // num_trajectories] * num_trajectories
-    for index in range(shots % num_trajectories):
-        shots_per_trajectory[index] += 1
-
-    shot_blocks: list[np.ndarray] = []
-    for trajectory_shots in shots_per_trajectory:
-        errors = noise_model.sample_error_instructions(circuit, generator)
-        errors_by_position: dict[int, list] = {}
-        for position, error_instruction in errors:
-            errors_by_position.setdefault(position, []).append(error_instruction)
-        state = Statevector(circuit.num_qubits)
-        for position, instruction in enumerate(circuit.instructions):
-            state.apply_instruction(instruction)
-            for error_instruction in errors_by_position.get(position, []):
-                state.apply_instruction(error_instruction)
-        if not circuit.instructions and -1 in errors_by_position:  # pragma: no cover - defensive
-            for error_instruction in errors_by_position[-1]:
-                state.apply_instruction(error_instruction)
-        sampled = state.sample(trajectory_shots, rng=generator)
-        # Expand the per-trajectory histogram to one row per shot without
-        # materialising per-shot strings: repeat the packed support's rows.
-        counts = sampled.weight_vector().astype(np.int64)
-        shot_blocks.append(np.repeat(sampled.packed().bit_matrix(), counts, axis=0))
-    bits = np.vstack(shot_blocks)
-    p10, p01 = noise_model.readout_flip_probabilities(circuit.num_qubits)
-    _apply_readout_errors_to_bits(bits, p10, p01, generator)
-    return Distribution.from_bit_matrix(bits, num_bits=circuit.num_qubits)
 
 
 @dataclass(frozen=True)
@@ -359,67 +272,26 @@ def merge_counted_chunks(
     return Distribution.from_packed(packed, weights=totals)
 
 
-def sample_noisy_distribution(
-    circuit: QuantumCircuit,
-    noise_model: NoiseModel,
-    shots: int = 8192,
-    rng: np.random.Generator | None = None,
-    method: str = "bitflip",
-    **kwargs,
-) -> Distribution:
-    """Sample a noisy measurement histogram for ``circuit``.
-
-    Parameters
-    ----------
-    method:
-        ``"bitflip"`` (default, fast analytic model) or ``"trajectory"``
-        (Monte-Carlo Pauli trajectories).
-    """
-    if method == "bitflip":
-        return sample_bitflip_distribution(circuit, noise_model, shots, rng=rng, **kwargs)
-    if method == "trajectory":
-        return sample_trajectory_distribution(circuit, noise_model, shots, rng=rng, **kwargs)
-    raise NoiseModelError(f"unknown sampling method {method!r}; use 'bitflip' or 'trajectory'")
-
-
 class NoisySampler:
     """Convenience object bundling a noise model, shot count and RNG seed.
 
     Experiments construct one sampler per simulated device and reuse it for
-    every circuit, which keeps the RNG stream reproducible::
+    every circuit, which keeps the RNG stream reproducible: successive
+    :meth:`run` calls draw from one ``np.random.default_rng(seed)``::
 
-        sampler = NoisySampler(noise_model=device.noise_model(), shots=8192, seed=7)
+        sampler = NoisySampler(device.noise_model, shots=8192, seed=7)
         noisy = sampler.run(circuit)
     """
 
-    def __init__(
-        self,
-        noise_model: NoiseModel,
-        shots: int = 8192,
-        seed: int | None = None,
-        method: str = "bitflip",
-    ) -> None:
+    def __init__(self, noise_model: NoiseModel, shots: int = 8192, seed: int | None = None) -> None:
         if shots <= 0:
             raise CircuitError(f"shots must be positive, got {shots}")
         self.noise_model = noise_model
         self.shots = shots
-        self.method = method
         self._rng = np.random.default_rng(seed)
 
     def run(self, circuit: QuantumCircuit, ideal: Distribution | None = None) -> Distribution:
-        """Sample a noisy histogram for one circuit."""
-        kwargs = {}
-        if self.method == "bitflip" and ideal is not None:
-            kwargs["ideal"] = ideal
-        return sample_noisy_distribution(
-            circuit,
-            self.noise_model,
-            shots=self.shots,
-            rng=self._rng,
-            method=self.method,
-            **kwargs,
+        """Sample a noisy histogram for one circuit (see :func:`sample_bitflip_distribution`)."""
+        return sample_bitflip_distribution(
+            circuit, self.noise_model, self.shots, rng=self._rng, ideal=ideal
         )
-
-    def run_ideal(self, circuit: QuantumCircuit) -> Distribution:
-        """Return the noise-free distribution of the circuit (no shot noise)."""
-        return simulate_statevector(circuit).measurement_distribution()

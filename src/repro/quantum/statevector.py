@@ -17,7 +17,6 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.bitstring import PackedOutcomes
 from repro.core.distribution import Distribution
 from repro.exceptions import CircuitError
 from repro.quantum.circuit import Instruction, QuantumCircuit
@@ -121,27 +120,6 @@ class Statevector:
         return Distribution.from_statevector_probabilities(
             self.probabilities(), self.num_qubits, cutoff=cutoff
         )
-
-    def sample(self, shots: int, rng: np.random.Generator | None = None) -> Distribution:
-        """Sample ``shots`` measurement outcomes (finite-shot statistics).
-
-        The histogram is assembled on the packed-array path: the sampled
-        support (indices with non-zero counts) is unpacked to a bit matrix in
-        one shift-and-mask operation and handed to the packed constructors —
-        no per-outcome ``format`` strings, and the result arrives with its
-        packed Hamming view pre-cached.
-        """
-        if shots <= 0:
-            raise CircuitError(f"shots must be positive, got {shots}")
-        generator = rng if rng is not None else np.random.default_rng()
-        probabilities = self.probabilities()
-        probabilities = probabilities / probabilities.sum()
-        counts = generator.multinomial(shots, probabilities)
-        support = np.nonzero(counts)[0]
-        shifts = np.arange(self.num_qubits - 1, -1, -1, dtype=np.int64)
-        bits = ((support[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-        packed = PackedOutcomes.from_bit_matrix(bits)
-        return Distribution.from_packed(packed, weights=counts[support].astype(float))
 
 
 def simulate_statevector(circuit: QuantumCircuit) -> Statevector:

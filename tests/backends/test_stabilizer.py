@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+
+from strategies import clifford_circuits  # tests/backends/strategies.py
 
 from repro.backends import (
     StabilizerBackend,
@@ -54,6 +56,31 @@ class TestKnownStates:
         assert values == sorted(values)
 
 
+class TestSupportDimension:
+    """``support_dimension`` counts the measurement's random bits."""
+
+    @pytest.mark.parametrize(
+        ("circuit", "dimension"),
+        [
+            (bernstein_vazirani("1011"), 0),
+            (ghz_circuit(6), 1),
+            (QuantumCircuit(5).h(0).h(2).h(4), 3),
+        ],
+        ids=["bv", "ghz", "three-plus"],
+    )
+    def test_known_states(self, circuit, dimension):
+        assert simulate_stabilizer(circuit).support_dimension() == dimension
+
+    @given(clifford_circuits())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_measured_support(self, circuit):
+        state = simulate_stabilizer(circuit)
+        dimension = state.support_dimension()
+        dist = state.measurement_distribution()
+        assert dist.num_outcomes == 2**dimension
+        assert all(p == pytest.approx(2.0**-dimension) for p in dist.probabilities().values())
+
+
 class TestWideRegisters:
     def test_bv_across_the_word_boundary(self):
         # 70 qubits spans two uint64 words; the packing layout (right-aligned
@@ -69,46 +96,6 @@ class TestWideRegisters:
     def test_width_limit_is_enforced(self):
         with pytest.raises(BackendError, match="4096"):
             StabilizerState(5000)
-
-
-class TestMeasurement:
-    def test_deterministic_measurement(self):
-        state = simulate_stabilizer(bernstein_vazirani("110"))
-        outcomes = []
-        for qubit in range(3):
-            outcome, was_random = state.measure(qubit)
-            assert not was_random
-            outcomes.append(outcome)
-        assert outcomes == [1, 1, 0]
-
-    def test_random_measurement_collapses(self):
-        state = simulate_stabilizer(ghz_circuit(4))
-        first, was_random = state.measure(0, forced=1)
-        assert was_random and first == 1
-        # Every later qubit is now deterministic and correlated.
-        for qubit in range(1, 4):
-            outcome, was_random = state.measure(qubit)
-            assert not was_random and outcome == 1
-
-    def test_forced_zero_branch(self):
-        state = simulate_stabilizer(ghz_circuit(3))
-        outcome, _ = state.measure(0, forced=0)
-        assert outcome == 0
-        assert state.measure(2)[0] == 0
-
-    def test_random_measurement_without_rng_refuses(self):
-        state = simulate_stabilizer(ghz_circuit(3))
-        with pytest.raises(BackendError, match="pass rng= or forced="):
-            state.measure(0)
-
-    def test_rng_measurement_is_reproducible(self):
-        results = []
-        for _ in range(2):
-            state = simulate_stabilizer(ghz_circuit(5))
-            rng = np.random.default_rng(7)
-            results.append([state.measure(q, rng=rng)[0] for q in range(5)])
-        assert results[0] == results[1]
-        assert results[0] in ([0] * 5, [1] * 5)
 
 
 class TestErrors:

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import hamming_centrality_ranking, majority_vote_outcome, most_frequent_outcome
+from repro.baselines import majority_vote_outcome, most_frequent_outcome
 from repro.core import Distribution
 from repro.core.bitstring import PackedOutcomes
 from repro.engine import ExecutionEngine
-from repro.exceptions import DistributionError
 from repro.experiments.scenario_study import ScenarioStudyConfig, run_scenario_study
 
 
@@ -40,25 +39,6 @@ class TestMajorityVote:
     def test_recovers_answer_under_independent_noise(self):
         dist = Distribution({"1111": 0.4, "0111": 0.15, "1011": 0.15, "1101": 0.15, "1110": 0.15})
         assert majority_vote_outcome(dist) == "1111"
-
-
-class TestHammingCentrality:
-    def test_correct_outcome_ranks_first(self, clustered):
-        ranking = hamming_centrality_ranking(clustered, top_k=6)
-        assert ranking[0][0] == "111"
-
-    def test_scores_are_sorted(self, clustered):
-        ranking = hamming_centrality_ranking(clustered, top_k=6)
-        scores = [score for _, score in ranking]
-        assert scores == sorted(scores, reverse=True)
-
-    def test_top_k_limits_candidates(self, clustered):
-        ranking = hamming_centrality_ranking(clustered, top_k=2)
-        assert len(ranking) == 2
-
-    def test_rejects_nonpositive_top_k(self, clustered):
-        with pytest.raises(DistributionError):
-            hamming_centrality_ranking(clustered, top_k=0)
 
 
 def _majority_vote_walk(distribution):

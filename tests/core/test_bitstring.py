@@ -46,12 +46,11 @@ class TestValidation:
 
 class TestConversions:
     def test_round_trip_small(self):
-        assert bs.bitstring_to_int("1010") == 10
         assert bs.int_to_bitstring(10, 4) == "1010"
 
     @given(st.integers(min_value=0, max_value=2**20 - 1))
     def test_round_trip_property(self, value):
-        assert bs.bitstring_to_int(bs.int_to_bitstring(value, 20)) == value
+        assert int(bs.int_to_bitstring(value, 20), 2) == value
 
     def test_int_to_bitstring_rejects_overflow(self):
         with pytest.raises(BitstringError):
@@ -89,8 +88,15 @@ class TestHammingDistance:
         assert (distance == 0) == (a == b)
 
     @given(bitstrings)
-    def test_weight_is_distance_to_zero(self, value):
-        assert bs.hamming_weight(value) == bs.hamming_distance(value, "0" * len(value))
+    def test_distance_to_all_zeros_counts_the_ones(self, value):
+        assert bs.hamming_distance(value, "0" * len(value)) == value.count("1")
+
+    @given(st.integers(min_value=1, max_value=24).flatmap(
+        lambda n: st.lists(st.text(alphabet="01", min_size=n, max_size=n), min_size=3, max_size=3)
+    ))
+    def test_triangle_inequality(self, triple):
+        a, b, c = triple
+        assert bs.hamming_distance(a, c) <= bs.hamming_distance(a, b) + bs.hamming_distance(b, c)
 
 
 class TestFlipAndNeighbors:
@@ -100,6 +106,11 @@ class TestFlipAndNeighbors:
     def test_flip_bits_out_of_range(self):
         with pytest.raises(BitstringError):
             bs.flip_bits("0000", [4])
+
+    @given(bitstrings, st.data())
+    def test_flipping_k_positions_moves_distance_k(self, value, data):
+        positions = data.draw(st.sets(st.integers(0, len(value) - 1)))
+        assert bs.hamming_distance(bs.flip_bits(value, positions), value) == len(positions)
 
     def test_neighbors_at_distance_counts(self):
         neighbors = list(bs.neighbors_at_distance("0000", 2))
@@ -122,48 +133,69 @@ class TestFlipAndNeighbors:
             assert bs.hamming_distance(neighbor, value) == distance
 
 
-class TestEnumerationAndRandom:
-    def test_all_bitstrings(self):
-        assert bs.all_bitstrings(2) == ["00", "01", "10", "11"]
-
-    def test_all_bitstrings_guard(self):
-        with pytest.raises(BitstringError):
-            bs.all_bitstrings(30)
-
-    def test_random_bitstring_reproducible(self):
-        rng = np.random.default_rng(5)
-        first = bs.random_bitstring(16, rng)
-        rng = np.random.default_rng(5)
-        second = bs.random_bitstring(16, rng)
-        assert first == second
-        assert len(first) == 16
-
-
 class TestPackedDistances:
     @given(st.lists(st.text(alphabet="01", min_size=7, max_size=7), min_size=1, max_size=20))
     @settings(max_examples=30)
     def test_pairwise_matrix_matches_scalar(self, strings):
-        matrix = bs.pairwise_hamming_matrix(strings)
+        matrix = bs.PackedOutcomes.from_strings(strings).block_distances(0, len(strings))
         for i, a in enumerate(strings):
             for j, b in enumerate(strings):
                 assert matrix[i, j] == bs.hamming_distance(a, b)
 
     def test_pairwise_matrix_wide_strings(self):
         strings = ["0" * 70, "1" * 70, ("10" * 35)]
-        matrix = bs.pairwise_hamming_matrix(strings)
+        matrix = bs.PackedOutcomes.from_strings(strings).block_distances(0, len(strings))
         assert matrix[0, 1] == 70
         assert matrix[0, 2] == 35
         assert matrix[1, 2] == 35
 
     def test_distance_to_reference(self):
         strings = ["000", "001", "011", "111"]
-        distances = bs.hamming_distance_to_reference(strings, "000")
+        distances = bs.PackedOutcomes.from_strings(strings).distances_to_reference("000")
         assert list(distances) == [0, 1, 2, 3]
+
+    @given(st.integers(min_value=1, max_value=130), st.integers(0, 20), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40)
+    def test_unpack_inverts_pack(self, num_bits, shots, seed):
+        bits = np.random.default_rng(seed).integers(0, 2, size=(shots, num_bits), dtype=np.uint8)
+        words = bs.pack_bit_matrix(bits)
+        assert words.shape == (shots, -(-num_bits // 64))
+        assert np.array_equal(bs.unpack_bit_matrix(words, num_bits), bits)
 
     def test_pack_rejects_empty(self):
         with pytest.raises(BitstringError):
-            bs.pack_bitstrings([])
+            bs.PackedOutcomes.from_strings([])
 
     def test_pack_rejects_mixed_width(self):
         with pytest.raises(BitstringError):
-            bs.pack_bitstrings(["00", "000"])
+            bs.PackedOutcomes.from_strings(["00", "000"])
+
+
+class TestXorDistanceHistogram:
+    """``chs[d]`` sums ``w(y)`` over every ordered pair ``(x, y)`` at distance ``d <= limit``."""
+
+    @given(
+        st.lists(st.text(alphabet="01", min_size=6, max_size=6), min_size=1, max_size=12, unique=True),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_pair_sum(self, strings, limit, seed):
+        weights = np.random.default_rng(seed).random(len(strings))
+        expected = np.zeros(7)
+        for x in strings:
+            for y, weight in zip(strings, weights):
+                distance = bs.hamming_distance(x, y)
+                if distance <= limit:
+                    expected[distance] += weight
+        got = bs.xor_distance_histogram(bs.PackedOutcomes.from_strings(strings), weights, limit)
+        assert got.shape == (7,)
+        assert np.allclose(got, expected)
+
+    def test_zero_beyond_the_limit(self):
+        strings = ["0" * 70, "1" * 70, "10" * 35]
+        packed = bs.PackedOutcomes.from_strings(strings)
+        got = bs.xor_distance_histogram(packed, np.ones(3), limit=35)
+        assert got.shape == (71,)
+        assert got[0] == 3.0 and got[35] == 4.0
+        assert not got[36:].any()

@@ -51,6 +51,12 @@ class TestConstruction:
         with pytest.raises(DistributionError):
             Distribution({"00": 1.0, "000": 1.0})
 
+    def test_from_probabilities_need_not_sum_to_one(self):
+        dist = Distribution.from_probabilities({"01": 0.3, "10": 0.1}, num_bits=2)
+        assert dist.num_bits == 2
+        assert dist.probability("01") == pytest.approx(0.75)
+        assert dist.probability("10") == pytest.approx(0.25)
+
     def test_from_samples(self):
         dist = Distribution.from_samples(["01", "01", "10", "01"])
         assert dist.probability("01") == pytest.approx(0.75)

@@ -22,10 +22,8 @@ from repro.core import kernels, tuning
 from repro.core.kernels import (
     DENSE_CHS_MAX_BITS,
     DENSE_SUPPORT_MAX,
-    _popcount_lut_u64,
     choose_plan,
     chs_histogram,
-    has_fast_popcount,
     hammer_pass,
     popcount_u64,
     spectral_split,
@@ -370,22 +368,35 @@ class TestAboveTheDenseBound:
         _assert_matches(result.distribution, hammer(dist, config))
 
 
-class TestPopcountDispatch:
-    def test_lut_matches_native(self):
+def _bin_counts(values: np.ndarray) -> np.ndarray:
+    return np.array([bin(int(v)).count("1") for v in values.ravel()], dtype=np.uint8).reshape(
+        values.shape
+    )
+
+
+class TestPopcount:
+    def test_matches_bin_count(self):
         rng = np.random.default_rng(3)
         values = rng.integers(0, 2**63, size=(257,), dtype=np.uint64)
         values[:3] = (0, 1, np.iinfo(np.uint64).max)
-        expected = np.array([bin(int(v)).count("1") for v in values], dtype=np.uint8)
-        assert np.array_equal(_popcount_lut_u64(values), expected)
-        assert np.array_equal(popcount_u64(values), expected)
+        assert np.array_equal(popcount_u64(values), _bin_counts(values))
 
-    def test_lut_handles_2d_and_noncontiguous(self):
+    def test_handles_a_transposed_2d_view(self):
         rng = np.random.default_rng(4)
         values = rng.integers(0, 2**63, size=(8, 6), dtype=np.uint64)
-        assert np.array_equal(_popcount_lut_u64(values.T), popcount_u64(values.T))
+        assert np.array_equal(popcount_u64(values.T), _bin_counts(values.T))
 
-    def test_fast_popcount_reports_numpy2(self):
-        assert has_fast_popcount() == hasattr(np, "bitwise_count")
+    def test_every_single_bit_position(self):
+        values = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+        assert np.array_equal(popcount_u64(values), np.ones(64))
+        assert popcount_u64(np.cumsum(values, dtype=np.uint64)).tolist() == list(range(1, 65))
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 3, 4)])
+    def test_keeps_the_input_shape(self, shape):
+        values = np.full(shape, 0xF0F0_F0F0_F0F0_F0F0, dtype=np.uint64)
+        counts = popcount_u64(values)
+        assert counts.shape == shape
+        assert np.all(counts == 32)
 
 
 class TestDispatcher:

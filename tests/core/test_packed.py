@@ -399,15 +399,3 @@ class TestPipelinePacksOnce:
         assert corrected.has_packed_view()
         # HAMMER's output shares the truncated support's packed words.
         assert corrected.packed().words is truncated.packed().words
-
-    def test_trace_pipeline_reports_cached_stages(self):
-        from repro.experiments.runner import trace_pipeline
-
-        noisy = Distribution.from_bit_matrix(
-            np.random.default_rng(9).integers(0, 2, size=(1000, 8), dtype=np.uint8)
-        )
-        pipeline = PostProcessingPipeline([TruncationStage(top_k=30), HammerStage()])
-        final, rows = trace_pipeline(pipeline, noisy)
-        assert [row["stage"] for row in rows] == ["input", "truncate", "hammer"]
-        assert all(row["packed_cached"] for row in rows)
-        assert final.num_outcomes <= 30

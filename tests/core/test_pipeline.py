@@ -67,12 +67,6 @@ class TestPipeline:
         assert result.num_outcomes == 4
         assert sum(result.probabilities().values()) == pytest.approx(1.0)
 
-    def test_apply_with_trace(self, noisy):
-        pipeline = PostProcessingPipeline([TruncationStage(4), HammerStage()])
-        trace = pipeline.apply_with_trace(noisy)
-        assert [name for name, _ in trace] == ["truncate", "hammer"]
-        assert trace[0][1].num_outcomes == 4
-
     def test_stage_names(self):
         pipeline = PostProcessingPipeline([IdentityStage(), HammerStage()])
         assert pipeline.stage_names() == ["identity", "hammer"]

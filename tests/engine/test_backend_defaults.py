@@ -1,19 +1,15 @@
 """Default ideal backends, and what a fig8-shaped sweep no longer builds.
 
-A job that names no backend resolves by its sampling method: bit-flip jobs
-to ``"auto"`` (the stabilizer tableau for Clifford circuits such as BV) and
-trajectory jobs, which re-simulate noisy statevectors, to ``"statevector"``.
+A job that names no backend resolves to ``"auto"``: the stabilizer tableau
+for Clifford circuits such as BV, the dense statevector otherwise.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.circuits.bv import bernstein_vazirani
 from repro.circuits.qaoa import default_qaoa_parameters, qaoa_circuit
 from repro.core import bitstring
 from repro.engine import CircuitJob, ExecutionEngine
-from repro.exceptions import EngineError
 from repro.experiments import BvStudyConfig, run_bv_study
 from repro.maxcut.graphs import regular_graph_problem
 from repro.obs import Observation
@@ -50,15 +46,6 @@ class TestDefaults:
         circuit = qaoa_circuit(problem, default_qaoa_parameters(1))
         result = ExecutionEngine().run_single(_job(circuit), seed=3)
         assert result.backend == "statevector"
-
-    def test_trajectory_job_runs_on_the_statevector(self):
-        job = _job(bernstein_vazirani("1011"), method="trajectory")
-        assert job.backend == "statevector"
-        assert ExecutionEngine().run_single(job, seed=3).backend == "statevector"
-
-    def test_explicit_auto_on_a_trajectory_job_raises(self):
-        with pytest.raises(EngineError, match="trajectory"):
-            _job(bernstein_vazirani("1011"), method="trajectory", backend="auto")
 
     def test_explicit_backend_is_kept(self):
         job = _job(bernstein_vazirani("1011"), backend="statevector")

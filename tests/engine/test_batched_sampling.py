@@ -237,7 +237,7 @@ class TestShardedSampling:
     def test_shard_layout_splits_cache_keys(self, device):
         circuit = bernstein_vazirani("101")
         base = dict(
-            noise_model=device.noise_model, shots=10_000, method="bitflip", entropy=(0, 0)
+            noise_model=device.noise_model, shots=10_000, entropy=(0, 0)
         )
         unsharded = sample_key(circuit, **base)
         sharded = sample_key(circuit, **base, shard_shots=4_096)
@@ -312,20 +312,6 @@ class TestShardedSampling:
         # never all 8 chunks at once.
         gauges = run["gauges"]
         assert (gauges["reduction.tree_depth"], gauges["reduction.peak_live_segments"]) == (3, 4)
-
-    def test_trajectory_jobs_are_never_sharded(self, device):
-        job = CircuitJob(
-            job_id="traj",
-            circuit=bernstein_vazirani("101"),
-            shots=30_000,
-            noise_model=device.noise_model,
-            method="trajectory",
-        )
-        engine = ExecutionEngine(sample_shard_shots=1_000)
-        result = engine.run([job], seed=0)[0]
-        assert engine.last_run["counters"].get("engine.sharded_jobs", 0) == 0
-        assert engine.last_run["counters"].get("sampler.chunks", 0) == 0
-        assert sum(result.noisy.counts().values()) == 30_000
 
 
 class TestShardProvenance:

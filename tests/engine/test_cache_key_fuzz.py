@@ -66,7 +66,7 @@ def _job_keys(circuit, noise_model, coupling, entropy, backend):
     return (
         transpile_key(circuit, coupling, _BASIS),
         ideal_key(circuit, backend=backend),
-        sample_key(circuit, noise_model, 1024, "bitflip", entropy, backend=backend),
+        sample_key(circuit, noise_model, 1024, entropy, backend=backend),
     )
 
 
@@ -127,8 +127,8 @@ class TestKnownCollisionTraps:
         uniform = NoiseModel()
         calibrated = _calibrated(4, 0)
         circuit = QuantumCircuit(4).h(0).cx(0, 1)
-        assert sample_key(circuit, uniform, 1024, "bitflip", (0, 0)) != sample_key(
-            circuit, calibrated, 1024, "bitflip", (0, 0)
+        assert sample_key(circuit, uniform, 1024, (0, 0)) != sample_key(
+            circuit, calibrated, 1024, (0, 0)
         )
 
     def test_backends_split_the_ideal_namespace(self):
@@ -141,23 +141,26 @@ class TestKnownCollisionTraps:
         # (1, 2) vs (1,) then 2 folded elsewhere must not alias.
         circuit = QuantumCircuit(3).h(0)
         model = NoiseModel()
-        assert sample_key(circuit, model, 64, "bitflip", (1, 2)) != sample_key(
-            circuit, model, 64, "bitflip", (1,)
+        assert sample_key(circuit, model, 64, (1, 2)) != sample_key(
+            circuit, model, 64, (1,)
         )
 
-    def test_method_and_shots_still_split_keys(self):
+    def test_shots_still_split_keys(self):
         circuit = QuantumCircuit(3).h(0)
         model = NoiseModel()
-        base = sample_key(circuit, model, 64, "bitflip", (0, 0))
-        assert base != sample_key(circuit, model, 128, "bitflip", (0, 0))
-        assert base != sample_key(circuit, model, 64, "trajectory", (0, 0))
+        base = sample_key(circuit, model, 64, (0, 0))
+        assert base != sample_key(circuit, model, 128, (0, 0))
+
+    def test_sample_keys_take_no_method(self):
+        with pytest.raises(TypeError):
+            sample_key(QuantumCircuit(3).h(0), NoiseModel(), 64, (0, 0), method="bitflip")
 
 
 class TestPinnedSampleKeys:
     def test_sample_key_digests_are_stable(self):
         """Persistent ``--cache-dir`` entries stay valid: the digests never move."""
         circuit = bernstein_vazirani("10110")
-        args = (circuit, NoiseModel(), 1_024, "bitflip", (0, 0))
+        args = (circuit, NoiseModel(), 1_024, (0, 0))
         assert sample_key(*args) == (
             "8d3f400ecb99cddf1c1a912a32270cf34db7730c319e48ba1ed6d52784f11e1a"
         )

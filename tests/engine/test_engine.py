@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.calibration import synthetic_snapshot
@@ -11,6 +10,7 @@ from repro.circuits.qaoa import default_qaoa_parameters, qaoa_circuit
 from repro.engine import CircuitJob, ExecutionCache, ExecutionEngine
 from repro.engine.hashing import circuit_fingerprint, transpile_key
 from repro.exceptions import EngineError
+from repro.obs import Observation
 from repro.obs.metrics import MetricsScope
 from repro.maxcut.graphs import regular_graph_problem
 from repro.quantum.circuit import QuantumCircuit
@@ -80,16 +80,9 @@ class TestCacheAccounting:
 
     def test_second_run_is_fully_cached(self):
         # Every kind of sample goes through the one look-up: single-stream
-        # bit-flip jobs, a trajectory job and a sharded job.
+        # jobs and a sharded job.
         noise_model = ibm_paris().noise_model
         jobs = _bv_jobs() + [
-            CircuitJob(
-                job_id="trajectory",
-                circuit=bernstein_vazirani("101"),
-                shots=256,
-                noise_model=noise_model,
-                method="trajectory",
-            ),
             CircuitJob(
                 job_id="sharded",
                 circuit=bernstein_vazirani("101"),
@@ -101,7 +94,6 @@ class TestCacheAccounting:
         first = engine.run(jobs, seed=1)
         counters = engine.last_run["counters"]
         assert counters["sampler.jobs"] == 6
-        assert counters["sampler.trajectory_jobs"] == 1
         assert counters["engine.sharded_jobs"] == 1
         second = engine.run(jobs, seed=1)
         counters = engine.last_run["counters"]
@@ -255,17 +247,6 @@ class TestValidation:
         with pytest.raises(EngineError):
             ExecutionEngine().run(jobs, seed=1)
 
-    def test_rejects_bad_method(self):
-        device = ibm_paris()
-        with pytest.raises(EngineError):
-            CircuitJob(
-                job_id="bad",
-                circuit=bernstein_vazirani("11"),
-                shots=16,
-                noise_model=device.noise_model,
-                method="exact",
-            )
-
     def test_rejects_nonpositive_shots_and_workers(self):
         device = ibm_paris()
         with pytest.raises(EngineError):
@@ -278,6 +259,16 @@ class TestValidation:
         with pytest.raises(EngineError):
             ExecutionEngine(max_workers=0)
 
+    def test_jobs_take_no_method(self):
+        with pytest.raises(TypeError):
+            CircuitJob(
+                job_id="job",
+                circuit=bernstein_vazirani("11"),
+                shots=16,
+                noise_model=ibm_paris().noise_model,
+                method="bitflip",
+            )
+
     def test_rejects_negative_seed(self):
         with pytest.raises(EngineError):
             ExecutionEngine().run(_bv_jobs(widths=(4,), keys_per_width=1), seed=-3)
@@ -288,22 +279,18 @@ class TestValidation:
         assert engine.last_run["counters"].get("engine.jobs", 0) == 0
 
 
-class TestTrajectoryMethod:
-    def test_trajectory_jobs_are_deterministic(self):
-        device = ibm_paris()
-        jobs = [
-            CircuitJob(
-                job_id="traj",
-                circuit=bernstein_vazirani("1011"),
-                shots=256,
-                noise_model=device.noise_model,
-                method="trajectory",
-            )
+class TestSampleSpans:
+    def test_a_sample_span_names_its_job_and_shots(self):
+        jobs = _bv_jobs(widths=(4, 5), keys_per_width=1, shots=512, transpile=False)
+        with Observation() as observation:
+            ExecutionEngine().run(jobs, seed=2)
+        spans = [
+            event["args"]
+            for event in observation.recorder.events()
+            if event["name"] == "engine.task.sample"
         ]
-        a = ExecutionEngine().run(jobs, seed=3)[0]
-        b = ExecutionEngine(max_workers=1).run(jobs, seed=3)[0]
-        assert a.noisy.counts() == b.noisy.counts()
-        assert a.noisy.num_bits == 4
+        assert sorted((args["job"], args["shots"]) for args in spans) == [(0, 512), (1, 512)]
+        assert all(set(args) == {"job", "shots", "depth"} for args in spans)
 
 
 class TestWidthValidation:
@@ -396,8 +383,8 @@ class TestCalibrationCacheKeys:
         uniform = device.noise_model
         calibrated = uniform.with_calibration(synthetic_snapshot(device, seed=1, spread=0.3))
         assert noise_fingerprint(uniform) != noise_fingerprint(calibrated)
-        uniform_key = sample_key(circuit, uniform, 1024, "bitflip", (0, 0))
-        calibrated_key = sample_key(circuit, calibrated, 1024, "bitflip", (0, 0))
+        uniform_key = sample_key(circuit, uniform, 1024, (0, 0))
+        calibrated_key = sample_key(circuit, calibrated, 1024, (0, 0))
         assert uniform_key != calibrated_key
 
     def test_different_snapshots_get_different_keys(self):
@@ -417,11 +404,10 @@ class TestCalibrationCacheKeys:
 
         device = ibm_paris()
         circuit = bernstein_vazirani("1011")
-        base = sample_key(circuit, device.noise_model, 1024, "bitflip", (0, 0))
-        assert base == sample_key(circuit, device.noise_model, 1024, "bitflip", (0, 0))
-        assert base != sample_key(circuit, device.noise_model, 1024, "bitflip", (0, 1))
-        assert base != sample_key(circuit, device.noise_model, 2048, "bitflip", (0, 0))
-        assert base != sample_key(circuit, device.noise_model, 1024, "trajectory", (0, 0))
+        base = sample_key(circuit, device.noise_model, 1024, (0, 0))
+        assert base == sample_key(circuit, device.noise_model, 1024, (0, 0))
+        assert base != sample_key(circuit, device.noise_model, 1024, (0, 1))
+        assert base != sample_key(circuit, device.noise_model, 2048, (0, 0))
 
 
 class TestSampleCache:

@@ -38,7 +38,6 @@ def _job_keys(run):
                     executed,
                     job.noise_model,
                     job.shots,
-                    job.method,
                     (run.seed, index),
                     backend=result.backend,
                 ),

@@ -58,7 +58,7 @@ def answers(artifact, device):
         "interaction_pairs": [list(pair) for pair in sorted(circuit.interaction_pairs())],
         "fingerprint": circuit_fingerprint(circuit),
         "ideal_key": ideal_key(circuit, backend="statevector"),
-        "sample_key": sample_key(circuit, calibrated, 4096, "bitflip", (8, 3), backend="statevector"),
+        "sample_key": sample_key(circuit, calibrated, 4096, (8, 3), backend="statevector"),
         "inverse_fingerprint": circuit_fingerprint(circuit.inverse()),
         "flips_uniform": uniform.accumulated_bitflip_probabilities(circuit).tolist(),
         "flips_calibrated": calibrated.accumulated_bitflip_probabilities(circuit).tolist(),

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import CircuitError
 from repro.quantum import (
     QuantumCircuit,
     Statevector,
     entanglement_entropy,
-    meyer_wallach_entanglement,
     reduced_density_matrix,
     simulate_statevector,
     von_neumann_entropy,
@@ -94,18 +95,37 @@ class TestEntanglementEntropy:
         entropy_deep = entanglement_entropy(simulate_statevector(deep))
         assert entropy_deep > entropy_shallow
 
+    @pytest.mark.parametrize("partition", [[0], [0, 1], [1, 3], [0, 2, 3]])
+    def test_ghz_has_one_bit_across_every_cut(self, partition):
+        ghz = QuantumCircuit(4)
+        ghz.h(0)
+        for qubit in range(3):
+            ghz.cx(qubit, qubit + 1)
+        assert entanglement_entropy(simulate_statevector(ghz), partition) == pytest.approx(1.0)
 
-class TestMeyerWallach:
-    def test_product_state_measure_is_zero(self):
-        assert meyer_wallach_entanglement(product_state()) == pytest.approx(0.0, abs=1e-9)
 
-    def test_ghz_measure_is_one(self):
-        circuit = QuantumCircuit(3)
-        circuit.h(0).cx(0, 1).cx(1, 2)
-        assert meyer_wallach_entanglement(simulate_statevector(circuit)) == pytest.approx(1.0)
+def random_state(seed: int, num_qubits: int = 4) -> Statevector:
+    rng = np.random.default_rng(seed)
+    circuit = QuantumCircuit(num_qubits)
+    for _ in range(12):
+        qubit = int(rng.integers(num_qubits))
+        circuit.ry(float(rng.uniform(0, np.pi)), qubit).rz(float(rng.uniform(0, np.pi)), qubit)
+        circuit.cx(qubit, (qubit + 1) % num_qubits)
+    return simulate_statevector(circuit)
 
-    def test_measure_in_unit_interval(self):
-        circuit = QuantumCircuit(3)
-        circuit.h(0).cx(0, 1).ry(0.3, 2).cz(1, 2)
-        value = meyer_wallach_entanglement(simulate_statevector(circuit))
-        assert 0.0 <= value <= 1.0
+
+class TestPureStateBipartitions:
+    @given(st.integers(0, 10_000), st.sets(st.integers(0, 3), min_size=1, max_size=3))
+    @settings(max_examples=25, deadline=None)
+    def test_complementary_sides_have_equal_entropy(self, seed, side):
+        state = random_state(seed)
+        other = sorted(set(range(4)) - side)
+        assert entanglement_entropy(state, sorted(side)) == pytest.approx(
+            entanglement_entropy(state, other), abs=1e-8
+        )
+
+    @given(st.integers(0, 10_000), st.sets(st.integers(0, 3), min_size=1, max_size=3))
+    @settings(max_examples=25, deadline=None)
+    def test_entropy_is_bounded_by_the_smaller_side(self, seed, side):
+        entropy = entanglement_entropy(random_state(seed), sorted(side))
+        assert -1e-9 <= entropy <= min(len(side), 4 - len(side)) + 1e-9

@@ -99,6 +99,10 @@ class TestKnownMatrices:
         state[1] = 1.0  # |01>
         assert np.allclose(swap @ state, [0, 0, 1, 0])  # -> |10>
 
+    def test_cp_phases_only_the_one_one_state(self):
+        theta = 0.8
+        assert np.allclose(gate_matrix("cp", [theta]), np.diag([1, 1, 1, np.exp(1j * theta)]))
+
     def test_rzz_diagonal_phases(self):
         theta = 0.8
         rzz = gate_matrix("rzz", [theta])

@@ -236,7 +236,7 @@ def _answers(circuit):
         "fingerprint": circuit_fingerprint(circuit),
         "transpile": transpile_key(circuit, None, ("rz", "sx", "x", "cx")),
         "ideal": ideal_key(circuit),
-        "sample": sample_key(circuit, calibrated, 128, "bitflip", (1, 2)),
+        "sample": sample_key(circuit, calibrated, 128, (1, 2)),
         "structure": _structure(circuit),
         "flips": [m.accumulated_bitflip_probabilities(circuit).tolist() for m in (uniform, calibrated)],
         "scramble": [m.scramble_probability(circuit) for m in (uniform, calibrated)],
@@ -303,7 +303,7 @@ class TestMemoNeverGoesStale:
             counters = observation.registry.counters
             for _ in range(3):
                 ideal_key(circuit)
-                sample_key(circuit, NoiseModel(), 64, "bitflip", (0, 0))
+                sample_key(circuit, NoiseModel(), 64, (0, 0))
                 circuit_fingerprint(circuit)
             assert counters["circuit.encodings"] == 1
             circuit.instructions[0] = Instruction("x", (0,))

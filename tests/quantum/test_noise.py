@@ -32,7 +32,7 @@ class TestReadoutError:
 class TestPauliNoise:
     def test_depolarizing_split(self):
         channel = PauliNoise.depolarizing(0.03)
-        assert channel.error_probability == pytest.approx(0.03)
+        assert channel.prob_x + channel.prob_y + channel.prob_z == pytest.approx(0.03)
         assert channel.bitflip_probability == pytest.approx(0.02)
 
     def test_rejects_negative(self):
@@ -46,19 +46,6 @@ class TestPauliNoise:
     def test_depolarizing_rejects_out_of_range(self):
         with pytest.raises(NoiseModelError):
             PauliNoise.depolarizing(1.5)
-
-    def test_sample_statistics(self):
-        channel = PauliNoise(prob_x=0.3, prob_y=0.0, prob_z=0.0)
-        rng = np.random.default_rng(0)
-        draws = [channel.sample(rng) for _ in range(5000)]
-        x_fraction = sum(1 for d in draws if d == "x") / len(draws)
-        assert x_fraction == pytest.approx(0.3, abs=0.03)
-        assert all(d in (None, "x") for d in draws)
-
-    def test_sample_zero_error_never_fires(self):
-        channel = PauliNoise.depolarizing(0.0)
-        rng = np.random.default_rng(1)
-        assert all(channel.sample(rng) is None for _ in range(100))
 
 
 class TestNoiseModel:
@@ -76,18 +63,6 @@ class TestNoiseModel:
     def test_rejects_out_of_range_rates(self):
         with pytest.raises(NoiseModelError):
             NoiseModel(single_qubit_error=2.0)
-
-    def test_sample_error_instructions_positions_valid(self, circuit):
-        model = NoiseModel(single_qubit_error=0.5, two_qubit_error=0.5)
-        errors = model.sample_error_instructions(circuit, np.random.default_rng(0))
-        assert errors, "with 50% error rates some errors must be sampled"
-        for position, instruction in errors:
-            assert 0 <= position < len(circuit)
-            assert instruction.name in ("x", "y", "z")
-
-    def test_noiseless_model_samples_no_errors(self, circuit):
-        model = NoiseModel.noiseless()
-        assert model.sample_error_instructions(circuit, np.random.default_rng(0)) == []
 
     def test_accumulated_bitflip_probabilities(self, circuit):
         model = NoiseModel(single_qubit_error=0.01, two_qubit_error=0.05, idle_error_per_layer=0.0)
@@ -207,7 +182,6 @@ class TestCalibratedNoiseModel:
         p10, p01 = zero.readout_flip_probabilities(3)
         assert np.all(p10 == 0.0) and np.all(p01 == 0.0)
         assert zero.scramble_probability(circuit) == 0.0
-        assert zero.sample_error_instructions(circuit, np.random.default_rng(0)) == []
 
     def test_width_mismatch_raises_clearly(self, calibrated):
         wide = QuantumCircuit(calibrated.calibration.num_qubits + 1)
@@ -216,11 +190,3 @@ class TestCalibratedNoiseModel:
             calibrated.accumulated_bitflip_probabilities(wide)
         with pytest.raises(NoiseModelError):
             calibrated.readout_flip_probabilities(calibrated.calibration.num_qubits + 1)
-
-    def test_trajectory_errors_target_valid_positions(self, calibrated, circuit):
-        scaled = calibrated.scaled(20.0)
-        errors = scaled.sample_error_instructions(circuit, np.random.default_rng(0))
-        assert errors
-        for position, instruction in errors:
-            assert 0 <= position < len(circuit)
-            assert instruction.name in ("x", "y", "z")

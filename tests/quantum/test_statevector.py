@@ -109,38 +109,20 @@ class TestMeasurement:
         assert dist.probability("00") == pytest.approx(0.5)
         assert dist.probability("10") == pytest.approx(0.5)
 
-    def test_sampling_matches_distribution(self):
-        circuit = QuantumCircuit(1)
-        circuit.h(0)
-        sampled = simulate_statevector(circuit).sample(20_000, rng=np.random.default_rng(1))
-        assert sampled.probability("0") == pytest.approx(0.5, abs=0.02)
-
-    def test_sample_rejects_nonpositive_shots(self):
-        with pytest.raises(CircuitError):
-            Statevector(1).sample(0)
-
-    def test_sample_arrives_with_packed_view_cached(self):
+    def test_uniform_superposition_measures_uniformly(self):
         circuit = QuantumCircuit(3)
         for qubit in range(3):
             circuit.h(qubit)
-        sampled = simulate_statevector(circuit).sample(4096, rng=np.random.default_rng(7))
-        assert sampled.has_packed_view()
-        assert sampled.total_weight == pytest.approx(4096)
+        dist = simulate_statevector(circuit).measurement_distribution()
+        assert dist.outcomes() == [format(value, "03b") for value in range(8)]
+        assert all(p == pytest.approx(1 / 8) for p in dist.probabilities().values())
 
-    def test_sample_support_matches_multinomial_counts(self):
-        # Same rng seed must produce exactly the counts of the multinomial
-        # draw, keyed by MSB-first bitstrings of the support indices.
+    def test_cutoff_drops_negligible_outcomes(self):
         circuit = QuantumCircuit(2)
-        circuit.h(0)
-        circuit.h(1)
+        circuit.rx(1e-7, 1)  # P(01) = sin^2(5e-8) ~ 2.5e-15
         state = simulate_statevector(circuit)
-        expected_counts = np.random.default_rng(3).multinomial(
-            1000, state.probabilities() / state.probabilities().sum()
-        )
-        sampled = state.sample(1000, rng=np.random.default_rng(3))
-        for index, count in enumerate(expected_counts):
-            outcome = format(index, "02b")
-            assert sampled.counts().get(outcome, 0.0) == pytest.approx(float(count))
+        assert state.measurement_distribution().outcomes() == ["00"]
+        assert state.measurement_distribution(cutoff=0.0).outcomes() == ["00", "01"]
 
     def test_apply_circuit_rejects_width_mismatch(self):
         state = Statevector(2)
