@@ -116,9 +116,10 @@ def _tile_distances(words_a: np.ndarray, words_b: np.ndarray) -> np.ndarray:
     """Pairwise distances between two row blocks, in the narrowest dtype.
 
     Single-word registers (width <= 64) stay in uint8 straight out of the
-    popcount; wider registers accumulate per-word counts in uint16.  Both are
-    valid fancy indices into the weight vector, so no int64 widening ever
-    happens inside a tile.
+    popcount; wider registers accumulate per-word counts in uint16.  The
+    score sweep gathers its weights through :func:`_gather_weights`, which
+    widens at most :data:`GATHER_BLOCK_ENTRIES` of them to ``intp`` at a
+    time, so no whole tile is ever widened to int64.
     """
     num_words = words_a.shape[1]
     first = popcount_u64(np.bitwise_xor.outer(words_a[:, 0], words_b[:, 0]))
@@ -271,6 +272,33 @@ def _tile_shape(num_outcomes: int) -> tuple[int, int]:
     return rows, cols
 
 
+#: Indices one ``take`` call of :func:`_gather_weights` widens to ``intp``.
+#: A whole-tile ``take`` widens the tile first: 8 MiB of ``intp`` beside a
+#: 1024 x 1024 float64 result.  The slices change no gathered value.
+GATHER_BLOCK_ENTRIES = 1 << 14
+
+
+def _gather_weights(
+    weights: np.ndarray, distances: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``weights.take(distances)``, gathered one fixed-size slice at a time.
+
+    ``out``, when given, is a C-contiguous float64 array shaped like
+    ``distances``.  ``mode="clip"`` lets ``take`` write ``out`` directly
+    (``"raise"`` buffers it) and never clips here: every distance is at most
+    the register width, and :func:`_symmetric_scores` checks that
+    ``weights`` has an entry for each.
+    """
+    if out is None:
+        out = np.empty(distances.shape)
+    flat_distances = distances.reshape(-1)
+    flat_out = out.reshape(-1)
+    for start in range(0, flat_distances.size, GATHER_BLOCK_ENTRIES):
+        stop = start + GATHER_BLOCK_ENTRIES
+        weights.take(flat_distances[start:stop], out=flat_out[start:stop], mode="clip")
+    return out
+
+
 def _symmetric_scores(
     packed,
     probabilities: np.ndarray,
@@ -283,11 +311,22 @@ def _symmetric_scores(
     The cutoff mask (``distance < cutoff``) is folded into the weight gather
     by zeroing a local copy of the weight vector at and beyond the cutoff —
     exactly the entries the historical pass masked out pairwise.  Each
-    unordered pair's distance and gathered weight are computed once and serve
-    both score directions.
+    unordered pair's distance is computed once and serves both score
+    directions.
+
+    One float tile: a tile's gathered weights are the only float64 array of
+    its size alive at a time, freed before the next tile's distances are
+    computed.  The filter multiplies them by each direction's mask in place,
+    gathering again from the same distances into the same buffer for the
+    second direction; in-place products are the values ``gathered * mask``
+    would hold, so each ``@`` reads the same C-contiguous operands.
     """
     words = packed.words
     num_outcomes = packed.num_outcomes
+    if weights.size <= packed.num_bits:
+        raise DistributionError(
+            f"need a weight for each distance 0..{packed.num_bits}, got {weights.size}"
+        )
     weights = weights.astype(float, copy=True)
     if cutoff < weights.size:
         weights[cutoff:] = 0.0
@@ -297,24 +336,31 @@ def _symmetric_scores(
         i1 = min(i0 + tile_rows, num_outcomes)
         p_i = probabilities[i0:i1]
         # Diagonal square: every ordered pair inside [i0, i1) in one shot.
-        gathered = weights.take(_tile_distances(words[i0:i1], words[i0:i1]))
+        distances = _tile_distances(words[i0:i1], words[i0:i1])
+        gathered = _gather_weights(weights, distances)
         if use_filter:
             np.multiply(gathered, p_i[:, None] > p_i[None, :], out=gathered)
         else:
             np.fill_diagonal(gathered, 0.0)
         scores[i0:i1] += gathered @ p_i
-        # Strictly-right tiles: one distance/gather per unordered pair,
+        del gathered
+        # Strictly-right tiles: one distance tile per unordered pair,
         # accumulated into both directions.
         for j0 in range(i1, num_outcomes, tile_cols):
             j1 = min(j0 + tile_cols, num_outcomes)
             p_j = probabilities[j0:j1]
-            gathered = weights.take(_tile_distances(words[i0:i1], words[j0:j1]))
+            distances = _tile_distances(words[i0:i1], words[j0:j1])
+            gathered = _gather_weights(weights, distances)
             if use_filter:
-                scores[i0:i1] += (gathered * (p_i[:, None] > p_j[None, :])) @ p_j
-                scores[j0:j1] += p_i @ (gathered * (p_i[:, None] < p_j[None, :]))
+                np.multiply(gathered, p_i[:, None] > p_j[None, :], out=gathered)
+                scores[i0:i1] += gathered @ p_j
+                _gather_weights(weights, distances, gathered)
+                np.multiply(gathered, p_i[:, None] < p_j[None, :], out=gathered)
+                scores[j0:j1] += p_i @ gathered
             else:
                 scores[i0:i1] += gathered @ p_j
                 scores[j0:j1] += p_i @ gathered
+            del gathered
     return scores
 
 

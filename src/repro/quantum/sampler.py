@@ -27,21 +27,26 @@ the packed aggregation, which deduplicate shots with array ops and deliver
 the histogram with its packed Hamming view pre-cached — no per-shot strings
 are ever materialised.
 
-The bit-flip draw (:meth:`_BitflipPlan.draw`) makes exactly these generator
-calls, in this order: ``choice(shots)`` over the ideal support,
-``random((shots, n))`` for the gate flips, ``random(shots)`` for the scramble
+The bit-flip draw (:meth:`_BitflipPlan.draw`) takes exactly these values
+from the generator, in this order: ``choice(shots)`` over the ideal support,
+``shots·n`` uniforms for the gate flips, ``shots`` uniforms for the scramble
 test, ``integers(0, 2, (k, n), uint8)`` for the k scrambled shots (only when
-k > 0) and ``random((shots, n))`` for readout.  That sequence is the
-histogram contract: change a call, a size or the order and every pinned
-digest, golden row and benchmark reference moves.  The draw works in place
-on one contiguous ``(shots, n)`` uint8 matrix, and both ``(shots, n)``
-uniform draws fill one float64 buffer; the readout step is
+k > 0) and ``shots·n`` uniforms for readout.  That order and those counts are
+the histogram contract: change a draw, a count or the order and every pinned
+digest, golden row and benchmark reference moves.  The call sizes are not
+part of it: ``Generator.random`` fills its output sequentially
+(``random((a, n))`` then ``random((b, n))`` returns the rows of one
+``random((a + b, n))``), so each uniform phase is drawn in row blocks of one
+float64 buffer of :data:`DRAW_BLOCK_ENTRIES` entries.  ``choice`` and
+``integers`` stay single calls.  The draw works in place on one contiguous
+``(shots, n)`` uint8 matrix; the readout step is
 :func:`_apply_readout_errors_to_bits`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +65,28 @@ __all__ = [
     "merge_counted_chunks",
     "NoisySampler",
 ]
+
+
+#: Float64 entries of the one uniform buffer a draw fills block by block
+#: (1 MiB), so that a draw's float scratch does not grow with its shot
+#: count.  The block size never changes a drawn value, only how many
+#: ``random`` calls take them.
+DRAW_BLOCK_ENTRIES = 1 << 17
+
+
+def _row_blocks(
+    target: np.ndarray, buffer: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Consecutive row blocks of ``target``, each with a view of ``buffer`` shaped like it.
+
+    A block has as many rows as ``buffer`` holds, the last one the rest.  A
+    caller that fills each view with ``generator.random`` draws, block after
+    block, the values one ``generator.random(target.shape)`` would return.
+    """
+    rows = max(1, buffer.size // math.prod(target.shape[1:]))
+    for start in range(0, len(target), rows):
+        block = target[start : start + rows]
+        yield block, buffer[: block.size].reshape(block.shape)
 
 
 def _apply_readout_errors_to_bits(
@@ -132,31 +159,39 @@ class _BitflipPlan:
     def draw(self, shots: int, generator: np.random.Generator) -> np.ndarray:
         """One ``(shots, n)`` noisy 0/1 uint8 bit matrix, drawn in place.
 
-        The generator calls, their sizes and their order are the histogram
-        contract (every pinned digest, golden row and benchmark reference
-        depends on them): ``choice(shots)`` over the ideal support,
-        ``random((shots, n))`` for the gate flips, ``random(shots)`` for the
-        scramble test, ``integers(0, 2, (k, n), uint8)`` for the k scrambled
-        shots (only when k > 0), and ``random((shots, n))`` for readout.
+        The values taken from the generator, their counts and their order
+        are the histogram contract (every pinned digest, golden row and
+        benchmark reference depends on them): ``choice(shots)`` over the
+        ideal support, ``shots·n`` uniforms for the gate flips, ``shots``
+        for the scramble test, ``integers(0, 2, (k, n), uint8)`` for the k
+        scrambled shots (only when k > 0), and ``shots·n`` for readout.
 
         The work happens on one C-contiguous matrix: the chosen ideal rows
         are gathered into it, the gate-flip mask is XORed straight into its
         bits, scrambled rows are overwritten, and the readout flips are
-        applied by :func:`_apply_readout_errors_to_bits`.  Both ``(shots,
-        n)`` uniform draws fill the same float64 buffer.
+        applied by :func:`_apply_readout_errors_to_bits`.  Each uniform
+        phase is drawn in row blocks into one float64 buffer of at most
+        :data:`DRAW_BLOCK_ENTRIES` entries; ``choice`` and ``integers`` are
+        single calls.
         """
         chosen = generator.choice(self.num_outcomes, size=shots, p=self.probability_vector)
         bits = self.source_bits.take(chosen, axis=0)
-        uniforms = generator.random(bits.shape)
-        as_bool = bits.view(np.bool_)
-        as_bool ^= np.less(uniforms, self.flip_probabilities)
+        del chosen
+        rows = max(1, DRAW_BLOCK_ENTRIES // self.num_qubits)
+        buffer = np.empty(min(shots, rows) * self.num_qubits)
+        for block, uniforms in _row_blocks(bits.view(np.bool_), buffer):
+            block ^= np.less(generator.random(out=uniforms), self.flip_probabilities)
         if self.scramble_probability > 0:
-            scrambled = generator.random(shots) < self.scramble_probability
+            scrambled = np.empty(shots, dtype=np.bool_)
+            for block, uniforms in _row_blocks(scrambled, buffer):
+                np.less(generator.random(out=uniforms), self.scramble_probability, out=block)
             if scrambled.any():
                 bits[scrambled] = generator.integers(
                     0, 2, size=(int(scrambled.sum()), self.num_qubits), dtype=np.uint8
                 )
-        return _apply_readout_errors_to_bits(bits, self.p10, self.p01, generator, uniforms)
+        for block, uniforms in _row_blocks(bits, buffer):
+            _apply_readout_errors_to_bits(block, self.p10, self.p01, generator, uniforms)
+        return bits
 
 
 def sample_bitflip_distribution(
@@ -197,8 +232,9 @@ def sample_bitflip_batch(
     The circuit-dependent noise arrays and the ideal support views are
     computed once for the whole batch; each job then draws with its own
     generator in the historical order, is packed to uint64 words and
-    aggregated immediately — so peak memory is one job's shot matrix, not
-    the group's, and every returned histogram is bit-identical to a lone
+    aggregated immediately — so peak memory is one job's uint8 shot matrix
+    and its packing (plus the draw's fixed-size uniform block), not the
+    group's, and every returned histogram is bit-identical to a lone
     :func:`sample_bitflip_distribution` call with the same generator state
     (packing and shot deduplication are row-wise, so doing them per job or
     over a concatenation is the same arithmetic).  Up to 64 qubits the shots

@@ -6,10 +6,12 @@ session, cold, each on an engine with its own empty ``cache_dir``: fig8-cold
 and zoo-warm (the 14 calibrated scenarios x 2 BV-10 keys, 28 jobs), both at
 seed 8, the configuration ``perfbench/workloads.py`` runs at ``--seed 8``.
 ``run_workload`` runs one of them again, on a given ``cache_dir``.
+``traced_peak_mib`` measures one call's peak traced allocation.
 """
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,3 +78,22 @@ def workload_runs(tmp_path_factory) -> dict[str, WorkloadRun]:
 @pytest.fixture(scope="session")
 def run_workload():
     return _run_workload
+
+
+@pytest.fixture
+def traced_peak_mib():
+    """``measure(function, *args)``: the call's tracemalloc peak, in MiB.
+
+    A count of bytes, not a timing: it repeats exactly on any machine
+    load.  Tracing stops even when the call raises.
+    """
+
+    def measure(function, *args):
+        tracemalloc.start()
+        try:
+            function(*args)
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    return measure

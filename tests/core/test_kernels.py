@@ -537,6 +537,107 @@ class TestFixedKernelSizes:
                 assert np.array_equal(hammer(dist).weight_vector(), weights), (value, plan)
 
 
+def _reference_symmetric_scores(packed, probabilities, weights, cutoff, use_filter):
+    """``kernels._symmetric_scores`` as it was: ``take`` over whole tiles.
+
+    ``take`` widened each uint8/uint16 distance tile to ``intp`` before
+    gathering, and the filter's products were fresh float64 tiles.
+    """
+    words = packed.words
+    num_outcomes = packed.num_outcomes
+    weights = weights.astype(float, copy=True)
+    if cutoff < weights.size:
+        weights[cutoff:] = 0.0
+    scores = np.zeros(num_outcomes, dtype=float)
+    tile_rows, tile_cols = kernels._tile_shape(num_outcomes)
+    for i0 in range(0, num_outcomes, tile_rows):
+        i1 = min(i0 + tile_rows, num_outcomes)
+        p_i = probabilities[i0:i1]
+        gathered = weights.take(kernels._tile_distances(words[i0:i1], words[i0:i1]))
+        if use_filter:
+            np.multiply(gathered, p_i[:, None] > p_i[None, :], out=gathered)
+        else:
+            np.fill_diagonal(gathered, 0.0)
+        scores[i0:i1] += gathered @ p_i
+        for j0 in range(i1, num_outcomes, tile_cols):
+            j1 = min(j0 + tile_cols, num_outcomes)
+            p_j = probabilities[j0:j1]
+            gathered = weights.take(kernels._tile_distances(words[i0:i1], words[j0:j1]))
+            if use_filter:
+                scores[i0:i1] += (gathered * (p_i[:, None] > p_j[None, :])) @ p_j
+                scores[j0:j1] += p_i @ (gathered * (p_i[:, None] < p_j[None, :]))
+            else:
+                scores[i0:i1] += gathered @ p_j
+                scores[j0:j1] += p_i @ gathered
+    return scores
+
+
+def _random_support(num_bits, num_outcomes, seed):
+    """``num_outcomes`` distinct random outcomes with 1-, 2-, 3-shot counts, packed."""
+    rng = np.random.default_rng(seed)
+    draws = rng.integers(0, 2, size=(8 * num_outcomes, num_bits), dtype=np.uint8)
+    rows = np.unique(draws, axis=0)
+    rows = rows[rng.permutation(len(rows))[:num_outcomes]]
+    assert len(rows) == num_outcomes
+    counts = rng.geometric(0.6, size=num_outcomes).astype(float)
+    strings = ["".join("1" if bit else "0" for bit in row) for row in rows]
+    return Distribution(dict(zip(strings, counts)), num_bits=num_bits).packed()
+
+
+class TestTileSweepGather:
+    """The tile sweep's sliced gather gives the whole-tile ``take``'s scores, bit for bit.
+
+    300 outcomes fit one diagonal tile; 2,000 take two row bands, so a
+    strictly-right tile runs.  12 bits gather uint8 distances, 70 bits
+    (two words) uint16.
+    """
+
+    @pytest.mark.parametrize("num_outcomes", [300, 2000], ids=["one-tile", "two-bands"])
+    @pytest.mark.parametrize("num_bits", [12, 70], ids=["uint8", "uint16"])
+    @pytest.mark.parametrize("use_filter", [True, False], ids=["filter", "no-filter"])
+    @pytest.mark.parametrize("short_cutoff", [False, True], ids=["default-cutoff", "cutoff-2"])
+    def test_scores_equal_the_whole_tile_take(self, num_outcomes, num_bits, use_filter, short_cutoff):
+        packed = _random_support(num_bits, num_outcomes, seed=num_outcomes + num_bits)
+        weights = np.random.default_rng(num_bits).random(num_bits + 1)
+        cutoff = 2 if short_cutoff else (num_bits + 1) // 2
+        args = (packed, packed.probabilities, weights, cutoff, use_filter)
+        assert (kernels._tile_shape(num_outcomes)[0] < num_outcomes) == (num_outcomes == 2000)
+        assert np.array_equal(
+            kernels._symmetric_scores(*args), _reference_symmetric_scores(*args)
+        )
+
+    def test_a_short_weight_vector_raises(self):
+        packed = _random_support(12, 300, seed=1)
+        with pytest.raises(DistributionError, match="weight for each distance"):
+            kernels._symmetric_scores(packed, packed.probabilities, np.ones(12), 6, True)
+
+
+class TestTileSweepScratchMemory:
+    """The tile sweep holds one float64 tile, and no ``intp`` copy of one.
+
+    tracemalloc peaks of one ``_symmetric_scores`` call with the filter
+    on.  A whole-tile ``take`` widened the distances to an 8-byte index
+    tile beside its float64 result, and the filter's products were two
+    more float64 tiles.
+    """
+
+    @pytest.mark.parametrize(
+        "num_bits, num_outcomes, bound_mib", [(10, 900, 10.0), (14, 4000, 24.0)]
+    )
+    def test_peak_stays_within_bound(self, traced_peak_mib, num_bits, num_outcomes, bound_mib):
+        packed = _random_support(num_bits, num_outcomes, seed=num_bits)
+        weights = np.random.default_rng(num_bits).random(num_bits + 1)
+        peak = traced_peak_mib(
+            kernels._symmetric_scores,
+            packed,
+            packed.probabilities,
+            weights,
+            (num_bits + 1) // 2,
+            True,
+        )
+        assert peak <= bound_mib
+
+
 class TestAverageChsRoutesThroughKernels:
     @pytest.mark.parametrize("plan", ALL_PLANS)
     def test_average_chs_stable_across_plans(self, plan):

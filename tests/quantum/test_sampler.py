@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -253,47 +255,98 @@ def _per_qubit(rng, num_qubits, scale):
     return values
 
 
-@st.composite
-def bitflip_plans(draw):
-    """A ``_BitflipPlan`` over an arbitrary ideal support and per-qubit noise."""
-    num_qubits = draw(_widths)
-    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    rows = rng.integers(0, 2, size=(draw(st.integers(1, 64)), num_qubits), dtype=np.uint8)
+def _random_plan(num_qubits, rng, support, power, scale, scramble):
+    """A ``_BitflipPlan`` over a random ideal support of up to ``support`` rows."""
+    rows = rng.integers(0, 2, size=(support, num_qubits), dtype=np.uint8)
     source = np.unique(rows, axis=0)
-    weights = rng.random(len(source)) ** draw(st.sampled_from([1, 4]))
+    weights = rng.random(len(source)) ** power
     weights[0] += 1e-3
-    scale = draw(st.sampled_from([0.0, 0.02, 0.3, 1.0]))
     return _BitflipPlan(
         num_qubits=num_qubits,
         source_bits=source,
         probability_vector=weights / weights.sum(),
         num_outcomes=len(source),
         flip_probabilities=_per_qubit(rng, num_qubits, scale),
-        scramble_probability=draw(st.sampled_from([0.0, 1.0]) | st.floats(1e-4, 0.3)),
+        scramble_probability=scramble,
         p10=_per_qubit(rng, num_qubits, scale),
         p01=_per_qubit(rng, num_qubits, scale),
     )
 
 
+@st.composite
+def bitflip_plans(draw):
+    """A ``_BitflipPlan`` over an arbitrary ideal support and per-qubit noise."""
+    num_qubits = draw(_widths)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return _random_plan(
+        num_qubits,
+        rng,
+        support=draw(st.integers(1, 64)),
+        power=draw(st.sampled_from([1, 4])),
+        scale=draw(st.sampled_from([0.0, 0.02, 0.3, 1.0])),
+        scramble=draw(st.sampled_from([0.0, 1.0]) | st.floats(1e-4, 0.3)),
+    )
+
+
+def _block_cases(num_qubits):
+    """``(block entries, shots)`` pairs whose draws cross block edges in every phase.
+
+    Per block size, the shot counts straddle one block of rows (``rows - 1``,
+    ``rows``, ``rows + 1``), span several blocks plus a remainder, and
+    exceed one buffer of scramble uniforms (``rows * n + 1``); the last
+    case's one block is larger than the whole matrix.
+    """
+    n = num_qubits
+    cases = []
+    for entries in sorted({1, max(1, n - 1), n, n + 1, 3 * n + 2}):
+        rows = max(1, entries // n)
+        for shots in sorted({max(1, rows - 1), rows, rows + 1, 3 * rows + 1, rows * n + 1}):
+            cases.append((entries, shots))
+    cases.append((40 * n + 1, 40))
+    return cases
+
+
+#: Uniform block sizes: the module's own, or anything from one entry to more
+#: than a whole matrix.
+_block_entries = st.just(sampler_module.DRAW_BLOCK_ENTRIES) | st.integers(1, 3_000)
+
+
+def _assert_draw_matches_reference(plan, shots, seed, entries):
+    """``plan.draw`` with ``entries`` per uniform block: the reference's bits and end state."""
+    source = plan.source_bits.copy()
+    fast_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with mock.patch.object(sampler_module, "DRAW_BLOCK_ENTRIES", entries):
+        bits = plan.draw(shots, fast_rng)
+    expected = _reference_draw(plan, shots, reference_rng)
+    assert bits.dtype == np.uint8 and bits.shape == (shots, plan.num_qubits)
+    assert np.array_equal(bits, expected), (entries, shots)
+    assert fast_rng.bit_generator.state == reference_rng.bit_generator.state, (entries, shots)
+    assert np.array_equal(plan.source_bits, source)
+
+
 class TestInPlaceDraw:
     """The in-place draw is bit-identical to the code it replaced.
 
-    The generator's state afterwards must match too: that pins the call
-    contract (the same draws, of the same sizes, in the same order), which
-    every pinned digest, golden row and benchmark reference depends on.
+    The generator's state afterwards must match too: that pins the draw
+    contract (the same values, in the same counts and order), which every
+    pinned digest, golden row and benchmark reference depends on.  The
+    uniforms are drawn in row blocks, so the block size is varied from one
+    entry to more than the whole matrix.
     """
 
-    @given(bitflip_plans(), st.integers(1, 5_000), st.integers(0, 2**32 - 1))
+    @given(bitflip_plans(), st.integers(1, 5_000), st.integers(0, 2**32 - 1), _block_entries)
     @settings(max_examples=150, deadline=None)
-    def test_draw_matches_reference(self, plan, shots, seed):
-        source = plan.source_bits.copy()
-        fast_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        bits = plan.draw(shots, fast_rng)
-        expected = _reference_draw(plan, shots, reference_rng)
-        assert bits.dtype == np.uint8 and bits.shape == (shots, plan.num_qubits)
-        assert np.array_equal(bits, expected)
-        assert fast_rng.bit_generator.state == reference_rng.bit_generator.state
-        assert np.array_equal(plan.source_bits, source)
+    def test_draw_matches_reference(self, plan, shots, seed, entries):
+        # The block size is patched in the body, not by ``monkeypatch``:
+        # hypothesis gives no fresh fixture per example.
+        _assert_draw_matches_reference(plan, shots, seed, entries)
+
+    @pytest.mark.parametrize("num_qubits", range(1, 131))
+    def test_every_width_crosses_block_edges(self, num_qubits):
+        rng = np.random.default_rng(num_qubits)
+        plan = _random_plan(num_qubits, rng, support=16, power=4, scale=0.3, scramble=0.3)
+        for case, (entries, shots) in enumerate(_block_cases(num_qubits)):
+            _assert_draw_matches_reference(plan, shots, 1000 * num_qubits + case, entries)
 
     @given(_widths, st.integers(1, 2_000), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -310,6 +363,21 @@ class TestInPlaceDraw:
         assert noisy is bits
         assert np.array_equal(noisy, expected)
         assert fast_rng.bit_generator.state == expected_rng.bit_generator.state
+
+
+class TestDrawScratchMemory:
+    """A draw's scratch does not grow with its shot count.
+
+    Its uniforms fill one fixed-size block, so a 262,144 x 10 draw's
+    tracemalloc peak is the uint8 bit matrix (2.5 MiB) plus ``choice``'s
+    uniforms and indices (2 MiB each); the whole-matrix uniforms it once
+    held were 20 MiB.
+    """
+
+    def test_a_262144_by_10_draw_peaks_at_8_mib_or_less(self, traced_peak_mib):
+        rng = np.random.default_rng(8)
+        plan = _random_plan(10, rng, support=64, power=4, scale=0.02, scramble=0.05)
+        assert traced_peak_mib(plan.draw, 262_144, np.random.default_rng(8)) <= 8.0
 
 
 class TestReadoutFlips:
